@@ -12,11 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .grid import VectorField
 from .problems import Nonlinearity, ProblemSpec
-from .spectral import apply_fractional_symbol, forward_transform, spectrum_l2, vector_norms
+from .spectral import spectral_plan, vector_norms
 
 __all__ = [
     "BoundsContext",
@@ -100,17 +98,10 @@ def kernel_constants(problem: ProblemSpec) -> tuple[float, float]:
     H is the root sum of squared kernel L1 norms; Q the root sum of
     squared L2 norms of each kernel filtered by ``(-Lap)^{1-s1_m}``.
     """
-    fields = problem.kernel_fields()
-    h_sq = 0.0
-    q_sq = 0.0
-    for m, field in enumerate(fields):
-        w = field.grid.cell_volume
-        h_sq += float(w * np.sum(np.abs(field.values))) ** 2
-        filtered = apply_fractional_symbol(forward_transform(field), 1.0 - problem.orders.s1[m])
-        q_sq += spectrum_l2(filtered) ** 2
-    if h_sq == 0.0 or q_sq == 0.0:
+    h_const, q_const = spectral_plan(problem).kernel_constants
+    if h_const == 0.0 or q_const == 0.0:
         raise ValueError("kernels vanish identically; the aggregate constants must be positive")
-    return math.sqrt(h_sq), math.sqrt(q_sq)
+    return h_const, q_const
 
 
 def embedding_constant() -> float:

@@ -42,7 +42,13 @@ from .problems import (
     load_problem,
     solvability_sweep_cases,
 )
-from .spectral import field_norms, forward_transform, vector_norms
+from .spectral import (
+    field_norms,
+    half_lattice,
+    relative_defect,
+    two_exponent_symbol,
+    vector_norms,
+)
 
 __all__ = ["run_command", "write_report", "main"]
 
@@ -158,9 +164,12 @@ def write_report(report: dict, out_dir, series: list[dict] | None = None) -> lis
 
 def _worker_count() -> int:
     raw = os.environ.get("FRAC_THREADS", "").strip()
-    if raw:
+    if not raw:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(raw))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ConfigError("FRAC_THREADS", f"expected an integer, got {raw!r}") from None
 
 
 def _parallel_map(fn, items):
@@ -177,15 +186,8 @@ def _parallel_map(fn, items):
 
 def _forward_residual(u, f, s1, s2) -> float:
     """Relative defect || op(u) - f ||_L2 / ||f||_L2 on the nonzero modes."""
-    grid = u.grid
-    pm = grid.wavenumbers
-    lhs = (pm ** (2.0 * s1) + pm ** (2.0 * s2)) * forward_transform(u).coefficients
-    rhs = forward_transform(f).coefficients.copy()
-    lhs[0, 0, 0] = 0.0
-    rhs[0, 0, 0] = 0.0
-    num = float(np.sqrt(grid.mode_volume * np.sum(np.abs(lhs - rhs) ** 2)))
-    den = float(np.sqrt(grid.mode_volume * np.sum(np.abs(rhs) ** 2)))
-    return num / den if den else num
+    symbol = two_exponent_symbol(half_lattice(u.grid).wavenumbers, s1, s2)
+    return relative_defect(symbol * np.fft.rfftn(u.values), np.fft.rfftn(f.values), u.grid)
 
 
 def _cmd_solve_linear(problem, args, dump):
@@ -414,6 +416,7 @@ def run_command(argv) -> int:
         return int(exc.code or 0)
 
     try:
+        _worker_count()
         config_text, problem = _load_config(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

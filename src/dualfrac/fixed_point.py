@@ -22,15 +22,14 @@ from .bounds import (
     continuity_rhs,
     embedding_constant,
 )
-from .grid import ScalarField, Spectrum, VectorField
-from .poisson import solve_double_fractional, solve_linear_system
+from .grid import VectorField
 from .problems import (
     NONLINEAR_S1_HIGH,
     NONLINEAR_S1_LOW,
     Nonlinearity,
     ProblemSpec,
 )
-from .spectral import convolve, forward_transform, inverse_transform, vector_norms
+from .spectral import half_lattice, relative_defect, spectral_plan, vector_norms
 
 __all__ = [
     "FixedPointResult",
@@ -83,10 +82,12 @@ def _check_nonlinear_orders(problem: ProblemSpec) -> None:
 def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorField:
     """One application of the solution map: v -> solve(eps_m * H_m * g_m(u0 + v)).
 
-    The coupling is evaluated pointwise on ``u0 + v``, convolved with each
-    kernel, and the linear operator is inverted with the drop zero-mode
-    policy.  Logs a warning when the pointwise values leave the ball the
-    coupling bound was sized on.
+    The coupling is evaluated pointwise on ``u0 + v``; convolution with each
+    kernel and inversion of the linear operator (drop zero-mode policy) are
+    one multiplication by the plan's transfer on the half lattice, between
+    one batched ``rfftn`` and one batched ``irfftn``.  The result carries
+    its half spectrum.  Logs a warning when the pointwise values leave the
+    ball the coupling bound was sized on.
     """
     _check_nonlinear_orders(problem)
     if v.grid != problem.grid or u0.grid != problem.grid:
@@ -94,9 +95,9 @@ def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorFi
     if v.n_components != problem.n_components or u0.n_components != problem.n_components:
         raise ValueError("component count mismatch with the problem")
 
-    z_fields = [u0.components[m].values + v.components[m].values for m in range(problem.n_components)]
+    z = u0.values + v.values
     ball_radius = embedding_constant() * (vector_norms(u0).h2 + 1.0)
-    max_len = float(np.sqrt(np.max(sum(z * z for z in z_fields))))
+    max_len = float(np.sqrt(np.max(sum(c * c for c in z))))
     if max_len > ball_radius:
         logger.warning(
             "pointwise argument length %.6f left the coupling ball of radius %.6f; "
@@ -105,20 +106,15 @@ def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorFi
             ball_radius,
         )
 
-    g_values = problem.nonlinearity.eval_components(z_fields)
-    kernels = problem.kernel_fields()
-    out = []
+    g_values = np.stack(problem.nonlinearity.eval_components(list(z)))
     for m in range(problem.n_components):
         if not np.isfinite(g_values[m]).all():
             raise ValueError(f"coupling output for component {m} is not finite")
-        if problem.epsilon[m] == 0.0:
-            out.append(ScalarField.zeros(problem.grid))
-            continue
-        rhs = problem.epsilon[m] * convolve(kernels[m], ScalarField(problem.grid, g_values[m]))
-        out.append(
-            solve_double_fractional(rhs, problem.orders.s1[m], problem.orders.s2[m], "drop")
-        )
-    return VectorField(tuple(out))
+    coeff = np.fft.rfftn(g_values, axes=(-3, -2, -1))
+    coeff *= np.asarray(problem.epsilon)[:, None, None, None]
+    coeff *= spectral_plan(problem).transfer
+    values = np.fft.irfftn(coeff, s=problem.grid.shape, axes=(-3, -2, -1))
+    return VectorField.from_stack(problem.grid, values, coeff)
 
 
 def _context_for(problem: ProblemSpec, u0: VectorField, rho: float) -> BoundsContext:
@@ -144,7 +140,7 @@ def solve_fixed_point(
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     _check_nonlinear_orders(problem)
-    u0 = solve_linear_system(problem)
+    u0 = spectral_plan(problem).u0
     ctx = _context_for(problem, u0, rho)
     if ctx.epsilon > ctx.epsilon_max:
         logger.warning(
@@ -216,14 +212,10 @@ def sample_ball(
     and rescaled to the target radius.
     """
     cutoff = 0.5 * grid.nyquist
-    components = []
-    for _ in range(n_components):
-        noise = ScalarField(grid, rng.standard_normal(grid.shape))
-        spec = forward_transform(noise)
-        coeff = spec.coefficients.copy()
-        coeff[grid.wavenumbers > cutoff] = 0.0
-        components.append(inverse_transform(Spectrum(grid, coeff)))
-    draw = VectorField(tuple(components))
+    coeff = np.fft.rfftn(rng.standard_normal((n_components,) + grid.shape), axes=(-3, -2, -1))
+    coeff[:, half_lattice(grid).wavenumbers > cutoff] = 0.0
+    values = np.fft.irfftn(coeff, s=grid.shape, axes=(-3, -2, -1))
+    draw = VectorField.from_stack(grid, values, coeff)
     norm = vector_norms(draw).h2
     if norm == 0.0:
         return sample_ball(grid, n_components, rho, rng)
@@ -262,29 +254,19 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     Computes the root sum over components of
     ``|| lin_op u_m - eps_m H_m * g_m(u) - f_m ||_L2`` on the nonzero
     modes (matching the drop zero-mode policy), normalized by the L2 norm
-    of the influx vector.
+    of the influx vector.  u and g(u) are transformed afresh from their
+    real-space values, whatever spectrum u carries, so the residual checks
+    the values a report is written from.
     """
     if u.grid != problem.grid:
         raise ValueError("field does not live on the problem grid")
-    g = problem.grid
-    pm = g.wavenumbers
-    g_values = problem.nonlinearity.eval_components([c.values for c in u.components])
-    kernels = problem.kernel_fields()
-    influxes = problem.influx_fields()
-    total = 0.0
-    f_sq = 0.0
-    for m in range(problem.n_components):
-        sym = pm ** (2.0 * problem.orders.s1[m]) + pm ** (2.0 * problem.orders.s2[m])
-        lhs = sym * forward_transform(u.components[m]).coefficients
-        drive = problem.epsilon[m] * convolve(kernels[m], ScalarField(g, g_values[m])) + influxes[m]
-        rhs = forward_transform(drive).coefficients
-        lhs[0, 0, 0] = 0.0
-        rhs[0, 0, 0] = 0.0
-        total += g.mode_volume * float(np.sum(np.abs(lhs - rhs) ** 2))
-        f_sq += g.cell_volume * float(np.sum(influxes[m].values ** 2))
-    if f_sq == 0.0:
-        return float(np.sqrt(total))
-    return float(np.sqrt(total / f_sq))
+    plan = spectral_plan(problem)
+    g_values = np.stack(problem.nonlinearity.eval_components(list(u.values)))
+    coeff_u, coeff_g = np.fft.rfftn(np.stack([u.values, g_values]), axes=(-3, -2, -1))
+    lhs = plan.symbols * coeff_u
+    eps = np.asarray(problem.epsilon)[:, None, None, None]
+    rhs = eps * plan.symbols * plan.transfer * coeff_g + plan.influx_spectra
+    return relative_defect(lhs, rhs, problem.grid, reference=plan.influx_l2)
 
 
 def continuity_experiment(
@@ -302,7 +284,7 @@ def continuity_experiment(
     computed with the shared coupling-ball radius.  lhs <= rhs must hold
     whenever the coupling sits inside the certified regime.
     """
-    u0 = solve_linear_system(problem)
+    u0 = spectral_plan(problem).u0
     i_radius = embedding_constant() * (vector_norms(u0).h2 + 1.0)
     m_shared = max(
         c2_ball_norm(g1, i_radius) if not g1.is_trivial else 0.0,

@@ -9,7 +9,7 @@ their continuum form on the lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -89,8 +89,8 @@ class Grid3:
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         """Euclidean frequency magnitude |p| on the lattice."""
-        px, py, pz = self.wavevectors
-        return np.sqrt(px**2 + py**2 + pz**2)
+        p_sq = self.frequency_axis**2
+        return np.sqrt(p_sq[:, None, None] + p_sq[None, :, None] + p_sq[None, None, :])
 
     @cached_property
     def center_phase(self) -> np.ndarray:
@@ -192,9 +192,16 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Ordered components of an R^N-valued field sharing one grid."""
+    """Ordered components of an R^N-valued field sharing one grid.
+
+    ``spectrum``, when given, is ``numpy.fft.rfftn(values, axes=(1, 2, 3))``
+    of the stacked components.  It is carried through linear combinations
+    so that spectral norms of iterates need no transform; it is not
+    checked against the values.
+    """
 
     components: tuple[ScalarField, ...]
+    spectrum: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         comps = tuple(self.components)
@@ -205,10 +212,27 @@ class VectorField:
             if c.grid != grid:
                 raise ValueError(f"component {i} lives on a different grid")
         object.__setattr__(self, "components", comps)
+        if self.spectrum is not None:
+            n = grid.points_per_axis
+            expected = (len(comps), n, n, n // 2 + 1)
+            if self.spectrum.shape != expected:
+                raise ValueError(
+                    f"spectrum shape {self.spectrum.shape} does not match the half lattice {expected}"
+                )
+
+    @classmethod
+    def from_stack(cls, grid: Grid3, values: np.ndarray, spectrum: np.ndarray | None = None) -> "VectorField":
+        """Wrap an ``(N, n, n, n)`` array; the components are views into it."""
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        u = cls(tuple(ScalarField(grid, v) for v in values), spectrum)
+        u.__dict__["values"] = values
+        return u
 
     @classmethod
     def zeros(cls, grid: Grid3, n_components: int) -> "VectorField":
-        return cls(tuple(ScalarField.zeros(grid) for _ in range(n_components)))
+        n = grid.points_per_axis
+        spectrum = np.zeros((n_components, n, n, n // 2 + 1), dtype=np.complex128)
+        return cls.from_stack(grid, np.zeros((n_components,) + grid.shape), spectrum)
 
     @property
     def grid(self) -> Grid3:
@@ -218,14 +242,31 @@ class VectorField:
     def n_components(self) -> int:
         return len(self.components)
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Components stacked along a leading axis, shape ``(N, n, n, n)``."""
+        return np.stack([c.values for c in self.components])
+
+    def _combine(self, other: "VectorField", op) -> "VectorField":
+        if other.grid != self.grid:
+            raise ValueError("fields live on different grids")
+        if other.n_components != self.n_components:
+            raise ValueError("fields have different component counts")
+        spectrum = None
+        if self.spectrum is not None and other.spectrum is not None:
+            spectrum = op(self.spectrum, other.spectrum)
+        return VectorField.from_stack(self.grid, op(self.values, other.values), spectrum)
+
     def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a + b for a, b in zip(self.components, other.components, strict=True)))
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a - b for a, b in zip(self.components, other.components, strict=True)))
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar: float) -> "VectorField":
-        return VectorField(tuple(c * scalar for c in self.components))
+        scalar = float(scalar)
+        spectrum = None if self.spectrum is None else self.spectrum * scalar
+        return VectorField.from_stack(self.grid, self.values * scalar, spectrum)
 
     __rmul__ = __mul__
 

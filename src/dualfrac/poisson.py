@@ -19,7 +19,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .grid import Grid3, ScalarField, VectorField
-from .spectral import forward_transform, inverse_transform, spectrum_l2
+from .spectral import (
+    forward_transform,
+    half_lattice,
+    inverse_transform,
+    relative_defect,
+    spectral_plan,
+    spectrum_l2,
+    two_exponent_symbol,
+)
 
 __all__ = [
     "SolvabilityReport",
@@ -75,11 +83,6 @@ def _validate_orders(s1: float, s2: float) -> None:
         )
 
 
-def _symbol(grid: Grid3, s1: float, s2: float) -> np.ndarray:
-    pm = grid.wavenumbers
-    return pm ** (2.0 * s1) + pm ** (2.0 * s2)
-
-
 def solve_double_fractional(
     f: ScalarField,
     s1: float,
@@ -110,8 +113,7 @@ def solve_double_fractional(
     elif zero_mass > 0.0:
         logger.debug("dropping zero-frequency mass %.6e from the right side", zero_mass)
 
-    sym = _symbol(f.grid, s1, s2)
-    sym = sym.copy()
+    sym = two_exponent_symbol(f.grid.wavenumbers, s1, s2)
     sym[0, 0, 0] = 1.0  # placeholder; the mode is zeroed below
     coeff = spectrum.coefficients / sym
     coeff[0, 0, 0] = 0.0
@@ -122,7 +124,7 @@ def apply_double_fractional(u: ScalarField, s1: float, s2: float) -> ScalarField
     """Apply the forward operator ``(-Lap)^{s1} + (-Lap)^{s2}`` spectrally."""
     _validate_orders(s1, s2)
     spectrum = forward_transform(u)
-    coeff = _symbol(u.grid, s1, s2) * spectrum.coefficients
+    coeff = two_exponent_symbol(u.grid.wavenumbers, s1, s2) * spectrum.coefficients
     return inverse_transform(type(spectrum)(u.grid, coeff))
 
 
@@ -157,32 +159,25 @@ def regularity_check(u0: ScalarField, f: ScalarField, s1: float, s2: float) -> f
     if u0.grid != f.grid:
         raise ValueError("u0 and f live on different grids")
     g = u0.grid
-    pm = g.wavenumbers
-    cu = forward_transform(u0).coefficients
-    cf = forward_transform(f).coefficients
-    lhs = (pm**2 + pm ** (2.0 * (1.0 + s2 - s1))) * cu
-    rhs = pm ** (2.0 * (1.0 - s1)) * cf
-    lap_l2 = math.sqrt(g.mode_volume * float(np.sum(pm**4 * np.abs(cu) ** 2)))
-    if not math.isfinite(lap_l2):
+    lattice = half_lattice(g)
+    pm = lattice.wavenumbers
+    cu = np.fft.rfftn(u0.values)
+    cf = np.fft.rfftn(f.values)
+    if not math.isfinite(float(np.sum(lattice.h2_weights * np.abs(cu) ** 2))):
         raise ValueError("Laplacian of u0 is not square integrable on the lattice")
-    num = math.sqrt(g.mode_volume * float(np.sum(np.abs(lhs - rhs) ** 2)))
-    den = math.sqrt(g.mode_volume * float(np.sum(np.abs(rhs) ** 2)))
-    if den == 0.0:
-        return num
-    return num / den
+    lhs = two_exponent_symbol(pm, 1.0, 1.0 + s2 - s1) * cu
+    rhs = pm ** (2.0 * (1.0 - s1)) * cf
+    return relative_defect(lhs, rhs, g)
 
 
 def solve_linear_system(problem) -> VectorField:
-    """Solve the uncoupled linear problems for every component influx."""
-    fields = problem.influx_fields()
-    out = []
-    for m in range(problem.n_components):
-        out.append(
-            solve_double_fractional(
-                fields[m], problem.orders.s1[m], problem.orders.s2[m], "drop"
-            )
-        )
-    return VectorField(tuple(out))
+    """Solve the uncoupled linear problems for every component influx.
+
+    The drop zero-mode policy applies; the result is the problem's shared
+    :class:`~dualfrac.spectral.SpectralPlan` u0, read-only and carrying its
+    half spectrum.
+    """
+    return spectral_plan(problem).u0
 
 
 @dataclass(frozen=True)

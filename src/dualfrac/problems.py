@@ -12,7 +12,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -103,8 +102,8 @@ def realize_gaussian(spec: GaussianSpec, grid: Grid3) -> ScalarField:
             f"{margin:.3f} < {clearance:.3f}; estimated truncated mass {lost:.3e}",
             stacklevel=2,
         )
-    x, y, z = grid.meshes
-    r_sq = (x - spec.center[0]) ** 2 + (y - spec.center[1]) ** 2 + (z - spec.center[2]) ** 2
+    dx, dy, dz = ((grid.axis - c) ** 2 for c in spec.center)
+    r_sq = dx[:, None, None] + dy[None, :, None] + dz[None, None, :]
     return ScalarField(grid, spec.amplitude * np.exp(-spec.width * r_sq))
 
 
@@ -337,12 +336,10 @@ class ProblemSpec:
     def kernel_fields(self) -> list[ScalarField]:
         return [realize_gaussian_sum(k, self.grid) for k in self.kernels]
 
-    @cached_property
-    def _influx_fields(self) -> tuple[ScalarField, ...]:
-        return tuple(realize_gaussian_sum(f, self.grid) for f in self.influxes)
-
     def influx_fields(self) -> list[ScalarField]:
-        return list(self._influx_fields)
+        from .spectral import spectral_plan  # spectral imports this module
+
+        return list(spectral_plan(self).influx_fields)
 
     def with_epsilon(self, value) -> "ProblemSpec":
         if np.isscalar(value):

@@ -1,24 +1,45 @@
-"""FFT transforms, fractional-Laplacian symbols, convolution and norms.
+"""FFT transforms, fractional-Laplacian symbols, convolution, norms and spectral plans.
 
 All operations are pure functions; fields and spectra are immutable, so
 concurrent calls on distinct data are safe.
+
+The public transforms use the full ``fftn`` layout with continuum
+normalization.  The solver's hot paths instead work on the ``rfftn`` half
+lattice with plain (unnormalized) ``numpy.fft`` coefficients, batched over
+the components of a :class:`VectorField`: :class:`HalfLattice` holds the
+per-grid wavenumbers and norm weights, and :class:`SpectralPlan` holds the
+per-problem symbols, kernel transfer multipliers, influx spectra and the
+linear response u0.  Plans are immutable: every piece is computed once, on
+first use and under the plan's lock, and its arrays are read-only, so one
+plan is safe to share across the ``sweep-epsilon`` thread pool.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+from functools import lru_cache
+
 import numpy as np
 
-from .grid import NormReport, ScalarField, Spectrum, VectorField
+from .grid import Grid3, NormReport, ScalarField, Spectrum, VectorField
+from .problems import FractionalOrders, GaussianSpec, realize_gaussian_sum
 
 __all__ = [
     "forward_transform",
     "inverse_transform",
     "apply_fractional_symbol",
-    "apply_symbol_power",
+    "two_exponent_symbol",
     "convolve",
     "field_norms",
     "vector_norms",
     "spectrum_l2",
+    "nonzero_mode_l2",
+    "relative_defect",
+    "HalfLattice",
+    "half_lattice",
+    "SpectralPlan",
+    "spectral_plan",
 ]
 
 TWO_PI_32 = (2.0 * np.pi) ** 1.5
@@ -65,20 +86,13 @@ def apply_fractional_symbol(spectrum: Spectrum, s: float) -> Spectrum:
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"fractional order s must lie in (0, 1], got {s}")
-    return apply_symbol_power(spectrum, s)
-
-
-def apply_symbol_power(spectrum: Spectrum, power: float) -> Spectrum:
-    """Multiply coefficients by |p|^{2*power} for any positive power.
-
-    Unrestricted variant backing composite symbols such as
-    ``|p|^2 + |p|^{2*(1+b-a)}``; prefer :func:`apply_fractional_symbol`
-    for plain fractional orders.
-    """
-    if power <= 0:
-        raise ValueError(f"symbol power must be positive, got {power}")
     g = spectrum.grid
-    return Spectrum(g, g.wavenumbers ** (2.0 * power) * spectrum.coefficients)
+    return Spectrum(g, g.wavenumbers ** (2.0 * s) * spectrum.coefficients)
+
+
+def two_exponent_symbol(wavenumbers: np.ndarray, s1: float, s2: float) -> np.ndarray:
+    """Symbol ``|p|^{2 s1} + |p|^{2 s2}`` of ``(-Lap)^{s1} + (-Lap)^{s2}`` at the given |p|."""
+    return wavenumbers ** (2.0 * s1) + wavenumbers ** (2.0 * s2)
 
 
 def convolve(h: ScalarField, g: ScalarField) -> ScalarField:
@@ -132,16 +146,225 @@ def vector_norms(u: VectorField) -> NormReport:
 
     L2 and H2 aggregate components as the root of the sum of squared
     component norms; L1 and Linf are taken on the pointwise Euclidean
-    length |u(x)|.
+    length |u(x)|.  The H2 derivative term comes from the half spectrum the
+    field carries, or from one batched ``rfftn`` when it carries none.
     """
-    if not u.components:
-        raise ValueError("vector field has no components")
     g = u.grid
-    reports = [field_norms(c) for c in u.components]
+    spectrum = u.spectrum if u.spectrum is not None else _rfft(u.values)
     length = u.euclidean_length()
+    l2_sq = g.cell_volume * float(np.sum(u.values**2))
+    lap_sq = float(np.sum(half_lattice(g).h2_weights * _abs_sq(spectrum)))
     return NormReport(
         l1=float(g.cell_volume * np.sum(length)),
-        l2=float(np.sqrt(sum(r.l2**2 for r in reports))),
+        l2=float(np.sqrt(l2_sq)),
         linf=float(np.max(length)),
-        h2=float(np.sqrt(sum(r.h2**2 for r in reports))),
+        h2=float(np.sqrt(l2_sq + lap_sq)),
     )
+
+
+# --- the rfftn half lattice -------------------------------------------------------
+
+_AXES = (-3, -2, -1)
+
+
+def _rfft(values: np.ndarray) -> np.ndarray:
+    """Plain ``rfftn`` over the three spatial axes (batched over leading axes)."""
+    return np.fft.rfftn(values, axes=_AXES)
+
+
+def _abs_sq(coeff: np.ndarray) -> np.ndarray:
+    return coeff.real**2 + coeff.imag**2
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _without_zero_mode(numerator: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """``numerator / symbol`` on the nonzero modes and 0 at p = 0, where the symbol vanishes."""
+    out = np.zeros(np.broadcast_shapes(numerator.shape, symbol.shape), dtype=np.complex128)
+    np.divide(numerator, symbol, out=out, where=symbol != 0.0)
+    return out
+
+
+class HalfLattice:
+    """Per-grid data on the ``rfftn`` half lattice ``n x n x (n/2 + 1)``.
+
+    Built from broadcast 1-D frequency axes.  The last axis holds
+    frequencies ``0..n/2``; every other plane stands for itself and its
+    mirror ``-p``, which ``multiplicity`` counts, so that sums over the full
+    lattice of functions of |p| and |c(p)| become weighted half sums.
+    """
+
+    def __init__(self, grid: Grid3):
+        n = grid.points_per_axis
+        p = grid.frequency_axis
+        p_sq = p**2
+        half = n // 2 + 1
+        pz_sq = p[:half] ** 2
+        self.grid = grid
+        self.wavenumbers = _frozen(
+            np.sqrt(p_sq[:, None, None] + p_sq[None, :, None] + pz_sq[None, None, :])
+        )
+        multiplicity = np.full(half, 2.0)
+        multiplicity[0] = multiplicity[-1] = 1.0
+        # Plancherel for plain rfftn coefficients c of samples f:
+        # h^3 * sum(f^2) = h^3 / n^3 * sum(multiplicity * |c|^2)
+        self.weights = _frozen(grid.cell_volume / n**3 * multiplicity)
+        self.h2_weights = _frozen(self.weights * self.wavenumbers**4)
+
+    def centre_phase(self) -> np.ndarray:
+        """(-1)^(k1+k2+k3): shifts the sample origin from the box corner to x = 0."""
+        n = self.grid.points_per_axis
+        sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        return sign[:, None, None] * sign[None, :, None] * sign[None, None, : n // 2 + 1]
+
+
+@lru_cache(maxsize=4)
+def half_lattice(grid: Grid3) -> HalfLattice:
+    """Shared :class:`HalfLattice` of a grid (a few recent grids are cached)."""
+    return HalfLattice(grid)
+
+
+def nonzero_mode_l2(coeff: np.ndarray, grid: Grid3) -> float:
+    """L2 norm, by Plancherel, of plain ``rfftn`` coefficients on the nonzero modes.
+
+    ``coeff`` may stack several components along leading axes; their squared
+    norms add.
+    """
+    sq = half_lattice(grid).weights * _abs_sq(coeff)
+    sq[..., 0, 0, 0] = 0.0
+    return math.sqrt(float(np.sum(sq)))
+
+
+def relative_defect(lhs: np.ndarray, rhs: np.ndarray, grid: Grid3, reference: float | None = None) -> float:
+    """L2 defect ``||lhs - rhs||`` on the nonzero modes, relative to ``reference``.
+
+    ``reference`` defaults to the same norm of rhs; a zero reference leaves
+    the defect unnormalized.
+    """
+    num = nonzero_mode_l2(lhs - rhs, grid)
+    den = nonzero_mode_l2(rhs, grid) if reference is None else reference
+    return num / den if den else num
+
+
+# --- per-problem plans ------------------------------------------------------------
+
+
+class _once:
+    """Lazy plan piece: computed on first access under the plan's lock, then cached."""
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, plan, owner=None):
+        if plan is None:
+            return self
+        cache = plan.__dict__
+        if self.name not in cache:
+            with plan._lock:
+                if self.name not in cache:
+                    cache[self.name] = self.build(plan)
+        return cache[self.name]
+
+
+class SpectralPlan:
+    """Spectral data of one ``(orders, kernels, influxes, grid)`` on the half lattice.
+
+    Every array holds plain ``rfftn`` coefficients stacked over components,
+    shape ``(N, n, n, n/2 + 1)``.  Couplings and nonlinearities are not part
+    of the plan, so ``with_epsilon``/``with_nonlinearity`` variants of a
+    problem share one.  Pieces are built on first use: a linear solve
+    realizes no kernel.
+    """
+
+    def __init__(
+        self,
+        orders: FractionalOrders,
+        kernels: tuple[tuple[GaussianSpec, ...], ...],
+        influxes: tuple[tuple[GaussianSpec, ...], ...],
+        grid: Grid3,
+    ):
+        self.orders = orders
+        self.kernels = kernels
+        self.influxes = influxes
+        self.grid = grid
+        self.lattice = half_lattice(grid)
+        self._lock = threading.RLock()
+
+    @_once
+    def symbols(self) -> np.ndarray:
+        """Two-exponent symbol of each component."""
+        pm = self.lattice.wavenumbers
+        return _frozen(np.stack([two_exponent_symbol(pm, a, b) for a, b in zip(self.orders.s1, self.orders.s2)]))
+
+    @_once
+    def influx_fields(self) -> tuple[ScalarField, ...]:
+        """The influxes realized on the grid."""
+        fields = tuple(realize_gaussian_sum(f, self.grid) for f in self.influxes)
+        for f in fields:
+            _frozen(f.values)
+        return fields
+
+    @_once
+    def influx_spectra(self) -> np.ndarray:
+        return _frozen(_rfft(np.stack([f.values for f in self.influx_fields])))
+
+    @_once
+    def influx_l2(self) -> float:
+        """Real-space L2 norm of the influx vector."""
+        w = self.grid.cell_volume
+        return math.sqrt(sum(w * float(np.sum(f.values**2)) for f in self.influx_fields))
+
+    @_once
+    def u0(self) -> VectorField:
+        """Linear response to the influxes, zero mode dropped; carries its spectrum."""
+        coeff = _frozen(_without_zero_mode(self.influx_spectra, self.symbols))
+        values = _frozen(np.fft.irfftn(coeff, s=self.grid.shape, axes=_AXES))
+        return VectorField.from_stack(self.grid, values, coeff)
+
+    @_once
+    def _kernel_pieces(self) -> tuple[tuple[float, float], np.ndarray]:
+        # Each kernel is realized once and reduced to the constants H, Q and
+        # the transfer multiplier; the real-space samples are not kept.
+        g = self.grid
+        stack = np.stack([realize_gaussian_sum(k, g).values for k in self.kernels])
+        h_sq = sum(float(g.cell_volume * np.sum(np.abs(h))) ** 2 for h in stack)
+        coeff = _rfft(stack)
+        pm = self.lattice.wavenumbers
+        q_sq = sum(
+            nonzero_mode_l2(pm ** (2.0 * (1.0 - s1)) * c, g) ** 2
+            for s1, c in zip(self.orders.s1, coeff)
+        )
+        # continuum convolution theorem on plain coefficients: the centred
+        # kernel contributes h^3 * phase * c_h
+        coeff *= g.cell_volume * self.lattice.centre_phase()
+        transfer = _frozen(_without_zero_mode(coeff, self.symbols))
+        return (math.sqrt(h_sq), math.sqrt(q_sq)), transfer
+
+    @property
+    def kernel_constants(self) -> tuple[float, float]:
+        """Root sums of squared kernel L1 norms (H) and of ``(-Lap)^{1-s1}``-filtered L2 norms (Q)."""
+        return self._kernel_pieces[0]
+
+    @property
+    def transfer(self) -> np.ndarray:
+        """epsilon-free map from the coupling's spectrum to the solution map's.
+
+        ``(2 pi)^{3/2} h_hat / (|p|^{2 s1} + |p|^{2 s2})`` per component,
+        zero at p = 0.
+        """
+        return self._kernel_pieces[1]
+
+
+@lru_cache(maxsize=8)
+def _cached_plan(orders, kernels, influxes, grid) -> SpectralPlan:
+    return SpectralPlan(orders, kernels, influxes, grid)
+
+
+def spectral_plan(problem) -> SpectralPlan:
+    """The shared :class:`SpectralPlan` of a problem (recent plans are cached)."""
+    return _cached_plan(problem.orders, problem.kernels, problem.influxes, problem.grid)

@@ -35,14 +35,14 @@ def dft_matrices(grid):
 def dft3(values, grid):
     """Continuum-normalized 3-D transform via dense matrix products."""
     m = dft_matrices(grid)
-    out = np.einsum("ai,bj,ck,ijk->abc", m, m, m, values.astype(complex))
+    out = np.einsum("ai,bj,ck,ijk->abc", m, m, m, values.astype(complex), optimize=True)
     return (2.0 * np.pi) ** -1.5 * grid.cell_volume * out
 
 
 def idft3(coeff, grid):
     """Inverse of :func:`dft3`."""
     w = dft_matrices(grid).conj().T  # w[x, p] = e^{+i p x}
-    out = np.einsum("ia,jb,kc,abc->ijk", w, w, w, coeff)
+    out = np.einsum("ia,jb,kc,abc->ijk", w, w, w, coeff, optimize=True)
     return np.real((2.0 * np.pi) ** -1.5 * grid.mode_volume * out)
 
 

@@ -186,7 +186,7 @@ def test_unwritable_out_dir_exits_1(demo_config, tmp_path):
 
 def test_worker_cap_keeps_results_identical(demo_config, tmp_path, monkeypatch):
     reports = []
-    for name, threads in (("seq", "1"), ("par", "4")):
+    for name, threads in (("seq", "1"), ("par2", "2"), ("par4", "4")):
         monkeypatch.setenv("FRAC_THREADS", threads)
         code = run_command(
             ["sweep-epsilon", "--config", str(demo_config), "--grid", "16",
@@ -194,7 +194,15 @@ def test_worker_cap_keeps_results_identical(demo_config, tmp_path, monkeypatch):
         )
         assert code == 0
         reports.append(json.loads((tmp_path / name / "report.json").read_text()))
-    assert reports[0]["results"] == reports[1]["results"]
+    assert reports[0]["results"] == reports[1]["results"] == reports[2]["results"]
+
+
+def test_invalid_frac_threads_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FRAC_THREADS", "abc")
+    code = run_command(small(["sweep-epsilon", "--config", "demo"], tmp_path, n=16))
+    assert code == 2
+    assert "FRAC_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_continuity_command(demo_config, tmp_path):
