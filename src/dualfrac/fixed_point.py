@@ -23,13 +23,20 @@ from .bounds import (
     embedding_constant,
 )
 from .grid import VectorField
+from .poisson import solve_linear_system
 from .problems import (
     NONLINEAR_S1_HIGH,
     NONLINEAR_S1_LOW,
     Nonlinearity,
     ProblemSpec,
 )
-from .spectral import half_lattice, relative_defect, spectral_plan, vector_norms
+from .spectral import (  # noqa: F401  (forward_transform stays importable from here)
+    forward_transform,
+    half_lattice,
+    relative_defect,
+    spectral_plan,
+    vector_norms,
+)
 
 __all__ = [
     "FixedPointResult",
@@ -140,7 +147,7 @@ def solve_fixed_point(
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     _check_nonlinear_orders(problem)
-    u0 = spectral_plan(problem).u0
+    u0 = solve_linear_system(problem)
     ctx = _context_for(problem, u0, rho)
     if ctx.epsilon > ctx.epsilon_max:
         logger.warning(
@@ -284,7 +291,7 @@ def continuity_experiment(
     computed with the shared coupling-ball radius.  lhs <= rhs must hold
     whenever the coupling sits inside the certified regime.
     """
-    u0 = spectral_plan(problem).u0
+    u0 = solve_linear_system(problem)
     i_radius = embedding_constant() * (vector_norms(u0).h2 + 1.0)
     m_shared = max(
         c2_ball_norm(g1, i_radius) if not g1.is_trivial else 0.0,

@@ -173,9 +173,10 @@ def regularity_check(u0: ScalarField, f: ScalarField, s1: float, s2: float) -> f
 def solve_linear_system(problem) -> VectorField:
     """Solve the uncoupled linear problems for every component influx.
 
-    The drop zero-mode policy applies; the result is the problem's shared
-    :class:`~dualfrac.spectral.SpectralPlan` u0, read-only and carrying its
-    half spectrum.
+    The drop zero-mode policy applies.  The result is the problem's shared
+    :class:`~dualfrac.spectral.SpectralPlan` u0: it carries its half
+    spectrum and its values are read-only (writing into them raises
+    ``ValueError``), so every caller sees the same u0; copy to edit.
     """
     return spectral_plan(problem).u0
 

@@ -337,6 +337,7 @@ class ProblemSpec:
         return [realize_gaussian_sum(k, self.grid) for k in self.kernels]
 
     def influx_fields(self) -> list[ScalarField]:
+        """The influxes on the grid, shared with the problem's plan; their values are read-only."""
         from .spectral import spectral_plan  # spectral imports this module
 
         return list(spectral_plan(self).influx_fields)

@@ -221,9 +221,9 @@ class HalfLattice:
         return sign[:, None, None] * sign[None, :, None] * sign[None, None, : n // 2 + 1]
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def half_lattice(grid: Grid3) -> HalfLattice:
-    """Shared :class:`HalfLattice` of a grid (a few recent grids are cached)."""
+    """Shared :class:`HalfLattice` of a grid (the most recent grid's is cached)."""
     return HalfLattice(grid)
 
 
@@ -360,11 +360,15 @@ class SpectralPlan:
         return self._kernel_pieces[1]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _cached_plan(orders, kernels, influxes, grid) -> SpectralPlan:
     return SpectralPlan(orders, kernels, influxes, grid)
 
 
 def spectral_plan(problem) -> SpectralPlan:
-    """The shared :class:`SpectralPlan` of a problem (recent plans are cached)."""
+    """The shared :class:`SpectralPlan` of a problem.
+
+    Only the most recent plan is cached: a CLI operation works on one
+    problem and its coupling variants, which all share that plan.
+    """
     return _cached_plan(problem.orders, problem.kernels, problem.influxes, problem.grid)
