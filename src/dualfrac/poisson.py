@@ -20,9 +20,12 @@ import numpy as np
 
 from .grid import Grid3, ScalarField, VectorField
 from .spectral import (
+    TWO_PI_32,
+    _without_zero_mode,
     forward_transform,
     half_lattice,
     inverse_transform,
+    nonzero_mode_l2,
     relative_defect,
     spectral_plan,
     spectrum_l2,
@@ -158,16 +161,18 @@ def regularity_check(u0: ScalarField, f: ScalarField, s1: float, s2: float) -> f
     _validate_orders(s1, s2)
     if u0.grid != f.grid:
         raise ValueError("u0 and f live on different grids")
-    g = u0.grid
-    lattice = half_lattice(g)
+    return _regularity_defect(np.fft.rfftn(u0.values), np.fft.rfftn(f.values), u0.grid, s1, s2)
+
+
+def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s2: float) -> float:
+    """:func:`regularity_check` on plain ``rfftn`` coefficients of u0 and f."""
+    lattice = half_lattice(grid)
     pm = lattice.wavenumbers
-    cu = np.fft.rfftn(u0.values)
-    cf = np.fft.rfftn(f.values)
     if not math.isfinite(float(np.sum(lattice.h2_weights * np.abs(cu) ** 2))):
         raise ValueError("Laplacian of u0 is not square integrable on the lattice")
     lhs = two_exponent_symbol(pm, 1.0, 1.0 + s2 - s1) * cu
     rhs = pm ** (2.0 * (1.0 - s1)) * cf
-    return relative_defect(lhs, rhs, g)
+    return relative_defect(lhs, rhs, grid)
 
 
 def solve_linear_system(problem) -> VectorField:
@@ -207,8 +212,12 @@ def box_length_sweep(
     """Solve the same right side on growing boxes at fixed spacing.
 
     ``make_field`` realizes the right side on each grid; the number of
-    points per axis is ``round(L / spacing)`` and must come out even.
+    points per axis is ``round(L / spacing)`` and must come out even.  The
+    drop policy applies.  Each box costs one ``rfftn``: ``u_l2_sq`` is the
+    Plancherel sum of ``f_hat / symbol`` over the nonzero modes of the half
+    lattice, so u is never brought back to real space.
     """
+    _validate_orders(s1, s2)
     points = []
     for L in box_lengths:
         n = int(round(L / spacing))
@@ -216,9 +225,12 @@ def box_length_sweep(
             raise ValueError(f"box length {L} with spacing {spacing} gives odd n={n}")
         grid = Grid3(float(L), n)
         f = make_field(grid)
-        u = solve_double_fractional(f, s1, s2, "drop")
-        u_l2_sq = float(grid.cell_volume * np.sum(u.values**2))
+        coeff = np.fft.rfftn(f.values)
         mean = float(grid.cell_volume * np.sum(f.values))
+        if mean != 0.0:
+            logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
+        symbol = two_exponent_symbol(half_lattice(grid).wavenumbers, s1, s2)
+        u_l2_sq = nonzero_mode_l2(_without_zero_mode(coeff, symbol), grid) ** 2
         points.append(BoxSweepPoint(float(L), n, u_l2_sq, mean))
     return points
 

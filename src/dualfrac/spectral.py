@@ -119,7 +119,7 @@ def field_norms(field: ScalarField, s: float | None = None) -> NormReport:
     """L1, L2, Linf, H2 and (given s) H^{2s} norms of a scalar field.
 
     Real-space norms use the plain Riemann sum ``h^3 * sum``; the
-    derivative terms of H2 and H^{2s} are evaluated spectrally.
+    derivative terms of H2 and H^{2s} are Plancherel sums over one ``rfftn``.
     """
     if s is not None and not 0.0 < s <= 1.0:
         raise ValueError(f"fractional order s must lie in (0, 1], got {s}")
@@ -130,13 +130,13 @@ def field_norms(field: ScalarField, s: float | None = None) -> NormReport:
     l2_sq = float(w * np.sum(values**2))
     linf = float(np.max(np.abs(values))) if values.size else 0.0
 
-    coeff_sq = np.abs(forward_transform(field).coefficients) ** 2
-    pm = g.wavenumbers
-    lap_sq = float(g.mode_volume * np.sum(pm**4 * coeff_sq))
+    lattice = half_lattice(g)
+    coeff_sq = _abs_sq(_rfft(values))
+    lap_sq = float(np.sum(lattice.h2_weights * coeff_sq))
     h2 = float(np.sqrt(l2_sq + lap_sq))
     hs = None
     if s is not None:
-        frac_sq = float(g.mode_volume * np.sum(pm ** (4.0 * s) * coeff_sq))
+        frac_sq = float(np.sum(lattice.weights * lattice.wavenumbers ** (4.0 * s) * coeff_sq))
         hs = float(np.sqrt(l2_sq + frac_sq))
     return NormReport(l1=l1, l2=float(np.sqrt(l2_sq)), linf=linf, h2=h2, hs=hs)
 

@@ -1,8 +1,10 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
+from dualfrac import VectorField, cli, problems
 from dualfrac.cli import run_command
 from dualfrac.fieldio import read_snapshot
 from dualfrac.problems import demo_config_text
@@ -53,6 +55,39 @@ def test_solve_linear_report(demo_config, tmp_path):
         assert comp["forward_residual"] <= 1e-12
         assert comp["regularity_residual"] <= 1e-10
         assert comp["solvability"]["regime"] == "unconditional"
+
+
+def test_solve_linear_residuals_detect_perturbed_u0(demo_config, tmp_path, monkeypatch):
+    original = cli.solve_linear_system
+
+    def perturbed(problem):
+        # 1e-8 relative noise on the values; the carried spectrum stays exact
+        u0 = original(problem)
+        noise = np.random.default_rng(5).standard_normal(u0.values.shape)
+        values = u0.values + 1e-8 * np.max(np.abs(u0.values)) * noise
+        return VectorField.from_stack(u0.grid, values, u0.spectrum)
+
+    monkeypatch.setattr(cli, "solve_linear_system", perturbed)
+    code = run_command(small(["solve-linear", "--config", str(demo_config)], tmp_path))
+    assert code == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    residuals = [c for c in report["checks"] if "residual" in c["name"]]
+    assert len(residuals) == 4
+    assert not any(c["passed"] for c in residuals)
+
+
+def test_solvability_realizes_each_influx_once_per_box(tmp_path, monkeypatch):
+    grids = []
+    original = problems.realize_gaussian
+
+    def counting(spec, grid):
+        grids.append(grid)
+        return original(spec, grid)
+
+    monkeypatch.setattr(problems, "realize_gaussian", counting)
+    run_command(small(["solvability", "--config", "demo"], tmp_path, n=16))
+    # three boxes per case; the base grid is the middle box, not a fourth realization
+    assert len(grids) == 3 * sum(len(case.influx) for case in problems.solvability_sweep_cases())
 
 
 def test_missing_config_flag_exits_2(tmp_path):

@@ -10,7 +10,7 @@ from dualfrac import (
     VectorField,
     apply_tau,
     convolve,
-    field_norms,
+    forward_transform,
     kernel_constants,
     sample_ball,
     solve_double_fractional,
@@ -72,7 +72,14 @@ def test_carried_step_norm_matches_real_space_difference(demo32):
     )
     assert fresh.spectrum is None
     assert abs(carried - vector_norms(fresh).h2) <= 1e-12 * carried
-    full_layout = np.sqrt(sum(field_norms(c).h2 ** 2 for c in fresh.components))
+    g = demo32.grid
+    full_layout = np.sqrt(
+        sum(
+            g.cell_volume * np.sum(c.values**2)
+            + g.mode_volume * np.sum(g.wavenumbers**4 * np.abs(forward_transform(c).coefficients) ** 2)
+            for c in fresh.components
+        )
+    )
     assert abs(carried - full_layout) <= 1e-12 * carried
 
 

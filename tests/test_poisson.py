@@ -18,6 +18,7 @@ from dualfrac import (
     solvability_report,
     solve_double_fractional,
 )
+from dualfrac.problems import solvability_sweep_cases
 
 TP = 2.0 * np.pi
 
@@ -80,6 +81,8 @@ def test_order_validation():
     for s1, s2 in [(0.8, 0.4), (0.5, 0.5), (0.0, 0.5), (0.5, 1.0)]:
         with pytest.raises(ValueError, match="orders"):
             solve_double_fractional(f, s1, s2)
+        with pytest.raises(ValueError, match="orders"):
+            box_length_sweep(lambda grid: f, s1, s2, 0.625, [10.0])
 
 
 def test_reject_if_nonzero_policy(grid16):
@@ -104,6 +107,10 @@ def test_unknown_policy_rejected(grid16):
 def test_drop_policy_logs_mass(grid16, caplog):
     with caplog.at_level(logging.DEBUG, logger="dualfrac.poisson"):
         solve_double_fractional(gaussian(grid16), 0.4, 0.8)
+    assert any("zero-frequency mass" in r.message for r in caplog.records)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="dualfrac.poisson"):
+        box_length_sweep(gaussian, 0.4, 0.8, 0.625, [10.0])
     assert any("zero-frequency mass" in r.message for r in caplog.records)
 
 
@@ -238,3 +245,36 @@ def test_box_sweep_points_and_fit():
 def test_box_sweep_rejects_odd_point_count():
     with pytest.raises(ValueError, match="odd"):
         box_length_sweep(lambda g: ScalarField.zeros(g), 0.4, 0.8, 0.4, [10.0])
+
+
+SWEEP_SPACING = 0.625
+SWEEP_BOXES = [10.0, 20.0, 40.0]
+
+
+@pytest.mark.parametrize("case", solvability_sweep_cases(), ids=lambda c: c.label)
+def test_box_sweep_matches_full_layout_reference(case):
+    pts = box_length_sweep(case.realize, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
+    for p, L in zip(pts, SWEEP_BOXES):
+        grid = Grid3(L, int(round(L / SWEEP_SPACING)))
+        f = case.realize(grid)
+        u = solve_double_fractional(f, case.s1, case.s2, "drop")
+        ref = grid.cell_volume * float(np.sum(u.values**2))
+        assert abs(p.u_l2_sq - ref) <= 1e-12 * ref
+        assert p.mean_integral == grid.cell_volume * float(np.sum(f.values))
+
+
+def test_box_sweep_makes_one_real_transform_per_box(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    case = solvability_sweep_cases()[0]
+    box_length_sweep(case.realize, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
+    assert calls == ["rfftn"] * len(SWEEP_BOXES)

@@ -122,6 +122,16 @@ def test_realized_gaussian_l1(grid64):
     assert spec.analytic_l1() == pytest.approx(np.pi**1.5)
 
 
+def test_separable_gaussian_matches_dense_exponential(grid64):
+    spec = GaussianSpec(-0.7, 0.8, (1.5, -0.5, 2.0))
+    x, y, z = grid64.meshes
+    r_sq = (x - 1.5) ** 2 + (y + 0.5) ** 2 + (z - 2.0) ** 2
+    dense = spec.amplitude * np.exp(-spec.width * r_sq)
+    f = realize_gaussian(spec, grid64)
+    # the factored product rounds differently: a few ulp of the peak
+    assert np.max(np.abs(f.values - dense)) <= 1e-15 * abs(spec.amplitude)
+
+
 def test_zero_amplitude_gaussian(grid64):
     f = realize_gaussian(GaussianSpec(0.0, 1.0), grid64)
     assert np.all(f.values == 0.0)

@@ -266,6 +266,18 @@ def test_plancherel_through_norms(grid32, rng):
     assert abs(l2_direct - l2_spec) <= 1e-12 * l2_direct
 
 
+def test_field_norms_match_full_layout_spectrum(grid32, rng):
+    f = ScalarField(grid32, rng.standard_normal(grid32.shape))
+    rep = field_norms(f, s=0.6)
+    coeff_sq = np.abs(forward_transform(f).coefficients) ** 2
+    pm = grid32.wavenumbers
+    l2_sq = grid32.cell_volume * float(np.sum(f.values**2))
+    h2 = np.sqrt(l2_sq + grid32.mode_volume * float(np.sum(pm**4 * coeff_sq)))
+    hs = np.sqrt(l2_sq + grid32.mode_volume * float(np.sum(pm**2.4 * coeff_sq)))
+    assert abs(rep.h2 - h2) <= 1e-12 * h2
+    assert abs(rep.hs - hs) <= 1e-12 * hs
+
+
 def test_vector_norms_single_component_matches_field(grid16, rng):
     f = ScalarField(grid16, rng.standard_normal(grid16.shape))
     vec = vector_norms(VectorField((f,)))
