@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .grid import VectorField
 from .problems import Nonlinearity, ProblemSpec
-from .spectral import spectral_plan, vector_norms
+from .spectral import spectral_plan
 
 __all__ = [
     "BoundsContext",
@@ -202,7 +202,7 @@ def build_bounds_context(
     share a radius across couplings.
     """
     rho = problem.rho if rho is None else rho
-    u0_h2 = vector_norms(u0).h2
+    u0_h2 = spectral_plan(problem).norms_of(u0).h2
     c_e = embedding_constant()
     i_radius = c_e * (u0_h2 + 1.0)
     if M is None:

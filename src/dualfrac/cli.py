@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import build_bounds_context, c2_ball_norm, embedding_constant
+from .bounds import build_bounds_context
 from .fieldio import write_snapshot
 from .fixed_point import (
-    continuity_experiment,
+    _continuity_run,
     measure_contraction,
     solve_fixed_point,
 )
@@ -44,10 +44,9 @@ from .problems import (
     solvability_sweep_cases,
 )
 from .spectral import (
-    field_norms,
-    half_lattice,
+    _field_norms,
     relative_defect,
-    two_exponent_symbol,
+    spectral_plan,
     vector_norms,
 )
 
@@ -186,27 +185,25 @@ def _parallel_map(fn, items):
 
 
 def _cmd_solve_linear(problem, args, dump):
+    plan = spectral_plan(problem)
     u0 = solve_linear_system(problem)
     influxes = problem.influx_fields()
     grid = problem.grid
-    n = problem.n_components
-    # One batched rfftn of the real-space u0 and f feeds both residuals.  The
-    # plan's spectra are not reused: u0's spectrum is the division that defines
-    # u0, so residuals taken from it would vanish whatever u0's values hold.
-    stack = np.stack([c.values for c in u0.components] + [f.values for f in influxes])
-    coeff = np.fft.rfftn(stack, axes=(1, 2, 3))
-    pm = half_lattice(grid).wavenumbers
     components = []
     checks = []
-    for m in range(n):
+    for m, (u0_m, f_m) in enumerate(zip(u0.components, influxes)):
         s1, s2 = problem.orders.s1[m], problem.orders.s2[m]
-        cu, cf = coeff[m], coeff[n + m]
-        forward_residual = relative_defect(two_exponent_symbol(pm, s1, s2) * cu, cf, grid)
+        # One rfftn of the real-space u0_m and f_m feeds both residuals and
+        # the norms.  u0's carried spectrum is not reused: it is the division
+        # that defines u0, so residuals taken from it would vanish whatever
+        # u0's values hold.
+        cu, cf = np.fft.rfftn(np.stack([u0_m.values, f_m.values]), axes=(1, 2, 3))
+        forward_residual = relative_defect(plan.symbols[m] * cu, cf, grid)
         reg_residual = _regularity_defect(cu, cf, grid, s1, s2)
-        report = solvability_report(influxes[m], s1)
+        report = solvability_report(f_m, s1)
         components.append(
             {
-                "norms": field_norms(u0.components[m]).as_dict(),
+                "norms": _field_norms(u0_m, cu).as_dict(),
                 "forward_residual": forward_residual,
                 "regularity_residual": reg_residual,
                 "solvability": report.as_dict(),
@@ -216,7 +213,7 @@ def _cmd_solve_linear(problem, args, dump):
         checks.append(Check(f"regularity_residual_{m}", reg_residual, "<=", 1e-10))
     results = {
         "components": components,
-        "u0_norms": vector_norms(u0).as_dict(),
+        "u0_norms": plan.norms_of(u0).as_dict(),
     }
     if dump:
         for m, comp in enumerate(u0.components):
@@ -228,21 +225,21 @@ def _cmd_solve(problem, args, dump):
     result = solve_fixed_point(
         problem, rho=problem.rho, tol=args.tol, max_iter=args.max_iter
     )
-    up_h2 = vector_norms(result.u_p).h2
+    up_norms = vector_norms(result.u_p)
     results = {
         "iterations": result.iterations,
         "step_norms": list(result.step_norms),
         "contraction_estimates": list(result.contraction_estimates),
         "final_residual": result.final_residual,
         "converged": result.converged,
-        "u0_norms": vector_norms(result.u0).as_dict(),
-        "u_p_norms": vector_norms(result.u_p).as_dict(),
+        "u0_norms": spectral_plan(problem).norms_of(result.u0).as_dict(),
+        "u_p_norms": up_norms.as_dict(),
         "u_norms": vector_norms(result.u).as_dict(),
     }
     checks = [
         Check("converged", 1.0 if result.converged else 0.0, "==", 1.0),
         Check("final_residual", result.final_residual, "<=", 1e-8),
-        Check("u_p_inside_ball", up_h2, "<=", problem.rho),
+        Check("u_p_inside_ball", up_norms.h2, "<=", problem.rho),
     ]
     if dump:
         for m in range(problem.n_components):
@@ -304,17 +301,12 @@ def _cmd_sweep_epsilon(problem, args, dump):
 
 
 def _cmd_continuity(problem, args, dump):
-    u0 = solve_linear_system(problem)
-    i_radius = embedding_constant() * (vector_norms(u0).h2 + 1.0)
-    pairs = continuity_pairs(problem.nonlinearity)
     entries = []
     checks = []
-    for label, g1, g2 in pairs:
-        m_shared = max(c2_ball_norm(g1, i_radius), c2_ball_norm(g2, i_radius))
-        ctx = build_bounds_context(problem, u0, rho=problem.rho, M=m_shared)
-        eps = 0.9 * ctx.epsilon_max
-        lhs, rhs = continuity_experiment(
-            problem.with_epsilon(eps), g1, g2, rho=problem.rho, max_iter=args.max_iter
+    for label, g1, g2 in continuity_pairs(problem.nonlinearity):
+        # each pair runs at 0.9 of its shared-ball threshold
+        eps, lhs, rhs = _continuity_run(
+            problem, g1, g2, problem.rho, args.max_iter, threshold_fraction=0.9
         )
         entries.append({"pair": label, "epsilon": eps, "lhs": lhs, "rhs": rhs})
         checks.append(Check(f"continuity_{label}", lhs, "<=", rhs))

@@ -11,7 +11,8 @@ product H2 norm and plain Picard iteration converges geometrically.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,8 +33,9 @@ from .problems import (
 )
 from .spectral import (  # noqa: F401  (forward_transform stays importable from here)
     forward_transform,
+    h2_distance,
     half_lattice,
-    relative_defect,
+    nonzero_mode_l2,
     spectral_plan,
     vector_norms,
 )
@@ -51,6 +53,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DIVERGENCE_STREAK = 5
+
+# Step tolerance of the continuity experiment's fixed-point solves.
+CONTINUITY_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,8 @@ def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorFi
     one multiplication by the plan's transfer on the half lattice, between
     one batched ``rfftn`` and one batched ``irfftn``.  The result carries
     its half spectrum.  Logs a warning when the pointwise values leave the
-    ball the coupling bound was sized on.
+    ball the coupling bound was sized on.  Each full-size intermediate is
+    released as soon as it is consumed.
     """
     _check_nonlinear_orders(problem)
     if v.grid != problem.grid or u0.grid != problem.grid:
@@ -102,8 +108,9 @@ def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorFi
     if v.n_components != problem.n_components or u0.n_components != problem.n_components:
         raise ValueError("component count mismatch with the problem")
 
+    plan = spectral_plan(problem)
     z = u0.values + v.values
-    ball_radius = embedding_constant() * (vector_norms(u0).h2 + 1.0)
+    ball_radius = embedding_constant() * (plan.norms_of(u0).h2 + 1.0)
     max_len = float(np.sqrt(np.max(sum(c * c for c in z))))
     if max_len > ball_radius:
         logger.warning(
@@ -113,13 +120,15 @@ def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorFi
             ball_radius,
         )
 
-    g_values = np.stack(problem.nonlinearity.eval_components(list(z)))
+    g_values = problem.nonlinearity.eval_components(z)
+    del z
     for m in range(problem.n_components):
         if not np.isfinite(g_values[m]).all():
             raise ValueError(f"coupling output for component {m} is not finite")
     coeff = np.fft.rfftn(g_values, axes=(-3, -2, -1))
+    del g_values
     coeff *= np.asarray(problem.epsilon)[:, None, None, None]
-    coeff *= spectral_plan(problem).transfer
+    coeff *= plan.transfer
     values = np.fft.irfftn(coeff, s=problem.grid.shape, axes=(-3, -2, -1))
     return VectorField.from_stack(problem.grid, values, coeff)
 
@@ -160,8 +169,11 @@ def solve_fixed_point(
     if v0 is None:
         v = VectorField.zeros(problem.grid, problem.n_components)
     else:
+        # the step norms are taken from carried half spectra
         v = v0
-        start_norm = vector_norms(v0).h2
+        if v.spectrum is None:
+            v = VectorField.from_stack(v0.grid, v0.values, np.fft.rfftn(v0.values, axes=(-3, -2, -1)))
+        start_norm = vector_norms(v).h2
         if start_norm > rho:
             logger.warning(
                 "starting point has H2 norm %.6f outside the radius-%s ball; "
@@ -173,7 +185,7 @@ def solve_fixed_point(
     step_norms: list[float] = []
     for _ in range(max_iter):
         v_next = apply_tau(v, problem, u0)
-        step = vector_norms(v_next - v).h2
+        step = h2_distance(v_next, v)
         step_norms.append(step)
         v = v_next
         if step <= tol:
@@ -263,17 +275,28 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     modes (matching the drop zero-mode policy), normalized by the L2 norm
     of the influx vector.  u and g(u) are transformed afresh from their
     real-space values, whatever spectrum u carries, so the residual checks
-    the values a report is written from.
+    the values a report is written from.  Components are transformed one
+    at a time and each defect is formed in place on its coefficients.
     """
     if u.grid != problem.grid:
         raise ValueError("field does not live on the problem grid")
     plan = spectral_plan(problem)
-    g_values = np.stack(problem.nonlinearity.eval_components(list(u.values)))
-    coeff_u, coeff_g = np.fft.rfftn(np.stack([u.values, g_values]), axes=(-3, -2, -1))
-    lhs = plan.symbols * coeff_u
-    eps = np.asarray(problem.epsilon)[:, None, None, None]
-    rhs = eps * plan.symbols * plan.transfer * coeff_g + plan.influx_spectra
-    return relative_defect(lhs, rhs, problem.grid, reference=plan.influx_l2)
+    u_values = [c.values for c in u.components]
+    g_values = problem.nonlinearity.eval_components(u_values)
+    defect_sq = 0.0
+    for m, eps in enumerate(problem.epsilon):
+        # symbol * u_hat - (eps * symbol * transfer * g_hat + f_hat)
+        coeff = np.fft.rfftn(g_values[m])
+        coeff *= eps * plan.symbols[m] * plan.transfer[m]
+        coeff += plan.influx_spectra[m]
+        coeff_u = np.fft.rfftn(u_values[m])
+        coeff_u *= plan.symbols[m]
+        coeff_u -= coeff
+        del coeff
+        defect_sq += nonzero_mode_l2(coeff_u, problem.grid) ** 2
+        del coeff_u
+    defect = math.sqrt(defect_sq)
+    return defect / plan.influx_l2 if plan.influx_l2 else defect
 
 
 def continuity_experiment(
@@ -281,7 +304,7 @@ def continuity_experiment(
     g1: Nonlinearity,
     g2: Nonlinearity,
     rho: float = 1.0,
-    tol: float = 1e-11,
+    tol: float = CONTINUITY_TOL,
     max_iter: int = 200,
 ) -> tuple[float, float]:
     """Solve the system under two couplings and compare the solution gap to its bound.
@@ -291,8 +314,27 @@ def continuity_experiment(
     computed with the shared coupling-ball radius.  lhs <= rhs must hold
     whenever the coupling sits inside the certified regime.
     """
+    _, lhs, rhs = _continuity_run(problem, g1, g2, rho, max_iter, tol)
+    return lhs, rhs
+
+
+def _continuity_run(
+    problem: ProblemSpec,
+    g1: Nonlinearity,
+    g2: Nonlinearity,
+    rho: float,
+    max_iter: int,
+    tol: float = CONTINUITY_TOL,
+    threshold_fraction: float | None = None,
+) -> tuple[float, float, float]:
+    """:func:`continuity_experiment`, returning ``(epsilon, lhs, rhs)``.
+
+    With ``threshold_fraction`` the coupling is first set to that fraction
+    of the shared-ball threshold; the threshold does not depend on the
+    coupling, so the bounds are built once.
+    """
     u0 = solve_linear_system(problem)
-    i_radius = embedding_constant() * (vector_norms(u0).h2 + 1.0)
+    i_radius = embedding_constant() * (spectral_plan(problem).norms_of(u0).h2 + 1.0)
     m_shared = max(
         c2_ball_norm(g1, i_radius) if not g1.is_trivial else 0.0,
         c2_ball_norm(g2, i_radius) if not g2.is_trivial else 0.0,
@@ -300,9 +342,12 @@ def continuity_experiment(
     diff = g1 - g2
     diff_c2 = 0.0 if diff.is_trivial else c2_ball_norm(diff, i_radius)
     if m_shared == 0.0:
-        return 0.0, 0.0
+        return problem.coupling, 0.0, 0.0
 
     ctx = build_bounds_context(problem, u0, rho=rho, M=m_shared)
+    if threshold_fraction is not None:
+        problem = problem.with_epsilon(threshold_fraction * ctx.epsilon_max)
+        ctx = replace(ctx, epsilon=problem.coupling)
     if ctx.epsilon > ctx.epsilon_max:
         logger.warning(
             "coupling %.6e exceeds the shared-ball threshold %.6e; "
@@ -321,4 +366,4 @@ def continuity_experiment(
         results.append(res)
     lhs = vector_norms(results[0].u - results[1].u).h2
     rhs = continuity_rhs(ctx, diff_c2)
-    return lhs, rhs
+    return problem.coupling, lhs, rhs

@@ -230,7 +230,7 @@ def box_length_sweep(
         if mean != 0.0:
             logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
         symbol = two_exponent_symbol(half_lattice(grid).wavenumbers, s1, s2)
-        u_l2_sq = nonzero_mode_l2(_without_zero_mode(coeff, symbol), grid) ** 2
+        u_l2_sq = nonzero_mode_l2(_without_zero_mode(coeff, symbol, out=coeff), grid) ** 2
         points.append(BoxSweepPoint(float(L), n, u_l2_sq, mean))
     return points
 

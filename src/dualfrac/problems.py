@@ -168,19 +168,22 @@ class Nonlinearity:
     def is_trivial(self) -> bool:
         return all(not comp for comp in self.components)
 
-    def eval_components(self, z_fields: list[np.ndarray]) -> list[np.ndarray]:
-        """Vectorized evaluation of every g_m over arrays of z samples."""
+    def eval_components(self, z_fields) -> np.ndarray:
+        """Vectorized evaluation of every g_m over arrays of z samples.
+
+        ``z_fields`` holds one array per variable (a list, or a stacked
+        array); the result stacks g_1 .. g_N along a leading axis.
+        """
         shape = z_fields[0].shape
-        out = []
-        for comp in self.components:
-            acc = np.zeros(shape)
+        out = np.zeros((self.n_components,) + shape)
+        term = np.empty(shape)
+        for acc, comp in zip(out, self.components):
             for mono in comp:
-                term = np.full(shape, mono.coeff)
+                term.fill(mono.coeff)
                 for z, power in zip(z_fields, mono.powers):
                     if power:
-                        term = term * z**power
+                        term *= z**power
                 acc += term
-            out.append(acc)
         return out
 
     def scaled(self, factor: float) -> "Nonlinearity":

@@ -33,6 +33,7 @@ __all__ = [
     "convolve",
     "field_norms",
     "vector_norms",
+    "h2_distance",
     "spectrum_l2",
     "nonzero_mode_l2",
     "relative_defect",
@@ -123,6 +124,11 @@ def field_norms(field: ScalarField, s: float | None = None) -> NormReport:
     """
     if s is not None and not 0.0 < s <= 1.0:
         raise ValueError(f"fractional order s must lie in (0, 1], got {s}")
+    return _field_norms(field, _rfft(field.values), s)
+
+
+def _field_norms(field: ScalarField, coeff: np.ndarray, s: float | None = None) -> NormReport:
+    """:func:`field_norms` of a field whose plain ``rfftn`` coefficients are given."""
     g = field.grid
     w = g.cell_volume
     values = field.values
@@ -131,7 +137,7 @@ def field_norms(field: ScalarField, s: float | None = None) -> NormReport:
     linf = float(np.max(np.abs(values))) if values.size else 0.0
 
     lattice = half_lattice(g)
-    coeff_sq = _abs_sq(_rfft(values))
+    coeff_sq = _abs_sq(coeff)
     lap_sq = float(np.sum(lattice.h2_weights * coeff_sq))
     h2 = float(np.sqrt(l2_sq + lap_sq))
     hs = None
@@ -162,6 +168,24 @@ def vector_norms(u: VectorField) -> NormReport:
     )
 
 
+def h2_distance(a: VectorField, b: VectorField) -> float:
+    """``||a - b||_H2`` by Plancherel from the half spectra both fields carry.
+
+    Works one component at a time and forms no difference field; agrees
+    with ``vector_norms(a - b).h2`` up to rounding.
+    """
+    if a.grid != b.grid or a.n_components != b.n_components:
+        raise ValueError("fields differ in grid or component count")
+    if a.spectrum is None or b.spectrum is None:
+        raise ValueError("both fields must carry their half spectra")
+    lattice = half_lattice(a.grid)
+    total = 0.0
+    for ca, cb in zip(a.spectrum, b.spectrum):
+        sq = _abs_sq(ca - cb)
+        total += float(np.sum(lattice.weights * sq)) + float(np.sum(lattice.h2_weights * sq))
+    return math.sqrt(total)
+
+
 # --- the rfftn half lattice -------------------------------------------------------
 
 _AXES = (-3, -2, -1)
@@ -181,11 +205,36 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _without_zero_mode(numerator: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """``numerator / symbol`` on the nonzero modes and 0 at p = 0, where the symbol vanishes."""
-    out = np.zeros(np.broadcast_shapes(numerator.shape, symbol.shape), dtype=np.complex128)
-    np.divide(numerator, symbol, out=out, where=symbol != 0.0)
+def _without_zero_mode(numerator: np.ndarray, symbol: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``numerator / symbol`` on the nonzero modes and 0 at p = 0, where the symbol vanishes.
+
+    ``out`` may be ``numerator`` itself, which divides in place.
+    """
+    zero = symbol == 0.0
+    if out is None:
+        out = np.zeros(np.broadcast_shapes(numerator.shape, symbol.shape), dtype=np.complex128)
+    np.divide(numerator, symbol, out=out, where=~zero)
+    out[np.broadcast_to(zero, out.shape)] = 0.0
     return out
+
+
+class _once:
+    """Lazy piece: computed on first access under the owner's lock, then cached."""
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        cache = instance.__dict__
+        if self.name not in cache:
+            with instance._lock:
+                if self.name not in cache:
+                    cache[self.name] = self.build(instance)
+        return cache[self.name]
 
 
 class HalfLattice:
@@ -212,7 +261,12 @@ class HalfLattice:
         # Plancherel for plain rfftn coefficients c of samples f:
         # h^3 * sum(f^2) = h^3 / n^3 * sum(multiplicity * |c|^2)
         self.weights = _frozen(grid.cell_volume / n**3 * multiplicity)
-        self.h2_weights = _frozen(self.weights * self.wavenumbers**4)
+        self._lock = threading.RLock()
+
+    @_once
+    def h2_weights(self) -> np.ndarray:
+        """Weights of the H2 derivative term, ``weights * |p|^4``; built on first use."""
+        return _frozen(self.weights * self.wavenumbers**4)
 
     def centre_phase(self) -> np.ndarray:
         """(-1)^(k1+k2+k3): shifts the sample origin from the box corner to x = 0."""
@@ -250,25 +304,6 @@ def relative_defect(lhs: np.ndarray, rhs: np.ndarray, grid: Grid3, reference: fl
 
 
 # --- per-problem plans ------------------------------------------------------------
-
-
-class _once:
-    """Lazy plan piece: computed on first access under the plan's lock, then cached."""
-
-    def __init__(self, build):
-        self.build = build
-        self.name = build.__name__
-        self.__doc__ = build.__doc__
-
-    def __get__(self, plan, owner=None):
-        if plan is None:
-            return self
-        cache = plan.__dict__
-        if self.name not in cache:
-            with plan._lock:
-                if self.name not in cache:
-                    cache[self.name] = self.build(plan)
-        return cache[self.name]
 
 
 class SpectralPlan:
@@ -327,13 +362,25 @@ class SpectralPlan:
         return VectorField.from_stack(self.grid, values, coeff)
 
     @_once
+    def u0_norms(self) -> NormReport:
+        """:func:`vector_norms` of u0."""
+        return vector_norms(self.u0)
+
+    def norms_of(self, u0: VectorField) -> NormReport:
+        """``vector_norms(u0)``, read from the plan when u0 is the plan's own."""
+        return self.u0_norms if u0 is self.u0 else vector_norms(u0)
+
+    @_once
     def _kernel_pieces(self) -> tuple[tuple[float, float], np.ndarray]:
         # Each kernel is realized once and reduced to the constants H, Q and
         # the transfer multiplier; the real-space samples are not kept.
         g = self.grid
-        stack = np.stack([realize_gaussian_sum(k, g).values for k in self.kernels])
+        stack = np.empty((len(self.kernels),) + g.shape)
+        for m, k in enumerate(self.kernels):
+            stack[m] = realize_gaussian_sum(k, g).values
         h_sq = sum(float(g.cell_volume * np.sum(np.abs(h))) ** 2 for h in stack)
         coeff = _rfft(stack)
+        del stack
         pm = self.lattice.wavenumbers
         q_sq = sum(
             nonzero_mode_l2(pm ** (2.0 * (1.0 - s1)) * c, g) ** 2
@@ -342,7 +389,7 @@ class SpectralPlan:
         # continuum convolution theorem on plain coefficients: the centred
         # kernel contributes h^3 * phase * c_h
         coeff *= g.cell_volume * self.lattice.centre_phase()
-        transfer = _frozen(_without_zero_mode(coeff, self.symbols))
+        transfer = _frozen(_without_zero_mode(coeff, self.symbols, out=coeff))
         return (math.sqrt(h_sq), math.sqrt(q_sq)), transfer
 
     @property

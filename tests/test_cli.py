@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from dualfrac import VectorField, cli, problems
+from dualfrac import VectorField, cli, fixed_point, problems, spectral
 from dualfrac.cli import run_command
 from dualfrac.fieldio import read_snapshot
 from dualfrac.problems import demo_config_text
@@ -74,6 +74,39 @@ def test_solve_linear_residuals_detect_perturbed_u0(demo_config, tmp_path, monke
     residuals = [c for c in report["checks"] if "residual" in c["name"]]
     assert len(residuals) == 4
     assert not any(c["passed"] for c in residuals)
+
+
+def test_solve_linear_makes_four_transforms(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    spectral._cached_plan.cache_clear()
+    assert run_command(small(["solve-linear", "--config", "demo"], tmp_path, n=16)) == 0
+    # the plan's u0 (rfftn + irfftn), then one rfftn per (u0_m, f_m) pair that
+    # serves both residuals and the component norms
+    assert calls == ["rfftn", "irfftn", "rfftn", "rfftn"]
+
+
+def test_continuity_sizes_each_shared_ball_once_per_pair(tmp_path, monkeypatch):
+    shared = []
+    for module in (cli, fixed_point):
+
+        def counting(problem, u0, rho=None, M=None, _original=module.build_bounds_context):
+            if M is not None:
+                shared.append(M)
+            return _original(problem, u0, rho=rho, M=M)
+
+        monkeypatch.setattr(module, "build_bounds_context", counting)
+    assert run_command(small(["continuity", "--config", "demo"], tmp_path, n=16)) == 0
+    assert len(shared) == len(problems.continuity_pairs(problems.demo_problem().nonlinearity))
 
 
 def test_solvability_realizes_each_influx_once_per_box(tmp_path, monkeypatch):

@@ -227,6 +227,17 @@ def test_residual_detects_perturbation(demo32, rng):
     assert system_residual(VectorField(tuple(comps)), demo32) >= 1e-3
 
 
+def test_residual_detects_small_noise_under_exact_spectrum(demo32):
+    tol = 1e-10
+    res = solve_fixed_point(demo32, tol=tol)
+    assert system_residual(res.u, demo32) <= tol
+    # 1e-8 relative noise on the values; the carried spectrum stays exact
+    noise = np.random.default_rng(16).standard_normal(res.u.values.shape)
+    values = res.u.values + 1e-8 * np.max(np.abs(res.u.values)) * noise
+    noisy = VectorField.from_stack(demo32.grid, values, res.u.spectrum)
+    assert system_residual(noisy, demo32) > tol
+
+
 # --- continuity -----------------------------------------------------------------
 
 

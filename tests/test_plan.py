@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,7 +21,7 @@ from dualfrac import (
     vector_norms,
 )
 from dualfrac import problems
-from dualfrac.spectral import SpectralPlan
+from dualfrac.spectral import SpectralPlan, h2_distance, relative_defect, spectral_plan
 
 
 def relative_l2(a, b):
@@ -72,6 +73,8 @@ def test_carried_step_norm_matches_real_space_difference(demo32):
     )
     assert fresh.spectrum is None
     assert abs(carried - vector_norms(fresh).h2) <= 1e-12 * carried
+    # the Picard loop's step norm: Plancherel on the two carried spectra
+    assert abs(h2_distance(b, a) - vector_norms(fresh).h2) <= 1e-12 * carried
     g = demo32.grid
     full_layout = np.sqrt(
         sum(
@@ -123,3 +126,54 @@ def test_plan_pieces_built_once_under_concurrent_access(demo, realize_calls):
     assert not u0.values.flags.writeable
     with pytest.raises(ValueError):
         u0.components[0].values[0, 0, 0] = 1.0
+
+
+# At most this many stacked fields' worth of bytes are alive at once inside
+# one call: tau's result (values plus half spectrum, about two) and one more
+# for the transform in flight.  The earlier batched layout reached 5.2
+# (apply_tau) and 7.5 (system_residual) on demo32.
+WORKING_SET_FIELDS = 4.0
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_tau_and_residual_work_on_a_bounded_working_set(demo32):
+    u0 = solve_linear_system(demo32)
+    v = sample_ball(demo32.grid, 2, demo32.rho, np.random.default_rng(13))
+    u = u0 + v
+    apply_tau(v, demo32, u0)  # build the plan pieces first
+    system_residual(u, demo32)
+    field_bytes = u.values.nbytes
+    assert traced_peak(lambda: apply_tau(v, demo32, u0)) <= WORKING_SET_FIELDS * field_bytes
+    assert traced_peak(lambda: system_residual(u, demo32)) <= WORKING_SET_FIELDS * field_bytes
+
+
+def test_residual_matches_batched_formula(demo32):
+    plan = spectral_plan(demo32)
+    u0 = solve_linear_system(demo32)
+    for seed in (14, 15):
+        u = u0 + sample_ball(demo32.grid, 2, demo32.rho, np.random.default_rng(seed))
+        g_values = np.stack(demo32.nonlinearity.eval_components(list(u.values)))
+        coeff_u, coeff_g = np.fft.rfftn(np.stack([u.values, g_values]), axes=(-3, -2, -1))
+        eps = np.asarray(demo32.epsilon)[:, None, None, None]
+        lhs = plan.symbols * coeff_u
+        rhs = eps * plan.symbols * plan.transfer * coeff_g + plan.influx_spectra
+        batched = relative_defect(lhs, rhs, demo32.grid, reference=plan.influx_l2)
+        assert abs(system_residual(u, demo32) - batched) <= 1e-12 * batched
+
+
+def test_plan_u0_norms_are_computed_once_and_only_for_its_own_u0(demo32):
+    plan = spectral_plan(demo32)
+    u0 = solve_linear_system(demo32)
+    assert plan.norms_of(u0) is plan.norms_of(u0)
+    assert plan.norms_of(u0) == vector_norms(u0)
+    other = 2.0 * u0
+    assert plan.norms_of(other).h2 == pytest.approx(2.0 * vector_norms(u0).h2, rel=1e-14)

@@ -19,6 +19,7 @@ from dualfrac import (
     solve_double_fractional,
 )
 from dualfrac.problems import solvability_sweep_cases
+from dualfrac.spectral import half_lattice
 
 TP = 2.0 * np.pi
 
@@ -278,3 +279,14 @@ def test_box_sweep_makes_one_real_transform_per_box(monkeypatch):
     case = solvability_sweep_cases()[0]
     box_length_sweep(case.realize, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
     assert calls == ["rfftn"] * len(SWEEP_BOXES)
+
+
+def test_box_sweep_builds_no_h2_weights():
+    case = solvability_sweep_cases()[0]
+    box_length_sweep(case.realize, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
+    last = Grid3(SWEEP_BOXES[-1], int(round(SWEEP_BOXES[-1] / SWEEP_SPACING)))
+    hits = half_lattice.cache_info().hits
+    lattice = half_lattice(last)  # the lattice the sweep's last box used
+    assert half_lattice.cache_info().hits == hits + 1
+    assert "h2_weights" not in vars(lattice)
+    assert lattice.h2_weights.shape == lattice.wavenumbers.shape  # built on first use

@@ -221,6 +221,24 @@ def test_field_evaluation_matches_pointwise(demo, rng):
         assert fields[1][i] == pytest.approx(value[1], rel=1e-13, abs=1e-15)
 
 
+def test_stacked_evaluation_matches_monomial_by_monomial(rng):
+    g = Nonlinearity(
+        (
+            (Monomial((3, 0), 0.7), Monomial((1, 2), -0.4), Monomial((0, 2), 1.1)),
+            (Monomial((1, 1), 0.5), Monomial((2, 1), 0.3), Monomial((0, 3), -0.9)),
+        )
+    )
+    z = rng.standard_normal((2, 6, 6, 6))
+    ref = np.zeros_like(z)
+    for m, comp in enumerate(g.components):
+        for mono in comp:
+            ref[m] += mono.coeff * z[0] ** mono.powers[0] * z[1] ** mono.powers[1]
+    stacked = g.eval_components(z)
+    assert stacked.shape == z.shape
+    assert np.max(np.abs(stacked - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.array_equal(g.eval_components(list(z)), stacked)
+
+
 def test_coupling_difference_merges_like_terms(demo):
     g = demo.nonlinearity
     diff = g.scaled(1.1) - g
