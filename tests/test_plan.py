@@ -21,7 +21,7 @@ from dualfrac import (
     vector_norms,
 )
 from dualfrac import problems
-from dualfrac.spectral import SpectralPlan, h2_distance, relative_defect, spectral_plan
+from dualfrac.spectral import SpectralPlan, h2_distance, half_lattice, relative_defect, spectral_plan
 
 
 def relative_l2(a, b):
@@ -110,17 +110,22 @@ def test_linear_solve_realizes_no_kernel(demo, realize_calls):
 
 
 def test_plan_pieces_built_once_under_concurrent_access(demo, realize_calls):
+    half_lattice.cache_clear()  # a fresh lattice, so its lazy weights race too
     plan = SpectralPlan(demo.orders, demo.kernels, demo.influxes, Grid3(20.0, 16))
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda: (plan.transfer, plan.u0)) for _ in range(32)]
+            futures = [
+                pool.submit(lambda: (plan.transfer, plan.u0, plan.u0_norms, plan.lattice.h2_weights))
+                for _ in range(32)
+            ]
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(previous)
-    transfer, u0 = results[0]
-    assert all(t is transfer and u is u0 for t, u in results)
+    first = results[0]
+    assert all(all(a is b for a, b in zip(r, first)) for r in results)
+    transfer, u0 = first[:2]
     assert len(realize_calls) == gaussian_count(demo)
     assert not transfer.flags.writeable
     assert not u0.values.flags.writeable
