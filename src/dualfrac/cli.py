@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import os
 import sys
@@ -193,11 +192,13 @@ def _cmd_solve_linear(problem, args, dump):
     checks = []
     for m, (u0_m, f_m) in enumerate(zip(u0.components, influxes)):
         s1, s2 = problem.orders.s1[m], problem.orders.s2[m]
-        # One rfftn of the real-space u0_m and f_m feeds both residuals and
-        # the norms.  u0's carried spectrum is not reused: it is the division
-        # that defines u0, so residuals taken from it would vanish whatever
-        # u0's values hold.
-        cu, cf = np.fft.rfftn(np.stack([u0_m.values, f_m.values]), axes=(1, 2, 3))
+        # One rfftn of the real-space u0_m feeds both residuals and the norms;
+        # the influx side is the plan's spectrum, computed from the Gaussians
+        # independently of u0's values.  u0's carried spectrum is not reused:
+        # it is the division that defines u0, so residuals taken from it would
+        # vanish whatever u0's values hold.
+        cu = np.fft.rfftn(u0_m.values)
+        cf = plan.influx_spectra[m]
         forward_residual = relative_defect(plan.symbols[m] * cu, cf, grid)
         reg_residual = _regularity_defect(cu, cf, grid, s1, s2)
         report = solvability_report(f_m, s1)
@@ -321,10 +322,8 @@ def _cmd_solvability(problem, args, dump):
     checks = []
     series = []
     for case in solvability_sweep_cases():
-        # the middle box is the base grid: its influx is realized once, for both uses
-        realize = functools.cache(case.realize)
-        points = box_length_sweep(realize, case.s1, case.s2, spacing, boxes)
-        base_report = solvability_report(realize(problem.grid), case.s1)
+        points = box_length_sweep(case.half_spectrum, case.s1, case.s2, spacing, boxes)
+        base_report = solvability_report(case.realize(problem.grid), case.s1)
         entry = {
             "case": case.label,
             "s1": case.s1,

@@ -203,7 +203,7 @@ class BoxSweepPoint:
 
 
 def box_length_sweep(
-    make_field: Callable[[Grid3], ScalarField],
+    right_side: Callable[[Grid3], np.ndarray],
     s1: float,
     s2: float,
     spacing: float,
@@ -211,11 +211,15 @@ def box_length_sweep(
 ) -> list[BoxSweepPoint]:
     """Solve the same right side on growing boxes at fixed spacing.
 
-    ``make_field`` realizes the right side on each grid; the number of
-    points per axis is ``round(L / spacing)`` and must come out even.  The
-    drop policy applies.  Each box costs one ``rfftn``: ``u_l2_sq`` is the
-    Plancherel sum of ``f_hat / symbol`` over the nonzero modes of the half
-    lattice, so u is never brought back to real space.
+    ``right_side(grid)`` gives the plain ``rfftn`` coefficients of the right
+    side sampled on each grid, shape ``n x n x (n/2 + 1)``: a fresh array,
+    which the sweep overwrites.  :meth:`~dualfrac.problems.SweepCase.half_spectrum`
+    computes them without a 3-D transform; for a real field pass
+    ``np.fft.rfftn(field.values)``.  The number of points per axis is
+    ``round(L / spacing)`` and must come out even.  The drop policy applies.
+    ``u_l2_sq`` is the Plancherel sum of ``f_hat / symbol`` over the nonzero
+    modes and ``mean_integral`` is ``h^3 * Re f_hat(0)``, so u is never
+    brought back to real space.
     """
     _validate_orders(s1, s2)
     points = []
@@ -224,12 +228,17 @@ def box_length_sweep(
         if n % 2 != 0:
             raise ValueError(f"box length {L} with spacing {spacing} gives odd n={n}")
         grid = Grid3(float(L), n)
-        f = make_field(grid)
-        coeff = np.fft.rfftn(f.values)
-        mean = float(grid.cell_volume * np.sum(f.values))
+        pm = half_lattice(grid).wavenumbers
+        coeff = right_side(grid)
+        if np.shape(coeff) != pm.shape:
+            raise ValueError(
+                f"right side on the n={n} box must be half-lattice coefficients of shape {pm.shape}, "
+                f"got shape {np.shape(coeff)}"
+            )
+        mean = grid.cell_volume * float(coeff[0, 0, 0].real)
         if mean != 0.0:
             logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
-        symbol = two_exponent_symbol(half_lattice(grid).wavenumbers, s1, s2)
+        symbol = two_exponent_symbol(pm, s1, s2)
         u_l2_sq = nonzero_mode_l2(_without_zero_mode(coeff, symbol, out=coeff), grid) ** 2
         points.append(BoxSweepPoint(float(L), n, u_l2_sq, mean))
     return points

@@ -1,9 +1,12 @@
 """Problem instances: fractional orders, Gaussian kernels/influxes, polynomial couplings.
 
 Kernels and influxes are finite sums of Gaussians so that their integrals
-and transforms have closed forms usable as test oracles, and the coupling
-nonlinearities are polynomials of total degree at least two, which makes
-their sup-norm bounds on balls computable coefficient by coefficient.
+and transforms have closed forms.  The tests use them as oracles, and the
+solver uses them too: a sampled Gaussian factors over the three axes, so
+its lattice transform is a product of three 1-D transforms and no problem
+data is ever transformed in 3-D.  The coupling nonlinearities are
+polynomials of total degree at least two, which makes their sup-norm
+bounds on balls computable coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -87,8 +90,12 @@ class GaussianSpec:
         return replace(self, amplitude=self.amplitude * factor)
 
 
-def realize_gaussian(spec: GaussianSpec, grid: Grid3) -> ScalarField:
-    """Evaluate a Gaussian on the lattice, warning when its tail leaves the box."""
+def _axis_factors(spec: GaussianSpec, grid: Grid3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis samples ``exp(-a (x_i - c_i)^2)`` of a Gaussian, warning when its tail leaves the box.
+
+    ``exp(-a|x-c|^2)`` factors over the axes: 3n exponentials instead of n^3.
+    The amplitude is left to the caller.
+    """
     half = grid.box_length / 2.0
     clearance = CLEARANCE_WIDTHS / math.sqrt(spec.width)
     margin = min(half - abs(c) for c in spec.center)
@@ -100,17 +107,22 @@ def realize_gaussian(spec: GaussianSpec, grid: Grid3) -> ScalarField:
         warnings.warn(
             f"gaussian at {spec.center} with width {spec.width} has face clearance "
             f"{margin:.3f} < {clearance:.3f}; estimated truncated mass {lost:.3e}",
-            stacklevel=2,
+            stacklevel=3,
         )
-    # exp(-a|x-c|^2) factors over the axes: 3n exponentials instead of n^3
     ex, ey, ez = (np.exp(-spec.width * (grid.axis - c) ** 2) for c in spec.center)
+    return ex, ey, ez
+
+
+def realize_gaussian(spec: GaussianSpec, grid: Grid3) -> ScalarField:
+    """Evaluate a Gaussian on the lattice, warning when its tail leaves the box."""
+    ex, ey, ez = _axis_factors(spec, grid)
     return ScalarField(grid, (spec.amplitude * ex)[:, None, None] * ey[None, :, None] * ez[None, None, :])
 
 
 def realize_gaussian_sum(specs, grid: Grid3) -> ScalarField:
     total = np.zeros(grid.shape)
     for spec in specs:
-        total = total + realize_gaussian(spec, grid).values
+        total += realize_gaussian(spec, grid).values
     return ScalarField(grid, total)
 
 
@@ -557,6 +569,12 @@ class SweepCase:
 
     def realize(self, grid: Grid3) -> ScalarField:
         return realize_gaussian_sum(self.influx, grid)
+
+    def half_spectrum(self, grid: Grid3) -> np.ndarray:
+        """Plain ``rfftn`` coefficients of the influx sampled on the grid, by separability."""
+        from .spectral import _gaussian_half_spectra  # spectral imports this module
+
+        return _gaussian_half_spectra((self.influx,), grid)[0]
 
 
 # Influx mixtures for the box sweep.  The two concentric Gaussians nearly

@@ -9,9 +9,11 @@ lattice with plain (unnormalized) ``numpy.fft`` coefficients, batched over
 the components of a :class:`VectorField`: :class:`HalfLattice` holds the
 per-grid wavenumbers and norm weights, and :class:`SpectralPlan` holds the
 per-problem symbols, kernel transfer multipliers, influx spectra and the
-linear response u0.  Plans are immutable: every piece is computed once, on
-first use and under the plan's lock, and its arrays are read-only, so one
-plan is safe to share across the ``sweep-epsilon`` thread pool.
+linear response u0.  The influx and kernel spectra come from the Gaussians'
+separability, as outer products of 1-D transforms, never from a 3-D
+transform of sampled data.  Plans are immutable: every piece is computed
+once, on first use and under the plan's lock, and its arrays are read-only,
+so one plan is safe to share across the ``sweep-epsilon`` thread pool.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Grid3, NormReport, ScalarField, Spectrum, VectorField
-from .problems import FractionalOrders, GaussianSpec, realize_gaussian_sum
+from .problems import FractionalOrders, GaussianSpec, _axis_factors, realize_gaussian_sum
 
 __all__ = [
     "forward_transform",
@@ -196,6 +198,38 @@ def _rfft(values: np.ndarray) -> np.ndarray:
     return np.fft.rfftn(values, axes=_AXES)
 
 
+def _gaussian_half_spectra(sums, grid: Grid3) -> np.ndarray:
+    """Plain ``rfftn`` coefficients of Gaussian sums sampled on the grid, stacked.
+
+    Returns shape ``(len(sums), n, n, n/2 + 1)`` with no 3-D transform: a
+    sampled Gaussian ``A e_x(x) e_y(y) e_z(z)`` factors over the axes, so its
+    DFT is the outer product ``fft(A e_x) x fft(e_y) x rfft(e_z)``.  The axis
+    samples are those of :func:`~dualfrac.problems.realize_gaussian`, clearance
+    warning included; one ``fft`` call transforms every x and y factor and
+    one ``rfft`` call every z factor.  The k terms of a sum are added by one
+    ``(n^2 x k) @ (k x n/2+1)`` matrix product written straight into the
+    output, so no full-size temporary is built.
+    """
+    n = grid.points_per_axis
+    half = n // 2 + 1
+    out = np.zeros((len(sums), n, n, half), dtype=np.complex128)
+    specs = [spec for terms in sums for spec in terms]
+    if not specs:
+        return out
+    factors = [_axis_factors(spec, grid) for spec in specs]
+    xs = [spec.amplitude * f[0] for spec, f in zip(specs, factors)]
+    xy = np.fft.fft(np.stack(xs + [f[1] for f in factors]))
+    xs, ys = xy[: len(specs)], xy[len(specs) :]
+    zs = np.fft.rfft(np.stack([f[2] for f in factors]))
+    start = 0
+    for acc, terms in zip(out, sums):
+        stop = start + len(terms)
+        planes = xs[start:stop, :, None] * ys[start:stop, None, :]
+        np.matmul(planes.reshape(len(terms), n * n).T, zs[start:stop], out=acc.reshape(n * n, half))
+        start = stop
+    return out
+
+
 def _abs_sq(coeff: np.ndarray) -> np.ndarray:
     return coeff.real**2 + coeff.imag**2
 
@@ -313,7 +347,8 @@ class SpectralPlan:
     shape ``(N, n, n, n/2 + 1)``.  Couplings and nonlinearities are not part
     of the plan, so ``with_epsilon``/``with_nonlinearity`` variants of a
     problem share one.  Pieces are built on first use: a linear solve
-    realizes no kernel.
+    realizes nothing, and the real-space influxes are realized only when
+    :meth:`ProblemSpec.influx_fields` asks for them.
     """
 
     def __init__(
@@ -338,7 +373,7 @@ class SpectralPlan:
 
     @_once
     def influx_fields(self) -> tuple[ScalarField, ...]:
-        """The influxes realized on the grid."""
+        """The influxes realized on the grid; no other plan piece reads them."""
         fields = tuple(realize_gaussian_sum(f, self.grid) for f in self.influxes)
         for f in fields:
             _frozen(f.values)
@@ -346,13 +381,12 @@ class SpectralPlan:
 
     @_once
     def influx_spectra(self) -> np.ndarray:
-        return _frozen(_rfft(np.stack([f.values for f in self.influx_fields])))
+        return _frozen(_gaussian_half_spectra(self.influxes, self.grid))
 
     @_once
     def influx_l2(self) -> float:
-        """Real-space L2 norm of the influx vector."""
-        w = self.grid.cell_volume
-        return math.sqrt(sum(w * float(np.sum(f.values**2)) for f in self.influx_fields))
+        """L2 norm of the influx vector, by Plancherel on its spectra (zero mode included)."""
+        return math.sqrt(float(np.sum(self.lattice.weights * _abs_sq(self.influx_spectra))))
 
     @_once
     def u0(self) -> VectorField:
@@ -372,15 +406,13 @@ class SpectralPlan:
 
     @_once
     def _kernel_pieces(self) -> tuple[tuple[float, float], np.ndarray]:
-        # Each kernel is realized once and reduced to the constants H, Q and
-        # the transfer multiplier; the real-space samples are not kept.
+        # H is a real-space L1 norm: each kernel is realized, one at a time,
+        # for it alone.  Q and the transfer multiplier read the separable spectra.
         g = self.grid
-        stack = np.empty((len(self.kernels),) + g.shape)
-        for m, k in enumerate(self.kernels):
-            stack[m] = realize_gaussian_sum(k, g).values
-        h_sq = sum(float(g.cell_volume * np.sum(np.abs(h))) ** 2 for h in stack)
-        coeff = _rfft(stack)
-        del stack
+        h_sq = sum(
+            float(g.cell_volume * np.sum(np.abs(realize_gaussian_sum(k, g).values))) ** 2 for k in self.kernels
+        )
+        coeff = _gaussian_half_spectra(self.kernels, g)
         pm = self.lattice.wavenumbers
         q_sq = sum(
             nonzero_mode_l2(pm ** (2.0 * (1.0 - s1)) * c, g) ** 2

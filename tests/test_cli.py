@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from dualfrac import VectorField, cli, fixed_point, problems, spectral
+from dualfrac import Grid3, VectorField, cli, fixed_point, problems, spectral
 from dualfrac.cli import run_command
 from dualfrac.fieldio import read_snapshot
 from dualfrac.problems import demo_config_text
@@ -76,7 +76,7 @@ def test_solve_linear_residuals_detect_perturbed_u0(demo_config, tmp_path, monke
     assert not any(c["passed"] for c in residuals)
 
 
-def test_solve_linear_makes_four_transforms(tmp_path, monkeypatch):
+def test_solve_linear_makes_three_3d_transforms(tmp_path, monkeypatch):
     calls = []
 
     def counting(name, fn):
@@ -90,9 +90,10 @@ def test_solve_linear_makes_four_transforms(tmp_path, monkeypatch):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     spectral._cached_plan.cache_clear()
     assert run_command(small(["solve-linear", "--config", "demo"], tmp_path, n=16)) == 0
-    # the plan's u0 (rfftn + irfftn), then one rfftn per (u0_m, f_m) pair that
-    # serves both residuals and the component norms
-    assert calls == ["rfftn", "irfftn", "rfftn", "rfftn"]
+    # the influx spectra by separability (1-D fft and rfft), the irfftn that
+    # brings u0 to real space, then one rfftn per u0 component that serves
+    # both residuals and the component norms
+    assert calls == ["fft", "rfft", "irfftn", "rfftn", "rfftn"]
 
 
 def test_continuity_sizes_each_shared_ball_once_per_pair(tmp_path, monkeypatch):
@@ -109,7 +110,8 @@ def test_continuity_sizes_each_shared_ball_once_per_pair(tmp_path, monkeypatch):
     assert len(shared) == len(problems.continuity_pairs(problems.demo_problem().nonlinearity))
 
 
-def test_solvability_realizes_each_influx_once_per_box(tmp_path, monkeypatch):
+@pytest.fixture()
+def realized_grids(monkeypatch):
     grids = []
     original = problems.realize_gaussian
 
@@ -118,9 +120,26 @@ def test_solvability_realizes_each_influx_once_per_box(tmp_path, monkeypatch):
         return original(spec, grid)
 
     monkeypatch.setattr(problems, "realize_gaussian", counting)
-    run_command(small(["solvability", "--config", "demo"], tmp_path, n=16))
-    # three boxes per case; the base grid is the middle box, not a fourth realization
-    assert len(grids) == 3 * sum(len(case.influx) for case in problems.solvability_sweep_cases())
+    return grids
+
+
+def test_solvability_realizes_only_the_base_grid_influx(tmp_path, realized_grids):
+    assert run_command(small(["solvability", "--config", "demo"], tmp_path, n=16)) == 0
+    # the sweep transforms every box by separability; only the base-grid
+    # solvability report samples the influx
+    base = Grid3(20.0, 16)
+    assert realized_grids == [base] * sum(len(case.influx) for case in problems.solvability_sweep_cases())
+
+
+@pytest.mark.parametrize("command", ["solve", "verify-bounds", "contraction", "continuity", "sweep-epsilon"])
+def test_picard_path_realizes_no_influx(command, tmp_path, monkeypatch, realized_grids):
+    monkeypatch.setenv("FRAC_THREADS", "1")
+    spectral._cached_plan.cache_clear()
+    args = ["--trials", "2"] if command == "contraction" else []
+    assert run_command(small([command, "--config", "demo", *args], tmp_path, n=16)) == 0
+    # every variant shares one plan, whose kernel constant H realizes each
+    # kernel Gaussian once; the influxes are transformed by separability
+    assert len(realized_grids) == sum(len(k) for k in problems.demo_problem().kernels)
 
 
 def test_missing_config_flag_exits_2(tmp_path):

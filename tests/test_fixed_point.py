@@ -189,6 +189,25 @@ def test_measured_ratios_deterministic_under_seed(demo32):
     assert a == b
 
 
+def test_measured_ratios_use_carried_spectra_without_difference_fields(demo32, monkeypatch):
+    u0 = solve_linear_system(demo32)
+    # the same draws and taus, with the gaps taken from real-space differences
+    rng = np.random.default_rng(9)
+    expected = []
+    for _ in range(3):
+        v1 = sample_ball(demo32.grid, 2, 1.0, rng)
+        v2 = sample_ball(demo32.grid, 2, 1.0, rng)
+        t1, t2 = apply_tau(v1, demo32, u0), apply_tau(v2, demo32, u0)
+        expected.append(vector_norms(t1 - t2).h2 / vector_norms(v1 - v2).h2)
+
+    def no_difference(self, other):
+        raise AssertionError("measure_contraction built a difference field")
+
+    monkeypatch.setattr(VectorField, "__sub__", no_difference)
+    ratios = measure_contraction(demo32, u0, rho=1.0, trials=3, seed=9)
+    assert ratios == pytest.approx(expected, rel=1e-12)
+
+
 def test_sample_ball_stays_inside(demo32, rng):
     for _ in range(10):
         v = sample_ball(demo32.grid, 2, 0.7, rng)

@@ -106,7 +106,27 @@ def test_variants_share_one_realization_of_each_gaussian(demo, realize_calls):
 def test_linear_solve_realizes_no_kernel(demo, realize_calls):
     p = demo.with_grid(Grid3(18.0, 16))
     solve_linear_system(p)
-    assert {spec for spec, _ in realize_calls} == {g for fs in p.influxes for g in fs}
+    # the influx spectra come from the Gaussians' separability: nothing is sampled in 3-D
+    assert realize_calls == []
+
+
+def test_plan_data_makes_no_3d_transform(demo, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    plan = SpectralPlan(demo.orders, demo.kernels, demo.influxes, Grid3(20.0, 16))
+    plan.influx_spectra, plan.transfer, plan.kernel_constants, plan.influx_l2
+    # one fft of the x and y factors and one rfft of the z factors, for the
+    # influxes and again for the kernels
+    assert calls == ["fft", "rfft"] * 2
 
 
 def test_plan_pieces_built_once_under_concurrent_access(demo, realize_calls):
@@ -126,7 +146,8 @@ def test_plan_pieces_built_once_under_concurrent_access(demo, realize_calls):
     first = results[0]
     assert all(all(a is b for a, b in zip(r, first)) for r in results)
     transfer, u0 = first[:2]
-    assert len(realize_calls) == gaussian_count(demo)
+    # only the kernel constant H samples the kernels; u0 realizes nothing
+    assert len(realize_calls) == sum(len(k) for k in demo.kernels)
     assert not transfer.flags.writeable
     assert not u0.values.flags.writeable
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dualfrac import (
+    GaussianSpec,
     Grid3,
     ScalarField,
     Spectrum,
@@ -11,9 +12,11 @@ from dualfrac import (
     field_norms,
     forward_transform,
     inverse_transform,
+    demo_problem,
     vector_norms,
 )
-from dualfrac.spectral import spectrum_l2
+from dualfrac.problems import realize_gaussian_sum, solvability_sweep_cases
+from dualfrac.spectral import _gaussian_half_spectra, spectrum_l2
 
 TP = 2.0 * np.pi
 
@@ -308,3 +311,42 @@ def test_vector_norms_match_direct_summation(grid16, rng):
     assert abs(rep.h2 - np.sqrt(total)) <= 1e-12 * rep.h2
     length = np.sqrt(sum(c.values**2 for c in comps))
     assert rep.linf == pytest.approx(float(np.max(length)), rel=1e-14)
+
+
+# --- Gaussian half spectra by separability ----------------------------------------
+
+
+def _gaussian_sum_sets():
+    demo = demo_problem()
+    shift = (2.5, -1.25, 1.25)  # lattice vectors, as the benchmark seeds shift influxes
+    yield "demo_influxes", demo.influxes
+    yield "demo_kernels", demo.kernels
+    yield "shifted_influxes", tuple(tuple(g.shifted(shift) for g in fs) for fs in demo.influxes)
+    yield "sweep_cases", tuple(case.influx for case in solvability_sweep_cases())
+    yield "negative_and_empty", (
+        (GaussianSpec(-0.7, 0.8, (1.5, -0.5, 2.0)), GaussianSpec(0.4, 1.3, (-2.0, 0.0, 1.0))),
+        (),
+    )
+
+
+@pytest.mark.parametrize("sums", [pytest.param(sums, id=label) for label, sums in _gaussian_sum_sets()])
+@pytest.mark.parametrize("n", [16, 32])
+def test_gaussian_half_spectra_match_rfftn_of_samples(sums, n):
+    grid = Grid3(20.0, n)
+    got = _gaussian_half_spectra(sums, grid)
+    ref = np.stack([np.fft.rfftn(realize_gaussian_sum(terms, grid).values) for terms in sums])
+    assert got.shape == ref.shape == (len(sums), n, n, n // 2 + 1)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+    assert not np.any(got[[i for i, terms in enumerate(sums) if not terms]])
+
+
+def test_gaussian_half_spectra_of_no_gaussian_is_zero(grid16):
+    assert not np.any(_gaussian_half_spectra(((),), grid16))
+    assert _gaussian_half_spectra((), grid16).shape == (0, 16, 16, 9)
+
+
+def test_gaussian_half_spectra_warn_on_clearance():
+    grid = Grid3(10.0, 16)
+    with pytest.warns(UserWarning, match="truncated mass"):
+        _gaussian_half_spectra(((GaussianSpec(1.0, 0.05),),), grid)
