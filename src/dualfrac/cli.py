@@ -44,6 +44,7 @@ from .problems import (
 )
 from .spectral import (
     _field_norms,
+    _rfft,
     relative_defect,
     spectral_plan,
     vector_norms,
@@ -197,7 +198,7 @@ def _cmd_solve_linear(problem, args, dump):
         # independently of u0's values.  u0's carried spectrum is not reused:
         # it is the division that defines u0, so residuals taken from it would
         # vanish whatever u0's values hold.
-        cu = np.fft.rfftn(u0_m.values)
+        cu = _rfft(u0_m.values)
         cf = plan.influx_spectra[m]
         forward_residual = relative_defect(plan.symbols[m] * cu, cf, grid)
         reg_residual = _regularity_defect(cu, cf, grid, s1, s2)

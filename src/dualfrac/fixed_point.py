@@ -32,6 +32,8 @@ from .problems import (
     ProblemSpec,
 )
 from .spectral import (  # noqa: F401  (forward_transform stays importable from here)
+    _irfft,
+    _rfft,
     forward_transform,
     h2_distance,
     half_lattice,
@@ -77,10 +79,6 @@ class FixedPointResult:
     converged: bool
     bounds: BoundsContext
 
-    @property
-    def u_p_h2(self) -> float:
-        return vector_norms(self.u_p).h2
-
 
 def _check_nonlinear_orders(problem: ProblemSpec) -> None:
     if not problem.orders.in_nonlinear_window():
@@ -125,11 +123,11 @@ def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorFi
     for m in range(problem.n_components):
         if not np.isfinite(g_values[m]).all():
             raise ValueError(f"coupling output for component {m} is not finite")
-    coeff = np.fft.rfftn(g_values, axes=(-3, -2, -1))
+    coeff = _rfft(g_values)
     del g_values
     coeff *= np.asarray(problem.epsilon)[:, None, None, None]
     coeff *= plan.transfer
-    values = np.fft.irfftn(coeff, s=problem.grid.shape, axes=(-3, -2, -1))
+    values = _irfft(coeff, problem.grid)
     return VectorField.from_stack(problem.grid, values, coeff)
 
 
@@ -172,7 +170,7 @@ def solve_fixed_point(
         # the step norms are taken from carried half spectra
         v = v0
         if v.spectrum is None:
-            v = VectorField.from_stack(v0.grid, v0.values, np.fft.rfftn(v0.values, axes=(-3, -2, -1)))
+            v = VectorField.from_stack(v0.grid, v0.values, _rfft(v0.values))
         start_norm = vector_norms(v).h2
         if start_norm > rho:
             logger.warning(
@@ -231,9 +229,9 @@ def sample_ball(
     and rescaled to the target radius.
     """
     cutoff = 0.5 * grid.nyquist
-    coeff = np.fft.rfftn(rng.standard_normal((n_components,) + grid.shape), axes=(-3, -2, -1))
+    coeff = _rfft(rng.standard_normal((n_components,) + grid.shape))
     coeff[:, half_lattice(grid).wavenumbers > cutoff] = 0.0
-    values = np.fft.irfftn(coeff, s=grid.shape, axes=(-3, -2, -1))
+    values = _irfft(coeff, grid)
     draw = VectorField.from_stack(grid, values, coeff)
     norm = vector_norms(draw).h2
     if norm == 0.0:
@@ -294,10 +292,10 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     defect_sq = 0.0
     for m, eps in enumerate(problem.epsilon):
         # symbol * u_hat - (eps * symbol * transfer * g_hat + f_hat)
-        coeff = np.fft.rfftn(g_values[m])
+        coeff = _rfft(g_values[m])
         coeff *= eps * plan.symbols[m] * plan.transfer[m]
         coeff += plan.influx_spectra[m]
-        coeff_u = np.fft.rfftn(u_values[m])
+        coeff_u = _rfft(u_values[m])
         coeff_u *= plan.symbols[m]
         coeff_u -= coeff
         del coeff
@@ -318,7 +316,8 @@ def continuity_experiment(
     """Solve the system under two couplings and compare the solution gap to its bound.
 
     Returns ``(lhs, rhs)`` where lhs is the measured H2 distance between the
-    two assembled solutions (they share u0) and rhs is the continuity bound
+    two assembled solutions (they share u0, so it is taken by Plancherel from
+    the two perturbations' carried spectra) and rhs is the continuity bound
     computed with the shared coupling-ball radius.  lhs <= rhs must hold
     whenever the coupling sits inside the certified regime.
     """
@@ -364,14 +363,13 @@ def _continuity_run(
             ctx.epsilon_max,
         )
 
-    results = []
+    perturbations = []  # the solutions share u0: keep only each solve's u_p
     for g_j in (g1, g2):
-        res = solve_fixed_point(
-            problem.with_nonlinearity(g_j), rho=rho, tol=tol, max_iter=max_iter
-        )
+        res = solve_fixed_point(problem.with_nonlinearity(g_j), rho=rho, tol=tol, max_iter=max_iter)
         if not res.converged:
             raise RuntimeError("fixed point failed to converge during the continuity experiment")
-        results.append(res)
-    lhs = vector_norms(results[0].u - results[1].u).h2
+        perturbations.append(res.u_p)
+        del res
+    lhs = h2_distance(*perturbations)
     rhs = continuity_rhs(ctx, diff_c2)
     return problem.coupling, lhs, rhs

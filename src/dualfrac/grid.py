@@ -96,10 +96,13 @@ class Grid3:
     def center_phase(self) -> np.ndarray:
         # (-1)^(k1+k2+k3) relates the DFT of samples indexed from -L/2 to the
         # transform with the x=0 origin.
-        n = self.points_per_axis
-        k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-        ksum = k[:, None, None] + k[None, :, None] + k[None, None, :]
-        return np.where(ksum % 2 == 0, 1.0, -1.0)
+        sign = _centre_signs(self.points_per_axis)
+        return sign[:, None, None] * sign[None, :, None] * sign
+
+
+def _centre_signs(n: int) -> np.ndarray:
+    """(-1)^k on an axis of n points; n is even, so k and its frequency share parity."""
+    return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
 
 
 def _negated_modes(values: np.ndarray) -> np.ndarray:
@@ -128,11 +131,6 @@ class ScalarField:
     @classmethod
     def zeros(cls, grid: Grid3) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
-    def from_function(cls, grid: Grid3, fn) -> "ScalarField":
-        x, y, z = grid.meshes
-        return cls(grid, fn(x, y, z))
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         self._check_same_grid(other)

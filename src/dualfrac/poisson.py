@@ -21,6 +21,7 @@ import numpy as np
 from .grid import Grid3, ScalarField, VectorField
 from .spectral import (
     TWO_PI_32,
+    _rfft,
     _without_zero_mode,
     forward_transform,
     half_lattice,
@@ -161,7 +162,7 @@ def regularity_check(u0: ScalarField, f: ScalarField, s1: float, s2: float) -> f
     _validate_orders(s1, s2)
     if u0.grid != f.grid:
         raise ValueError("u0 and f live on different grids")
-    return _regularity_defect(np.fft.rfftn(u0.values), np.fft.rfftn(f.values), u0.grid, s1, s2)
+    return _regularity_defect(_rfft(u0.values), _rfft(f.values), u0.grid, s1, s2)
 
 
 def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s2: float) -> float:

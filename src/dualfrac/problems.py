@@ -343,9 +343,6 @@ class ProblemSpec:
         """Largest per-component coupling factor."""
         return max(self.epsilon)
 
-    def kernel_fields(self) -> list[ScalarField]:
-        return [realize_gaussian_sum(k, self.grid) for k in self.kernels]
-
     def influx_fields(self) -> list[ScalarField]:
         """The influxes on the grid, shared with the problem's plan; their values are read-only."""
         from .spectral import spectral_plan  # spectral imports this module

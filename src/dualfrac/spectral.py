@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid3, NormReport, ScalarField, Spectrum, VectorField
+from .grid import Grid3, NormReport, ScalarField, Spectrum, VectorField, _centre_signs
 from .problems import FractionalOrders, GaussianSpec, _axis_factors, realize_gaussian_sum
 
 __all__ = [
@@ -198,6 +198,11 @@ def _rfft(values: np.ndarray) -> np.ndarray:
     return np.fft.rfftn(values, axes=_AXES)
 
 
+def _irfft(coeff: np.ndarray, grid: Grid3) -> np.ndarray:
+    """Invert :func:`_rfft` onto the grid's real-space shape."""
+    return np.fft.irfftn(coeff, s=grid.shape, axes=_AXES)
+
+
 def _gaussian_half_spectra(sums, grid: Grid3) -> np.ndarray:
     """Plain ``rfftn`` coefficients of Gaussian sums sampled on the grid, stacked.
 
@@ -302,12 +307,6 @@ class HalfLattice:
         """Weights of the H2 derivative term, ``weights * |p|^4``; built on first use."""
         return _frozen(self.weights * self.wavenumbers**4)
 
-    def centre_phase(self) -> np.ndarray:
-        """(-1)^(k1+k2+k3): shifts the sample origin from the box corner to x = 0."""
-        n = self.grid.points_per_axis
-        sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        return sign[:, None, None] * sign[None, :, None] * sign[None, None, : n // 2 + 1]
-
 
 @lru_cache(maxsize=1)
 def half_lattice(grid: Grid3) -> HalfLattice:
@@ -392,7 +391,7 @@ class SpectralPlan:
     def u0(self) -> VectorField:
         """Linear response to the influxes, zero mode dropped; carries its spectrum."""
         coeff = _frozen(_without_zero_mode(self.influx_spectra, self.symbols))
-        values = _frozen(np.fft.irfftn(coeff, s=self.grid.shape, axes=_AXES))
+        values = _frozen(_irfft(coeff, self.grid))
         return VectorField.from_stack(self.grid, values, coeff)
 
     @_once
@@ -420,7 +419,8 @@ class SpectralPlan:
         )
         # continuum convolution theorem on plain coefficients: the centred
         # kernel contributes h^3 * phase * c_h
-        coeff *= g.cell_volume * self.lattice.centre_phase()
+        sign = _centre_signs(g.points_per_axis)
+        coeff *= g.cell_volume * (sign[:, None, None] * sign[None, :, None] * sign[: coeff.shape[-1]])
         transfer = _frozen(_without_zero_mode(coeff, self.symbols, out=coeff))
         return (math.sqrt(h_sq), math.sqrt(q_sq)), transfer
 

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +95,26 @@ def test_solve_linear_makes_three_3d_transforms(tmp_path, monkeypatch):
     # brings u0 to real space, then one rfftn per u0 component that serves
     # both residuals and the component norms
     assert calls == ["fft", "rfft", "irfftn", "rfftn", "rfftn"]
+
+
+def test_only_spectral_calls_numpy_fft(tmp_path, monkeypatch):
+    callers = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    for sub in cli.SUBCOMMANDS:
+        callers.clear()
+        spectral._cached_plan.cache_clear()
+        args = [sub, "--config", "demo"] + (["--trials", "2"] if sub == "contraction" else [])
+        assert run_command(small(args, tmp_path / sub, n=16)) == 0
+        assert callers and set(callers) == {"dualfrac.spectral"}, sub
 
 
 def test_continuity_sizes_each_shared_ball_once_per_pair(tmp_path, monkeypatch):

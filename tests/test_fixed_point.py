@@ -22,6 +22,7 @@ from dualfrac import (
     system_residual,
     vector_norms,
 )
+from dualfrac.fixed_point import CONTINUITY_TOL
 
 
 def single_component_problem(grid=None, eps=0.01):
@@ -272,6 +273,21 @@ def test_continuity_bound_holds_for_scaled_coupling(demo32):
     lhs, rhs = continuity_experiment(demo32, g, g.scaled(1.1))
     assert lhs <= rhs
     assert lhs > 0.0
+
+
+def test_continuity_gap_uses_carried_spectra_without_difference_fields(demo32, monkeypatch):
+    g1 = demo32.nonlinearity
+    g2 = g1.scaled(1.1)
+    # the same two solves, with the gap taken from the assembled solutions' difference field
+    u1, u2 = (solve_fixed_point(demo32.with_nonlinearity(g), tol=CONTINUITY_TOL).u for g in (g1, g2))
+    expected = vector_norms(u1 - u2).h2
+
+    def no_difference(self, other):
+        raise AssertionError("continuity_experiment built a difference field")
+
+    monkeypatch.setattr(VectorField, "__sub__", no_difference)
+    lhs, _ = continuity_experiment(demo32, g1, g2)
+    assert lhs == pytest.approx(expected, rel=1e-12)
 
 
 def test_continuity_gap_scales_linearly_in_perturbation(demo32):

@@ -10,6 +10,7 @@ from dualfrac import (
     ScalarField,
     VectorField,
     apply_tau,
+    continuity_experiment,
     convolve,
     forward_transform,
     kernel_constants,
@@ -21,6 +22,7 @@ from dualfrac import (
     vector_norms,
 )
 from dualfrac import problems
+from dualfrac.fixed_point import CONTINUITY_TOL
 from dualfrac.spectral import SpectralPlan, h2_distance, half_lattice, relative_defect, spectral_plan
 
 
@@ -52,7 +54,7 @@ def test_planned_tau_matches_full_layout_composition(demo32):
 
     z = [a.values + b.values for a, b in zip(u0.components, v.components)]
     g_values = demo32.nonlinearity.eval_components(z)
-    kernels = demo32.kernel_fields()
+    kernels = [problems.realize_gaussian_sum(k, demo32.grid) for k in demo32.kernels]
     for m in range(demo32.n_components):
         rhs = demo32.epsilon[m] * convolve(kernels[m], ScalarField(demo32.grid, g_values[m]))
         ref = solve_double_fractional(rhs, demo32.orders.s1[m], demo32.orders.s2[m], "drop")
@@ -180,6 +182,15 @@ def test_tau_and_residual_work_on_a_bounded_working_set(demo32):
     field_bytes = u.values.nbytes
     assert traced_peak(lambda: apply_tau(v, demo32, u0)) <= WORKING_SET_FIELDS * field_bytes
     assert traced_peak(lambda: system_residual(u, demo32)) <= WORKING_SET_FIELDS * field_bytes
+
+
+def test_continuity_holds_little_beyond_one_solve(demo32):
+    _, g1, g2 = problems.continuity_pairs(demo32.nonlinearity)[0]
+    continuity_experiment(demo32, g1, g2)  # build the plan pieces first
+    field_bytes = solve_linear_system(demo32).values.nbytes
+    one_solve = traced_peak(lambda: solve_fixed_point(demo32, tol=CONTINUITY_TOL))
+    # the first solve's u_p (values plus half spectrum) is all that outlives it
+    assert traced_peak(lambda: continuity_experiment(demo32, g1, g2)) <= one_solve + 2.5 * field_bytes
 
 
 def test_residual_matches_batched_formula(demo32):

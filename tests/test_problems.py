@@ -16,7 +16,7 @@ from dualfrac import (
     realize_gaussian,
     serialize_problem,
 )
-from dualfrac.problems import ConfigError
+from dualfrac.problems import ConfigError, realize_gaussian_sum
 from dualfrac.spectral import apply_fractional_symbol, spectrum_l2
 
 
@@ -262,7 +262,8 @@ def test_eval_rejects_nonfinite_point(demo):
 def test_demo_fields_satisfy_integrability(demo32):
     for m in range(demo32.n_components):
         s1 = demo32.orders.s1[m]
-        for field in (demo32.influx_fields()[m], demo32.kernel_fields()[m]):
+        kernel = realize_gaussian_sum(demo32.kernels[m], demo32.grid)
+        for field in (demo32.influx_fields()[m], kernel):
             rep = field_norms(field)
             assert np.isfinite(rep.l1) and rep.l1 > 0
             filtered = apply_fractional_symbol(forward_transform(field), 1.0 - s1)
