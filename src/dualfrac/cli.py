@@ -167,9 +167,12 @@ def _worker_count() -> int:
     if not raw:
         return os.cpu_count() or 1
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
         raise ConfigError("FRAC_THREADS", f"expected an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError("FRAC_THREADS", f"expected a positive integer, got {raw!r}")
+    return workers
 
 
 def _parallel_map(fn, items):

@@ -190,17 +190,31 @@ def h2_distance(a: VectorField, b: VectorField) -> float:
 
 # --- the rfftn half lattice -------------------------------------------------------
 
-_AXES = (-3, -2, -1)
-
-
 def _rfft(values: np.ndarray) -> np.ndarray:
-    """Plain ``rfftn`` over the three spatial axes (batched over leading axes)."""
-    return np.fft.rfftn(values, axes=_AXES)
+    """Plain ``rfftn`` over the three spatial axes (batched over leading axes).
+
+    The passes of ``numpy.fft.rfftn``, in its order, but the two complex
+    passes run in place: bitwise the same coefficients, one half-spectrum
+    allocation where ``rfftn`` makes one per axis.
+    """
+    coeff = np.fft.rfft(values, axis=-1)
+    np.fft.fft(coeff, axis=-2, out=coeff)
+    np.fft.fft(coeff, axis=-3, out=coeff)
+    return coeff
 
 
 def _irfft(coeff: np.ndarray, grid: Grid3) -> np.ndarray:
-    """Invert :func:`_rfft` onto the grid's real-space shape."""
-    return np.fft.irfftn(coeff, s=grid.shape, axes=_AXES)
+    """Invert :func:`_rfft` onto the grid's real-space shape.
+
+    The passes of ``numpy.fft.irfftn``, bitwise the same values, with the
+    complex passes in place on one copy: callers keep ``coeff`` as the
+    result's carried spectrum.  Copying first is faster than letting the
+    first pass allocate, whose strided writes fault in a fresh array.
+    """
+    work = coeff.copy()
+    np.fft.ifft(work, axis=-3, out=work)
+    np.fft.ifft(work, axis=-2, out=work)
+    return np.fft.irfft(work, n=grid.shape[-1], axis=-1)
 
 
 def _gaussian_half_spectra(sums, grid: Grid3) -> np.ndarray:

@@ -81,9 +81,9 @@ def test_solve_linear_makes_three_3d_transforms(tmp_path, monkeypatch):
     calls = []
 
     def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.ndim(a)))
+            return fn(a, *args, **kwargs)
 
         return wrapper
 
@@ -91,10 +91,13 @@ def test_solve_linear_makes_three_3d_transforms(tmp_path, monkeypatch):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     spectral._cached_plan.cache_clear()
     assert run_command(small(["solve-linear", "--config", "demo"], tmp_path, n=16)) == 0
-    # the influx spectra by separability (1-D fft and rfft), the irfftn that
-    # brings u0 to real space, then one rfftn per u0 component that serves
-    # both residuals and the component norms
-    assert calls == ["fft", "rfft", "irfftn", "rfftn", "rfftn"]
+    # the influx spectra by separability (1-D fft and rfft on stacks of axis
+    # factors), the inverse transform that brings the stacked u0 to real
+    # space, then one forward transform per u0 component that serves both
+    # residuals and the component norms; each 3-D transform is three passes
+    inverse = [("ifft", 4), ("ifft", 4), ("irfft", 4)]
+    forward = [("rfft", 3), ("fft", 3), ("fft", 3)]
+    assert calls == [("fft", 2), ("rfft", 2)] + inverse + forward + forward
 
 
 def test_only_spectral_calls_numpy_fft(tmp_path, monkeypatch):
@@ -305,8 +308,9 @@ def test_worker_cap_keeps_results_identical(demo_config, tmp_path, monkeypatch):
     assert reports[0]["results"] == reports[1]["results"] == reports[2]["results"]
 
 
-def test_invalid_frac_threads_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FRAC_THREADS", "abc")
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_invalid_frac_threads_exits_2(raw, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FRAC_THREADS", raw)
     code = run_command(small(["sweep-epsilon", "--config", "demo"], tmp_path, n=16))
     assert code == 2
     assert "FRAC_THREADS" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from dualfrac import (
     vector_norms,
 )
 from dualfrac.problems import realize_gaussian_sum, solvability_sweep_cases
-from dualfrac.spectral import _gaussian_half_spectra, spectrum_l2
+from dualfrac.spectral import _gaussian_half_spectra, _irfft, _rfft, spectrum_l2
 
 TP = 2.0 * np.pi
 
@@ -350,3 +352,47 @@ def test_gaussian_half_spectra_warn_on_clearance():
     grid = Grid3(10.0, 16)
     with pytest.warns(UserWarning, match="truncated mass"):
         _gaussian_half_spectra(((GaussianSpec(1.0, 0.05),),), grid)
+
+
+# --- the transform funnel ------------------------------------------------------------
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "batched"])
+def test_transform_helpers_are_bitwise_rfftn_and_irfftn(n, lead):
+    grid = Grid3(20.0, n)
+    values = np.random.default_rng(n).standard_normal(lead + grid.shape)
+    coeff = _rfft(values)
+    assert np.array_equal(coeff, np.fft.rfftn(values, axes=(-3, -2, -1)))
+    expected = np.fft.irfftn(coeff, s=grid.shape, axes=(-3, -2, -1))
+    assert np.array_equal(_irfft(coeff, grid), expected)
+
+
+def test_transform_helpers_leave_read_only_input_unchanged(grid16, rng):
+    values = _read_only(rng.standard_normal((2,) + grid16.shape))
+    coeff = _read_only(np.fft.rfftn(values, axes=(-3, -2, -1)))
+    values_before, coeff_before = values.copy(), coeff.copy()
+    _rfft(values)
+    _irfft(coeff, grid16)
+    assert np.array_equal(values, values_before)
+    assert np.array_equal(coeff, coeff_before)
+
+
+def test_forward_helper_allocates_one_half_spectrum(grid32, rng):
+    values = rng.standard_normal((2,) + grid32.shape)
+    half_bytes = 2 * 32 * 32 * 17 * np.dtype(complex).itemsize
+    _rfft(values)  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _rfft(values)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # rfftn allocates a fresh complex array for each axis pass (peak 2.0)
+    assert peak <= 1.1 * half_bytes
