@@ -27,7 +27,7 @@ from .fixed_point import (
     measure_contraction,
     solve_fixed_point,
 )
-from .grid import Grid3
+from .grid import Grid3, VectorField
 from .poisson import (
     _regularity_defect,
     box_length_sweep,
@@ -43,7 +43,6 @@ from .problems import (
     solvability_sweep_cases,
 )
 from .spectral import (
-    _field_norms,
     _rfft,
     relative_defect,
     spectral_plan,
@@ -194,21 +193,21 @@ def _cmd_solve_linear(problem, args, dump):
     grid = problem.grid
     components = []
     checks = []
-    for m, (u0_m, f_m) in enumerate(zip(u0.components, influxes)):
+    for m, (u0_m, f_m) in enumerate(zip(u0.values, influxes)):
         s1, s2 = problem.orders.s1[m], problem.orders.s2[m]
         # One rfftn of the real-space u0_m feeds both residuals and the norms;
         # the influx side is the plan's spectrum, computed from the Gaussians
         # independently of u0's values.  u0's carried spectrum is not reused:
         # it is the division that defines u0, so residuals taken from it would
         # vanish whatever u0's values hold.
-        cu = _rfft(u0_m.values)
+        cu = _rfft(u0_m)
         cf = plan.influx_spectra[m]
         forward_residual = relative_defect(plan.symbols[m] * cu, cf, grid)
         reg_residual = _regularity_defect(cu, cf, grid, s1, s2)
         report = solvability_report(f_m, s1)
         components.append(
             {
-                "norms": _field_norms(u0_m, cu).as_dict(),
+                "norms": vector_norms(VectorField(grid, u0_m[None], cu[None])).as_dict(),
                 "forward_residual": forward_residual,
                 "regularity_residual": reg_residual,
                 "solvability": report.as_dict(),
@@ -247,10 +246,11 @@ def _cmd_solve(problem, args, dump):
         Check("u_p_inside_ball", up_norms.h2, "<=", problem.rho),
     ]
     if dump:
-        for m in range(problem.n_components):
-            dump(f"u0_{m}.fsf", result.u0.components[m], m)
-            dump(f"u_p_{m}.fsf", result.u_p.components[m], m)
-            dump(f"u_{m}.fsf", result.u.components[m], m)
+        fields = zip(result.u0.components, result.u_p.components, result.u.components)
+        for m, (u0_m, up_m, u_m) in enumerate(fields):
+            dump(f"u0_{m}.fsf", u0_m, m)
+            dump(f"u_p_{m}.fsf", up_m, m)
+            dump(f"u_{m}.fsf", u_m, m)
     return results, checks, None, result.bounds
 
 
@@ -369,6 +369,29 @@ _HANDLERS = {
 }
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualfrac",
@@ -379,14 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="problem JSON path, or 'demo' for the bundled problem")
         p.add_argument("--out", default="reports", help="output directory (default: reports)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized experiments")
-        p.add_argument("--tol", type=float, default=1e-10, help="fixed-point step tolerance")
-        p.add_argument("--max-iter", type=int, default=200, help="fixed-point iteration cap")
+        p.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for randomized experiments")
+        p.add_argument("--tol", type=_positive_float, default=1e-10, help="fixed-point step tolerance")
+        p.add_argument("--max-iter", type=_int_at_least(1), default=200, help="fixed-point iteration cap")
         p.add_argument("--dump-fields", action="store_true", help="write field snapshots next to the report")
         p.add_argument("--grid", type=int, default=None, help="override points per axis")
         p.add_argument("--box", type=float, default=None, help="override box length")
         if name == "contraction":
-            p.add_argument("--trials", type=int, default=20, help="number of random pairs")
+            p.add_argument("--trials", type=_int_at_least(1), default=20, help="number of random pairs")
     return parser
 
 

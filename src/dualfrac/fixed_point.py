@@ -128,7 +128,7 @@ def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorFi
     coeff *= np.asarray(problem.epsilon)[:, None, None, None]
     coeff *= plan.transfer
     values = _irfft(coeff, problem.grid)
-    return VectorField.from_stack(problem.grid, values, coeff)
+    return VectorField(problem.grid, values, coeff)
 
 
 def _context_for(problem: ProblemSpec, u0: VectorField, rho: float) -> BoundsContext:
@@ -170,7 +170,7 @@ def solve_fixed_point(
         # the step norms are taken from carried half spectra
         v = v0
         if v.spectrum is None:
-            v = VectorField.from_stack(v0.grid, v0.values, _rfft(v0.values))
+            v = VectorField(v0.grid, v0.values, _rfft(v0.values))
         start_norm = vector_norms(v).h2
         if start_norm > rho:
             logger.warning(
@@ -232,7 +232,7 @@ def sample_ball(
     coeff = _rfft(rng.standard_normal((n_components,) + grid.shape))
     coeff[:, half_lattice(grid).wavenumbers > cutoff] = 0.0
     values = _irfft(coeff, grid)
-    draw = VectorField.from_stack(grid, values, coeff)
+    draw = VectorField(grid, values, coeff)
     norm = vector_norms(draw).h2
     if norm == 0.0:
         return sample_ball(grid, n_components, rho, rng)
@@ -287,15 +287,14 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     if u.grid != problem.grid:
         raise ValueError("field does not live on the problem grid")
     plan = spectral_plan(problem)
-    u_values = [c.values for c in u.components]
-    g_values = problem.nonlinearity.eval_components(u_values)
+    g_values = problem.nonlinearity.eval_components(u.values)
     defect_sq = 0.0
     for m, eps in enumerate(problem.epsilon):
         # symbol * u_hat - (eps * symbol * transfer * g_hat + f_hat)
         coeff = _rfft(g_values[m])
         coeff *= eps * plan.symbols[m] * plan.transfer[m]
         coeff += plan.influx_spectra[m]
-        coeff_u = _rfft(u_values[m])
+        coeff_u = _rfft(u.values[m])
         coeff_u *= plan.symbols[m]
         coeff_u -= coeff
         del coeff

@@ -190,60 +190,48 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Ordered components of an R^N-valued field sharing one grid.
+    """An R^N-valued field: its components stacked as ``(N, n, n, n)`` values.
 
-    ``spectrum``, when given, is ``numpy.fft.rfftn(values, axes=(1, 2, 3))``
-    of the stacked components.  It is carried through linear combinations
-    so that spectral norms of iterates need no transform; it is not
-    checked against the values.
+    ``spectrum``, when given, is ``numpy.fft.rfftn(values, axes=(1, 2, 3))``.
+    It is carried through linear combinations so that spectral norms of
+    iterates need no transform; it is not checked against the values.
     """
 
-    components: tuple[ScalarField, ...]
+    grid: Grid3
+    values: np.ndarray
     spectrum: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("a vector field needs at least one component")
-        grid = comps[0].grid
-        for i, c in enumerate(comps):
-            if c.grid != grid:
-                raise ValueError(f"component {i} lives on a different grid")
-        object.__setattr__(self, "components", comps)
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if values.ndim != 4 or values.shape[0] == 0 or values.shape[1:] != self.grid.shape:
+            raise ValueError(
+                f"values shape {values.shape} is not (N,) + {self.grid.shape} with N >= 1"
+            )
+        if not np.isfinite(values).all():
+            raise ValueError("field values must all be finite")
+        object.__setattr__(self, "values", values)
         if self.spectrum is not None:
-            n = grid.points_per_axis
-            expected = (len(comps), n, n, n // 2 + 1)
+            n = self.grid.points_per_axis
+            expected = (len(values), n, n, n // 2 + 1)
             if self.spectrum.shape != expected:
                 raise ValueError(
                     f"spectrum shape {self.spectrum.shape} does not match the half lattice {expected}"
                 )
 
     @classmethod
-    def from_stack(cls, grid: Grid3, values: np.ndarray, spectrum: np.ndarray | None = None) -> "VectorField":
-        """Wrap an ``(N, n, n, n)`` array; the components are views into it."""
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        u = cls(tuple(ScalarField(grid, v) for v in values), spectrum)
-        u.__dict__["values"] = values
-        return u
-
-    @classmethod
     def zeros(cls, grid: Grid3, n_components: int) -> "VectorField":
         n = grid.points_per_axis
         spectrum = np.zeros((n_components, n, n, n // 2 + 1), dtype=np.complex128)
-        return cls.from_stack(grid, np.zeros((n_components,) + grid.shape), spectrum)
-
-    @property
-    def grid(self) -> Grid3:
-        return self.components[0].grid
+        return cls(grid, np.zeros((n_components,) + grid.shape), spectrum)
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return len(self.values)
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        """Components stacked along a leading axis, shape ``(N, n, n, n)``."""
-        return np.stack([c.values for c in self.components])
+    @property
+    def components(self) -> tuple[ScalarField, ...]:
+        """One :class:`ScalarField` view per component; read-only values stay read-only."""
+        return tuple(ScalarField(self.grid, v) for v in self.values)
 
     def _combine(self, other: "VectorField", op) -> "VectorField":
         if other.grid != self.grid:
@@ -253,7 +241,7 @@ class VectorField:
         spectrum = None
         if self.spectrum is not None and other.spectrum is not None:
             spectrum = op(self.spectrum, other.spectrum)
-        return VectorField.from_stack(self.grid, op(self.values, other.values), spectrum)
+        return VectorField(self.grid, op(self.values, other.values), spectrum)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return self._combine(other, np.add)
@@ -264,27 +252,23 @@ class VectorField:
     def __mul__(self, scalar: float) -> "VectorField":
         scalar = float(scalar)
         spectrum = None if self.spectrum is None else self.spectrum * scalar
-        return VectorField.from_stack(self.grid, self.values * scalar, spectrum)
+        return VectorField(self.grid, self.values * scalar, spectrum)
 
     __rmul__ = __mul__
 
     def euclidean_length(self) -> np.ndarray:
         """Pointwise Euclidean length |u(x)| over the grid."""
-        return np.sqrt(sum(c.values**2 for c in self.components))
+        return np.sqrt(sum(c**2 for c in self.values))
 
 
 @dataclass(frozen=True)
 class NormReport:
-    """Bundle of the norms used throughout: L1, L2, Linf, H2 and optionally H^{2s}."""
+    """Bundle of the norms used throughout: L1, L2, Linf and H2."""
 
     l1: float
     l2: float
     linf: float
     h2: float
-    hs: float | None = None
 
     def as_dict(self) -> dict:
-        out = {"l1": self.l1, "l2": self.l2, "linf": self.linf, "h2": self.h2}
-        if self.hs is not None:
-            out["hs"] = self.hs
-        return out
+        return {"l1": self.l1, "l2": self.l2, "linf": self.linf, "h2": self.h2}

@@ -377,6 +377,11 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not, though Python counts them as ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _float_list(raw, path: str, n: int) -> list[float]:
     _expect(isinstance(raw, list) and len(raw) == n, path, f"expected a list of {n} numbers")
     out = []
@@ -427,7 +432,7 @@ def _parse_nonlinearity(raw, path: str, n: int) -> Nonlinearity:
             _expect("powers" in mdef and "coeff" in mdef, mpath, "needs 'powers' and 'coeff'")
             powers = mdef["powers"]
             _expect(
-                isinstance(powers, list) and len(powers) == n and all(isinstance(p, int) for p in powers),
+                isinstance(powers, list) and len(powers) == n and all(_is_int(p) for p in powers),
                 f"{mpath}.powers",
                 f"expected a list of {n} integers",
             )
@@ -459,7 +464,7 @@ def load_problem(config_text: str) -> ProblemSpec:
     _expect(not missing, "$", f"missing keys {sorted(missing)}")
 
     n = raw["N"]
-    _expect(isinstance(n, int) and n >= 1, "N", "expected a positive integer")
+    _expect(_is_int(n) and n >= 1, "N", "expected a positive integer")
 
     grid_raw = raw.get("grid", {"L": DEFAULT_BOX_LENGTH, "n": DEFAULT_POINTS})
     _expect(isinstance(grid_raw, dict), "grid", "expected an object")
@@ -468,7 +473,7 @@ def load_problem(config_text: str) -> ProblemSpec:
     L = grid_raw.get("L", DEFAULT_BOX_LENGTH)
     npts = grid_raw.get("n", DEFAULT_POINTS)
     _expect(isinstance(L, (int, float)) and not isinstance(L, bool), "grid.L", "expected a number")
-    _expect(isinstance(npts, int), "grid.n", "expected an integer")
+    _expect(_is_int(npts), "grid.n", "expected an integer")
     try:
         grid = Grid3(float(L), npts)
     except ValueError as exc:

@@ -118,35 +118,9 @@ def spectrum_l2(spectrum: Spectrum) -> float:
     return float(np.sqrt(g.mode_volume * np.sum(np.abs(spectrum.coefficients) ** 2)))
 
 
-def field_norms(field: ScalarField, s: float | None = None) -> NormReport:
-    """L1, L2, Linf, H2 and (given s) H^{2s} norms of a scalar field.
-
-    Real-space norms use the plain Riemann sum ``h^3 * sum``; the
-    derivative terms of H2 and H^{2s} are Plancherel sums over one ``rfftn``.
-    """
-    if s is not None and not 0.0 < s <= 1.0:
-        raise ValueError(f"fractional order s must lie in (0, 1], got {s}")
-    return _field_norms(field, _rfft(field.values), s)
-
-
-def _field_norms(field: ScalarField, coeff: np.ndarray, s: float | None = None) -> NormReport:
-    """:func:`field_norms` of a field whose plain ``rfftn`` coefficients are given."""
-    g = field.grid
-    w = g.cell_volume
-    values = field.values
-    l1 = float(w * np.sum(np.abs(values)))
-    l2_sq = float(w * np.sum(values**2))
-    linf = float(np.max(np.abs(values))) if values.size else 0.0
-
-    lattice = half_lattice(g)
-    coeff_sq = _abs_sq(coeff)
-    lap_sq = float(np.sum(lattice.h2_weights * coeff_sq))
-    h2 = float(np.sqrt(l2_sq + lap_sq))
-    hs = None
-    if s is not None:
-        frac_sq = float(np.sum(lattice.weights * lattice.wavenumbers ** (4.0 * s) * coeff_sq))
-        hs = float(np.sqrt(l2_sq + frac_sq))
-    return NormReport(l1=l1, l2=float(np.sqrt(l2_sq)), linf=linf, h2=h2, hs=hs)
+def field_norms(field: ScalarField) -> NormReport:
+    """L1, L2, Linf and H2 norms of a scalar field: :func:`vector_norms` of one component."""
+    return vector_norms(VectorField(field.grid, field.values[None]))
 
 
 def vector_norms(u: VectorField) -> NormReport:
@@ -406,7 +380,7 @@ class SpectralPlan:
         """Linear response to the influxes, zero mode dropped; carries its spectrum."""
         coeff = _frozen(_without_zero_mode(self.influx_spectra, self.symbols))
         values = _frozen(_irfft(coeff, self.grid))
-        return VectorField.from_stack(self.grid, values, coeff)
+        return VectorField(self.grid, values, coeff)
 
     @_once
     def u0_norms(self) -> NormReport:

@@ -66,7 +66,7 @@ def test_solve_linear_residuals_detect_perturbed_u0(demo_config, tmp_path, monke
         u0 = original(problem)
         noise = np.random.default_rng(5).standard_normal(u0.values.shape)
         values = u0.values + 1e-8 * np.max(np.abs(u0.values)) * noise
-        return VectorField.from_stack(u0.grid, values, u0.spectrum)
+        return VectorField(u0.grid, values, u0.spectrum)
 
     monkeypatch.setattr(cli, "solve_linear_system", perturbed)
     code = run_command(small(["solve-linear", "--config", str(demo_config)], tmp_path))
@@ -186,6 +186,18 @@ def test_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert run_command(["solve", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1"), ("--max-iter", "0"),
+     ("--max-iter", "-5"), ("--trials", "0"), ("--seed", "-1")],
+)
+def test_bad_numeric_flag_exits_2(flag, value, tmp_path, capsys):
+    code = run_command(small(["contraction", "--config", "demo", flag, value], tmp_path, n=16))
+    assert code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_assertion_failure_exits_1(demo_config, tmp_path, capsys):

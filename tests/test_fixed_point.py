@@ -11,7 +11,6 @@ from dualfrac import (
     Monomial,
     Nonlinearity,
     ProblemSpec,
-    ScalarField,
     VectorField,
     apply_tau,
     continuity_experiment,
@@ -240,11 +239,11 @@ def test_residual_of_converged_solution(demo32):
 def test_residual_detects_perturbation(demo32, rng):
     res = solve_fixed_point(demo32, tol=1e-10)
     comps = []
-    for c in res.u.components:
+    for c in res.u.values:
         noise = rng.standard_normal(demo32.grid.shape)
-        noise *= 0.01 * np.sqrt(np.sum(c.values**2) / np.sum(noise**2))
-        comps.append(ScalarField(demo32.grid, c.values + noise))
-    assert system_residual(VectorField(tuple(comps)), demo32) >= 1e-3
+        noise *= 0.01 * np.sqrt(np.sum(c**2) / np.sum(noise**2))
+        comps.append(c + noise)
+    assert system_residual(VectorField(demo32.grid, np.stack(comps)), demo32) >= 1e-3
 
 
 def test_residual_detects_small_noise_under_exact_spectrum(demo32):
@@ -254,7 +253,7 @@ def test_residual_detects_small_noise_under_exact_spectrum(demo32):
     # 1e-8 relative noise on the values; the carried spectrum stays exact
     noise = np.random.default_rng(16).standard_normal(res.u.values.shape)
     values = res.u.values + 1e-8 * np.max(np.abs(res.u.values)) * noise
-    noisy = VectorField.from_stack(demo32.grid, values, res.u.spectrum)
+    noisy = VectorField(demo32.grid, values, res.u.spectrum)
     assert system_residual(noisy, demo32) > tol
 
 

@@ -112,6 +112,32 @@ def test_epsilon_length_mismatch_rejected():
         load_problem(json.dumps(doc))
 
 
+def _set_n(doc, value):
+    doc["N"] = value
+
+
+def _set_grid_n(doc, value):
+    doc["grid"]["n"] = value
+
+
+def _set_powers(doc, value):
+    doc["g"][0]["monomials"][0]["powers"] = [value, value]
+
+
+@pytest.mark.parametrize(
+    "mutate,path",
+    [(_set_n, "N"), (_set_grid_n, "grid.n"), (_set_powers, "g[0].monomials[0].powers")],
+    ids=["N", "grid.n", "powers"],
+)
+def test_boolean_where_integer_expected_rejected(mutate, path):
+    # JSON true is a Python int; it must not load as 1
+    doc = demo_dict()
+    mutate(doc, True)
+    with pytest.raises(ConfigError) as excinfo:
+        load_problem(json.dumps(doc))
+    assert excinfo.value.path == path
+
+
 # --- gaussian realization -----------------------------------------------------
 
 
