@@ -392,6 +392,16 @@ def _int_at_least(low: int):
     return parse
 
 
+def _even_points(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 2 or value % 2:
+        raise argparse.ArgumentTypeError(f"expected an even integer >= 2, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualfrac",
@@ -406,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_positive_float, default=1e-10, help="fixed-point step tolerance")
         p.add_argument("--max-iter", type=_int_at_least(1), default=200, help="fixed-point iteration cap")
         p.add_argument("--dump-fields", action="store_true", help="write field snapshots next to the report")
-        p.add_argument("--grid", type=int, default=None, help="override points per axis")
-        p.add_argument("--box", type=float, default=None, help="override box length")
+        p.add_argument("--grid", type=_even_points, default=None, help="override points per axis (even, >= 2)")
+        p.add_argument("--box", type=_positive_float, default=None, help="override box length")
         if name == "contraction":
             p.add_argument("--trials", type=_int_at_least(1), default=20, help="number of random pairs")
     return parser

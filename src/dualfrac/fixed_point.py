@@ -95,7 +95,7 @@ def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorFi
     The coupling is evaluated pointwise on ``u0 + v``; convolution with each
     kernel and inversion of the linear operator (drop zero-mode policy) are
     one multiplication by the plan's transfer on the half lattice, between
-    one batched ``rfftn`` and one batched ``irfftn``.  The result carries
+    one batched ``rfftn`` and one ``irfftn`` per component.  The result carries
     its half spectrum.  Logs a warning when the pointwise values leave the
     ball the coupling bound was sized on.  Each full-size intermediate is
     released as soon as it is consumed.
@@ -109,7 +109,7 @@ def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorFi
     plan = spectral_plan(problem)
     z = u0.values + v.values
     ball_radius = embedding_constant() * (plan.norms_of(u0).h2 + 1.0)
-    max_len = float(np.sqrt(np.max(sum(c * c for c in z))))
+    max_len = math.sqrt(float(np.max(np.einsum("i...,i...->...", z, z))))
     if max_len > ball_radius:
         logger.warning(
             "pointwise argument length %.6f left the coupling ball of radius %.6f; "
@@ -200,8 +200,10 @@ def solve_fixed_point(
             )
 
     ratios = [b / a for a, b in zip(step_norms, step_norms[1:]) if a > 0.0]
-    u = u0 + v
-    residual = system_residual(u, problem)
+    # the residual reads values only; u's spectrum is summed once it is done
+    u_values = u0.values + v.values
+    residual = system_residual(VectorField(problem.grid, u_values), problem)
+    u = VectorField(problem.grid, u_values, u0.spectrum + v.spectrum)
     u_p_h2 = vector_norms(v).h2
     converged = bool(
         step_norms and step_norms[-1] <= tol and residual <= tol and u_p_h2 <= rho * (1 + 1e-12)
@@ -281,25 +283,24 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     modes (matching the drop zero-mode policy), normalized by the L2 norm
     of the influx vector.  u and g(u) are transformed afresh from their
     real-space values, whatever spectrum u carries, so the residual checks
-    the values a report is written from.  Components are transformed one
-    at a time and each defect is formed in place on its coefficients.
+    the values a report is written from.  g(u) is transformed in one batch
+    and its values freed; u is then transformed one component at a time,
+    and each defect is formed in place on the coefficients.
     """
     if u.grid != problem.grid:
         raise ValueError("field does not live on the problem grid")
     plan = spectral_plan(problem)
-    g_values = problem.nonlinearity.eval_components(u.values)
+    coeff_g = _rfft(problem.nonlinearity.eval_components(u.values))
     defect_sq = 0.0
     for m, eps in enumerate(problem.epsilon):
         # symbol * u_hat - (eps * symbol * transfer * g_hat + f_hat)
-        coeff = _rfft(g_values[m])
-        coeff *= eps * plan.symbols[m] * plan.transfer[m]
-        coeff += plan.influx_spectra[m]
-        coeff_u = _rfft(u.values[m])
-        coeff_u *= plan.symbols[m]
-        coeff_u -= coeff
+        coeff_g[m] *= plan.transfer[m] * (eps * plan.symbols[m])
+        coeff_g[m] += plan.influx_spectra[m]
+        coeff = _rfft(u.values[m])
+        coeff *= plan.symbols[m]
+        coeff -= coeff_g[m]
+        defect_sq += nonzero_mode_l2(coeff, problem.grid) ** 2
         del coeff
-        defect_sq += nonzero_mode_l2(coeff_u, problem.grid) ** 2
-        del coeff_u
     defect = math.sqrt(defect_sq)
     return defect / plan.influx_l2 if plan.influx_l2 else defect
 

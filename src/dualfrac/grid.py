@@ -257,8 +257,9 @@ class VectorField:
     __rmul__ = __mul__
 
     def euclidean_length(self) -> np.ndarray:
-        """Pointwise Euclidean length |u(x)| over the grid."""
-        return np.sqrt(sum(c**2 for c in self.values))
+        """Pointwise Euclidean length |u(x)| over the grid, in one grid-sized array."""
+        length = np.einsum("i...,i...->...", self.values, self.values)
+        return np.sqrt(length, out=length)
 
 
 @dataclass(frozen=True)

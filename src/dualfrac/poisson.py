@@ -22,6 +22,7 @@ from .grid import Grid3, ScalarField, VectorField
 from .spectral import (
     TWO_PI_32,
     _rfft,
+    _weighted_power,
     _without_zero_mode,
     forward_transform,
     half_lattice,
@@ -169,7 +170,7 @@ def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s
     """:func:`regularity_check` on plain ``rfftn`` coefficients of u0 and f."""
     lattice = half_lattice(grid)
     pm = lattice.wavenumbers
-    if not math.isfinite(float(np.sum(lattice.h2_weights * np.abs(cu) ** 2))):
+    if not math.isfinite(_weighted_power(cu, lattice.h2_weights)):
         raise ValueError("Laplacian of u0 is not square integrable on the lattice")
     lhs = two_exponent_symbol(pm, 1.0, 1.0 + s2 - s1) * cu
     rhs = pm ** (2.0 * (1.0 - s1)) * cf

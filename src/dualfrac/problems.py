@@ -184,17 +184,34 @@ class Nonlinearity:
         """Vectorized evaluation of every g_m over arrays of z samples.
 
         ``z_fields`` holds one array per variable (a list, or a stacked
-        array); the result stacks g_1 .. g_N along a leading axis.
+        array); the result stacks g_1 .. g_N along a leading axis.  Each
+        monomial is built in one ``term`` buffer: its first factor is
+        written there, then scaled by the coefficient, then the later
+        factors are multiplied in; a second buffer exists only for a later
+        factor of power 2 or more.  Every product is the one
+        ``coeff * z_1**p_1 * z_2**p_2 ...`` makes, so the values are bitwise
+        those of that expression.
         """
         shape = z_fields[0].shape
         out = np.zeros((self.n_components,) + shape)
         term = np.empty(shape)
+        fac = None
         for acc, comp in zip(out, self.components):
             for mono in comp:
-                term.fill(mono.coeff)
-                for z, power in zip(z_fields, mono.powers):
-                    if power:
-                        term *= z**power
+                factors = [(z, power) for z, power in zip(z_fields, mono.powers) if power]
+                (z, power), rest = factors[0], factors[1:]
+                if power > 1:
+                    np.power(z, power, out=term)
+                else:
+                    np.copyto(term, z)
+                term *= mono.coeff
+                for z, power in rest:
+                    if power > 1:
+                        if fac is None:
+                            fac = np.empty(shape)
+                        term *= np.power(z, power, out=fac)
+                    else:
+                        term *= z
                 acc += term
         return out
 

@@ -134,8 +134,9 @@ def vector_norms(u: VectorField) -> NormReport:
     g = u.grid
     spectrum = u.spectrum if u.spectrum is not None else _rfft(u.values)
     length = u.euclidean_length()
-    l2_sq = g.cell_volume * float(np.sum(u.values**2))
-    lap_sq = float(np.sum(half_lattice(g).h2_weights * _abs_sq(spectrum)))
+    flat = u.values.ravel()
+    l2_sq = g.cell_volume * float(np.vdot(flat, flat))
+    lap_sq = _weighted_power(spectrum, half_lattice(g).h2_weights)
     return NormReport(
         l1=float(g.cell_volume * np.sum(length)),
         l2=float(np.sqrt(l2_sq)),
@@ -147,7 +148,7 @@ def vector_norms(u: VectorField) -> NormReport:
 def h2_distance(a: VectorField, b: VectorField) -> float:
     """``||a - b||_H2`` by Plancherel from the half spectra both fields carry.
 
-    Works one component at a time and forms no difference field; agrees
+    Works one component at a time in one reused difference buffer; agrees
     with ``vector_norms(a - b).h2`` up to rounding.
     """
     if a.grid != b.grid or a.n_components != b.n_components:
@@ -155,10 +156,11 @@ def h2_distance(a: VectorField, b: VectorField) -> float:
     if a.spectrum is None or b.spectrum is None:
         raise ValueError("both fields must carry their half spectra")
     lattice = half_lattice(a.grid)
+    diff = np.empty_like(a.spectrum[0])
     total = 0.0
     for ca, cb in zip(a.spectrum, b.spectrum):
-        sq = _abs_sq(ca - cb)
-        total += float(np.sum(lattice.weights * sq)) + float(np.sum(lattice.h2_weights * sq))
+        np.subtract(ca, cb, out=diff)
+        total += _weighted_power(diff, lattice.weights) + _weighted_power(diff, lattice.h2_weights)
     return math.sqrt(total)
 
 
@@ -180,15 +182,22 @@ def _rfft(values: np.ndarray) -> np.ndarray:
 def _irfft(coeff: np.ndarray, grid: Grid3) -> np.ndarray:
     """Invert :func:`_rfft` onto the grid's real-space shape.
 
-    The passes of ``numpy.fft.irfftn``, bitwise the same values, with the
-    complex passes in place on one copy: callers keep ``coeff`` as the
-    result's carried spectrum.  Copying first is faster than letting the
-    first pass allocate, whose strided writes fault in a fresh array.
+    The passes of ``numpy.fft.irfftn``, bitwise the same values, run one
+    leading component at a time: each component is copied into one work
+    buffer, its complex passes run in place there, and the last pass writes
+    straight into the preallocated output.  Callers keep ``coeff`` as the
+    result's carried spectrum, and the transient copy is one component's,
+    not the whole stack's.
     """
-    work = coeff.copy()
-    np.fft.ifft(work, axis=-3, out=work)
-    np.fft.ifft(work, axis=-2, out=work)
-    return np.fft.irfft(work, n=grid.shape[-1], axis=-1)
+    lead = coeff.shape[:-3]
+    out = np.empty(lead + grid.shape)
+    work = np.empty_like(coeff[(0,) * len(lead)])
+    for i in np.ndindex(lead):
+        np.copyto(work, coeff[i])
+        np.fft.ifft(work, axis=-3, out=work)
+        np.fft.ifft(work, axis=-2, out=work)
+        np.fft.irfft(work, n=grid.shape[-1], axis=-1, out=out[i])
+    return out
 
 
 def _gaussian_half_spectra(sums, grid: Grid3) -> np.ndarray:
@@ -223,8 +232,20 @@ def _gaussian_half_spectra(sums, grid: Grid3) -> np.ndarray:
     return out
 
 
-def _abs_sq(coeff: np.ndarray) -> np.ndarray:
-    return coeff.real**2 + coeff.imag**2
+def _weighted_power(coeff: np.ndarray, weights: np.ndarray) -> float:
+    """``sum(weights * |coeff|^2)`` with no full-size temporary.
+
+    ``weights`` spans coeff's trailing axes: the 1-D Plancherel ``weights``
+    or the 3-D ``h2_weights`` of a :class:`HalfLattice`, or a slice of
+    either.  Leading axes (stacked components) are summed too.  One
+    ``einsum`` runs over each float64 view, ``coeff.real`` and
+    ``coeff.imag``; a single one over interleaved (re, im) pairs would make
+    its innermost loop two elements long and run 2-3x slower.
+    """
+    axes = "abcdefgh"[: coeff.ndim]
+    terms = f"{axes},{axes},{axes[coeff.ndim - weights.ndim:]}->"
+    re, im = coeff.real, coeff.imag
+    return float(np.einsum(terms, re, re, weights) + np.einsum(terms, im, im, weights))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -306,11 +327,18 @@ def nonzero_mode_l2(coeff: np.ndarray, grid: Grid3) -> float:
     """L2 norm, by Plancherel, of plain ``rfftn`` coefficients on the nonzero modes.
 
     ``coeff`` may stack several components along leading axes; their squared
-    norms add.
+    norms add.  The sum runs over three slices that together leave out only
+    p = 0, so nothing is copied; subtracting the zero mode's term from the
+    full sum instead would cancel catastrophically whenever that mode
+    dominates, as it does in a defect against an influx with nonzero mean.
     """
-    sq = half_lattice(grid).weights * _abs_sq(coeff)
-    sq[..., 0, 0, 0] = 0.0
-    return math.sqrt(float(np.sum(sq)))
+    w = half_lattice(grid).weights
+    total = (
+        _weighted_power(coeff[..., 1:, :, :], w)
+        + _weighted_power(coeff[..., 0, 1:, :], w)
+        + _weighted_power(coeff[..., 0, 0, 1:], w[1:])
+    )
+    return math.sqrt(total)
 
 
 def relative_defect(lhs: np.ndarray, rhs: np.ndarray, grid: Grid3, reference: float | None = None) -> float:
@@ -373,7 +401,7 @@ class SpectralPlan:
     @_once
     def influx_l2(self) -> float:
         """L2 norm of the influx vector, by Plancherel on its spectra (zero mode included)."""
-        return math.sqrt(float(np.sum(self.lattice.weights * _abs_sq(self.influx_spectra))))
+        return math.sqrt(_weighted_power(self.influx_spectra, self.lattice.weights))
 
     @_once
     def u0(self) -> VectorField:

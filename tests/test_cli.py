@@ -93,9 +93,10 @@ def test_solve_linear_makes_three_3d_transforms(tmp_path, monkeypatch):
     assert run_command(small(["solve-linear", "--config", "demo"], tmp_path, n=16)) == 0
     # the influx spectra by separability (1-D fft and rfft on stacks of axis
     # factors), the inverse transform that brings the stacked u0 to real
-    # space, then one forward transform per u0 component that serves both
-    # residuals and the component norms; each 3-D transform is three passes
-    inverse = [("ifft", 4), ("ifft", 4), ("irfft", 4)]
+    # space one component at a time, then one forward transform per u0
+    # component that serves both residuals and the component norms; each 3-D
+    # transform is three passes
+    inverse = [("ifft", 3), ("ifft", 3), ("irfft", 3)] * 2
     forward = [("rfft", 3), ("fft", 3), ("fft", 3)]
     assert calls == [("fft", 2), ("rfft", 2)] + inverse + forward + forward
 
@@ -195,6 +196,17 @@ def test_bad_config_exits_2(tmp_path):
 )
 def test_bad_numeric_flag_exits_2(flag, value, tmp_path, capsys):
     code = run_command(small(["contraction", "--config", "demo", flag, value], tmp_path, n=16))
+    assert code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--grid", v) for v in ("15", "0", "-4", "abc")] + [("--box", v) for v in ("nan", "0", "-1")],
+)
+def test_bad_grid_or_box_flag_exits_2_naming_the_flag(flag, value, tmp_path, capsys):
+    code = run_command(["verify-bounds", "--config", "demo", flag, value, "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()

@@ -2,8 +2,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualfrac import ScalarField
+from dualfrac import Grid3, ScalarField
 from dualfrac.fieldio import HEADER_STRUCT, MAGIC, read_snapshot, write_snapshot
 
 
@@ -43,3 +45,36 @@ def test_truncated_payload_rejected(tmp_path, grid16):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="payload"):
         read_snapshot(path)
+
+
+def _valid_snapshot(n):
+    field = ScalarField(Grid3(10.0, n), np.arange(n**3, dtype=np.float64).reshape((n,) * 3))
+    header = HEADER_STRUCT.pack(MAGIC, n, 10.0, 0)
+    return header + field.values.astype("<f8").tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(lambda tail: MAGIC + tail),
+        st.tuples(st.sampled_from([2, 4]), st.integers(0, 10**4)).map(
+            lambda nk: _valid_snapshot(nk[0])[: nk[1]]
+        ),
+        st.tuples(
+            st.integers(0, 2**32 - 1),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(0, 2**32 - 1),
+            st.binary(max_size=600),
+        ).map(lambda h: HEADER_STRUCT.pack(MAGIC, *h[:3]) + h[3]),
+    )
+)
+def test_read_snapshot_raises_only_value_error_on_bad_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fsf") / "f.fsf"
+    path.write_bytes(data)
+    try:
+        field, _ = read_snapshot(path)
+    except ValueError:
+        return
+    # the bytes happened to form a valid snapshot
+    assert field.values.shape == field.grid.shape

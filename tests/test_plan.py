@@ -21,7 +21,7 @@ from dualfrac import (
     system_residual,
     vector_norms,
 )
-from dualfrac import problems
+from dualfrac import fixed_point, problems, spectral
 from dualfrac.fixed_point import CONTINUITY_TOL
 from dualfrac.spectral import SpectralPlan, h2_distance, half_lattice, relative_defect, spectral_plan
 
@@ -189,6 +189,43 @@ def test_continuity_holds_little_beyond_one_solve(demo32):
     one_solve = traced_peak(lambda: solve_fixed_point(demo32, tol=CONTINUITY_TOL))
     # the first solve's u_p (values plus half spectrum) is all that outlives it
     assert traced_peak(lambda: continuity_experiment(demo32, g1, g2)) <= one_solve + 2.5 * field_bytes
+
+
+# Peak numpy memory of one demo solve at n = 64, in n^3 float64 arrays, plan
+# build included.  The live data are the plan (about 10.3) and u_p with its
+# half spectrum (4.1); the loop adds the next iterate, and the residual
+# stage, the peak at 20.4, adds u's values, g(u) and g(u)'s spectrum.  Norm
+# kernels that built weighted-square temporaries reached 23.1 here.
+SOLVE_PEAK_ARRAYS = 21.5
+
+
+def test_solve_peak_stays_under_the_memory_ceiling(monkeypatch):
+    problem = problems.demo_problem()
+    unit = 8 * problem.grid.points_per_axis**3
+    spectral._cached_plan.cache_clear()
+    spectral.half_lattice.cache_clear()
+    residual_peaks, earlier_peaks = [], []
+    residual = fixed_point.system_residual
+
+    def traced_residual(u, problem):
+        earlier_peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        value = residual(u, problem)
+        residual_peaks.append(tracemalloc.get_traced_memory()[1])
+        return value
+
+    monkeypatch.setattr(fixed_point, "system_residual", traced_residual)
+    tracemalloc.start()
+    try:
+        result = solve_fixed_point(problem)
+        final_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        spectral._cached_plan.cache_clear()
+    assert result.converged
+    assert len(residual_peaks) == 1
+    assert residual_peaks[0] <= SOLVE_PEAK_ARRAYS * unit
+    assert max(earlier_peaks + residual_peaks + [final_peak]) <= SOLVE_PEAK_ARRAYS * unit
 
 
 def test_residual_matches_batched_formula(demo32):

@@ -265,6 +265,22 @@ def test_stacked_evaluation_matches_monomial_by_monomial(rng):
     assert np.array_equal(g.eval_components(list(z)), stacked)
 
 
+def test_evaluation_is_bitwise_the_coefficient_times_power_product(rng):
+    monomials = [((2, 0), 0.5), ((1, 1), -0.3), ((1, 2), 1.7), ((3, 0), 0.9), ((0, 2), 0.4), ((2, 3), -1.1)]
+    g = Nonlinearity((tuple(Monomial(p, c) for p, c in monomials), (Monomial((1, 1), 2.5),)))
+    z = 3.0 * rng.standard_normal((2, 6, 6, 6))
+    ref = np.zeros_like(z)
+    term = np.empty(z.shape[1:])
+    for acc, comp in zip(ref, g.components):
+        for mono in comp:
+            term.fill(mono.coeff)
+            for zi, power in zip(z, mono.powers):
+                if power:
+                    term *= zi**power
+            acc += term
+    assert np.array_equal(g.eval_components(z), ref)
+
+
 def test_coupling_difference_merges_like_terms(demo):
     g = demo.nonlinearity
     diff = g.scaled(1.1) - g

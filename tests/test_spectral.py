@@ -18,7 +18,15 @@ from dualfrac import (
     vector_norms,
 )
 from dualfrac.problems import realize_gaussian_sum, solvability_sweep_cases
-from dualfrac.spectral import _gaussian_half_spectra, _irfft, _rfft, spectrum_l2
+from dualfrac.spectral import (
+    _gaussian_half_spectra,
+    _irfft,
+    _rfft,
+    _weighted_power,
+    half_lattice,
+    nonzero_mode_l2,
+    spectrum_l2,
+)
 
 TP = 2.0 * np.pi
 
@@ -389,3 +397,66 @@ def test_forward_helper_allocates_one_half_spectrum(grid32, rng):
         tracemalloc.stop()
     # rfftn allocates a fresh complex array for each axis pass (peak 2.0)
     assert peak <= 1.1 * half_bytes
+
+
+def test_inverse_helper_allocates_its_output_and_one_component_copy(grid32, rng):
+    coeff = _rfft(rng.standard_normal((2,) + grid32.shape))
+    _irfft(coeff, grid32)  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = _irfft(coeff, grid32)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # a copy of the whole stack would add coeff.nbytes (2.1 fields) instead
+    assert peak <= out.nbytes + 1.1 * coeff[0].nbytes
+
+
+# --- the weighted-power kernel ----------------------------------------------------
+
+
+def _reference_weighted_power(coeff, weights):
+    return float(np.sum(weights * (coeff.real**2 + coeff.imag**2)))
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "stacked"])
+@pytest.mark.parametrize("which", ["weights", "h2_weights"])
+def test_weighted_power_matches_sum_of_weighted_squares(grid32, rng, lead, which):
+    w = getattr(half_lattice(grid32), which)
+    coeff = _rfft(rng.standard_normal(lead + grid32.shape))
+    assert _weighted_power(coeff, w) == pytest.approx(_reference_weighted_power(coeff, w), rel=1e-14)
+
+
+def test_weighted_power_reads_slices_without_copying(grid64, rng):
+    w = half_lattice(grid64).weights
+    coeff = _rfft(rng.standard_normal((2,) + grid64.shape))
+    for part, weights in ((coeff[..., 1:, :, :], w), (coeff[..., 0, 1:, :], w), (coeff[..., 0, 0, 1:], w[1:])):
+        assert _weighted_power(part, weights) == pytest.approx(_reference_weighted_power(part, weights), rel=1e-14)
+    h2_weights = half_lattice(grid64).h2_weights[1:]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _weighted_power(coeff[..., 1:, :, :], h2_weights)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # einsum's iterator state only (2 KiB here), no coefficient-sized array
+    assert peak <= 0.05 * coeff.nbytes
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "stacked"])
+@pytest.mark.parametrize("zero_scale", [1.0, 1e8], ids=["zero_mode_comparable", "zero_mode_dominant"])
+def test_nonzero_mode_l2_matches_masked_sum(grid32, rng, lead, zero_scale):
+    coeff = _rfft(rng.standard_normal(lead + grid32.shape))
+    coeff[..., 0, 0, 0] = zero_scale * (3.0 + 0.5j) * np.abs(coeff).max()
+    sq = half_lattice(grid32).weights * (coeff.real**2 + coeff.imag**2)
+    sq[..., 0, 0, 0] = 0.0
+    # a dominant zero mode must not cancel away the rest of the sum
+    assert nonzero_mode_l2(coeff, grid32) == pytest.approx(np.sqrt(np.sum(sq)), rel=1e-14)
+
+
+def test_euclidean_length_matches_root_sum_of_squares(grid16, rng):
+    values = rng.standard_normal((3,) + grid16.shape)
+    expected = np.sqrt(sum(c**2 for c in values))
+    np.testing.assert_allclose(VectorField(grid16, values).euclidean_length(), expected, rtol=1e-15, atol=0)
