@@ -326,7 +326,7 @@ def _cmd_solvability(problem, args, dump):
     checks = []
     series = []
     for case in solvability_sweep_cases():
-        points = box_length_sweep(case.half_spectrum, case.s1, case.s2, spacing, boxes)
+        points = box_length_sweep(case.influx, case.s1, case.s2, spacing, boxes)
         base_report = solvability_report(case.realize(problem.grid), case.s1)
         entry = {
             "case": case.label,
@@ -438,6 +438,11 @@ def _load_config(args) -> tuple[str, object]:
             args.grid if args.grid is not None else problem.grid.points_per_axis,
         )
         problem = problem.with_grid(grid)
+    n = problem.grid.points_per_axis
+    if args.command == "solvability" and n % 4:
+        # the sweep's half box must have an even number of points too
+        field = "--grid" if args.grid is not None else "grid.n"
+        raise ConfigError(field, f"solvability sweeps the box at half size, so n must be a multiple of 4, got {n}")
     return text, problem
 
 

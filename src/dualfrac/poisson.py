@@ -14,20 +14,25 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .grid import Grid3, ScalarField, VectorField
+from .problems import GaussianSpec
 from .spectral import (
     TWO_PI_32,
+    _gaussian_axis_spectra,
+    _outer_rows,
+    _plancherel_weights,
     _rfft,
+    _row_power,
+    _wavenumber_rows,
     _weighted_power,
     _without_zero_mode,
     forward_transform,
     half_lattice,
     inverse_transform,
-    nonzero_mode_l2,
     relative_defect,
     spectral_plan,
     spectrum_l2,
@@ -56,6 +61,10 @@ CRITICAL_ORDER = 0.75
 ORTHOGONALITY_RTOL = 1e-10
 
 ZERO_MODE_POLICIES = ("drop", "reject_if_nonzero")
+
+# Coefficient bytes per slab of the box sweep: about 1 MiB, so one slab and
+# its |p| and symbol stay in L2 cache.
+SLAB_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -205,23 +214,25 @@ class BoxSweepPoint:
 
 
 def box_length_sweep(
-    right_side: Callable[[Grid3], np.ndarray],
+    influx: Sequence[GaussianSpec],
     s1: float,
     s2: float,
     spacing: float,
     box_lengths: Sequence[float],
 ) -> list[BoxSweepPoint]:
-    """Solve the same right side on growing boxes at fixed spacing.
+    """Solve the same Gaussian-sum right side on growing boxes at fixed spacing.
 
-    ``right_side(grid)`` gives the plain ``rfftn`` coefficients of the right
-    side sampled on each grid, shape ``n x n x (n/2 + 1)``: a fresh array,
-    which the sweep overwrites.  :meth:`~dualfrac.problems.SweepCase.half_spectrum`
-    computes them without a 3-D transform; for a real field pass
-    ``np.fft.rfftn(field.values)``.  The number of points per axis is
-    ``round(L / spacing)`` and must come out even.  The drop policy applies.
-    ``u_l2_sq`` is the Plancherel sum of ``f_hat / symbol`` over the nonzero
-    modes and ``mean_integral`` is ``h^3 * Re f_hat(0)``, so u is never
-    brought back to real space.
+    The number of points per axis is ``round(L / spacing)`` and must come
+    out even.  The drop policy applies.  ``u_l2_sq`` is the Plancherel sum
+    of ``f_hat / symbol`` over the nonzero modes and ``mean_integral`` is
+    ``h^3 * Re f_hat(0)``, so u is never brought back to real space.
+
+    Nothing of box size is held: each box is swept in slabs of
+    x-frequency rows of about :data:`SLAB_BYTES` of coefficients, built
+    from the Gaussians' 1-D factor transforms (one ``fft`` and one ``rfft``
+    call per box) together with the slab's |p| and symbol, so the sweep's
+    memory is O(n^2) of the largest box and builds no
+    :class:`~dualfrac.spectral.HalfLattice`.
     """
     _validate_orders(s1, s2)
     points = []
@@ -230,19 +241,22 @@ def box_length_sweep(
         if n % 2 != 0:
             raise ValueError(f"box length {L} with spacing {spacing} gives odd n={n}")
         grid = Grid3(float(L), n)
-        pm = half_lattice(grid).wavenumbers
-        coeff = right_side(grid)
-        if np.shape(coeff) != pm.shape:
-            raise ValueError(
-                f"right side on the n={n} box must be half-lattice coefficients of shape {pm.shape}, "
-                f"got shape {np.shape(coeff)}"
-            )
-        mean = grid.cell_volume * float(coeff[0, 0, 0].real)
-        if mean != 0.0:
-            logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
-        symbol = two_exponent_symbol(pm, s1, s2)
-        u_l2_sq = nonzero_mode_l2(_without_zero_mode(coeff, symbol, out=coeff), grid) ** 2
-        points.append(BoxSweepPoint(float(L), n, u_l2_sq, mean))
+        xs, ys, zs = _gaussian_axis_spectra(influx, grid)
+        weights = _plancherel_weights(grid)
+        row_bytes = n * (n // 2 + 1) * np.dtype(np.complex128).itemsize
+        height = min(n, max(1, SLAB_BYTES // row_bytes))
+        slab = np.empty((height, n, n // 2 + 1), dtype=np.complex128)
+        power = np.empty(n)
+        for r0 in range(0, n, height):
+            rows = slice(r0, min(r0 + height, n))
+            coeff = _outer_rows(xs[:, rows], ys, zs, slab[: rows.stop - r0])
+            if r0 == 0:
+                mean = grid.cell_volume * float(coeff[0, 0, 0].real)
+                if mean != 0.0:
+                    logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
+            symbol = two_exponent_symbol(_wavenumber_rows(grid, rows), s1, s2)
+            power[rows] = _row_power(_without_zero_mode(coeff, symbol, out=coeff), weights)
+        points.append(BoxSweepPoint(float(L), n, math.fsum(power), mean))
     return points
 
 

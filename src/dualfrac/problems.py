@@ -589,12 +589,6 @@ class SweepCase:
     def realize(self, grid: Grid3) -> ScalarField:
         return realize_gaussian_sum(self.influx, grid)
 
-    def half_spectrum(self, grid: Grid3) -> np.ndarray:
-        """Plain ``rfftn`` coefficients of the influx sampled on the grid, by separability."""
-        from .spectral import _gaussian_half_spectra  # spectral imports this module
-
-        return _gaussian_half_spectra((self.influx,), grid)[0]
-
 
 # Influx mixtures for the box sweep.  The two concentric Gaussians nearly
 # cancel in total mass, which keeps the finite-box transient small enough

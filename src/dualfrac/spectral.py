@@ -200,34 +200,55 @@ def _irfft(coeff: np.ndarray, grid: Grid3) -> np.ndarray:
     return out
 
 
+def _gaussian_axis_spectra(specs, grid: Grid3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1-D transforms of the Gaussians' axis factors: ``fft(A e_x)``, ``fft(e_y)``, ``rfft(e_z)``.
+
+    Row t of each array belongs to ``specs[t]``; shapes ``(k, n)``, ``(k, n)``
+    and ``(k, n/2 + 1)``.  The axis samples are those of
+    :func:`~dualfrac.problems.realize_gaussian`, clearance warning included;
+    one ``fft`` call transforms every x and y factor and one ``rfft`` call
+    every z factor.
+    """
+    n = grid.points_per_axis
+    if not specs:
+        return np.zeros((0, n), complex), np.zeros((0, n), complex), np.zeros((0, n // 2 + 1), complex)
+    factors = [_axis_factors(spec, grid) for spec in specs]
+    xs = [spec.amplitude * f[0] for spec, f in zip(specs, factors)]
+    xy = np.fft.fft(np.stack(xs + [f[1] for f in factors]))
+    zs = np.fft.rfft(np.stack([f[2] for f in factors]))
+    return xy[: len(specs)], xy[len(specs) :], zs
+
+
+def _outer_rows(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sum_t xs[t, i] ys[t, j] zs[t, l]`` written into ``out[i, j, l]``.
+
+    The k terms are added by one ``(m n x k) @ (k x n/2+1)`` matrix product
+    written straight into ``out``, so no full-size temporary is built.
+    Passing a slice of ``xs``'s columns gives those x-frequency rows alone.
+    """
+    k, m = xs.shape
+    n, half = ys.shape[1], zs.shape[1]
+    planes = xs[:, :, None] * ys[:, None, :]
+    np.matmul(planes.reshape(k, m * n).T, zs, out=out.reshape(m * n, half))
+    return out
+
+
 def _gaussian_half_spectra(sums, grid: Grid3) -> np.ndarray:
     """Plain ``rfftn`` coefficients of Gaussian sums sampled on the grid, stacked.
 
     Returns shape ``(len(sums), n, n, n/2 + 1)`` with no 3-D transform: a
     sampled Gaussian ``A e_x(x) e_y(y) e_z(z)`` factors over the axes, so its
-    DFT is the outer product ``fft(A e_x) x fft(e_y) x rfft(e_z)``.  The axis
-    samples are those of :func:`~dualfrac.problems.realize_gaussian`, clearance
-    warning included; one ``fft`` call transforms every x and y factor and
-    one ``rfft`` call every z factor.  The k terms of a sum are added by one
-    ``(n^2 x k) @ (k x n/2+1)`` matrix product written straight into the
-    output, so no full-size temporary is built.
+    DFT is the outer product ``fft(A e_x) x fft(e_y) x rfft(e_z)``
+    (:func:`_gaussian_axis_spectra`), summed over each sum's terms by
+    :func:`_outer_rows` over all rows at once.
     """
     n = grid.points_per_axis
-    half = n // 2 + 1
-    out = np.zeros((len(sums), n, n, half), dtype=np.complex128)
-    specs = [spec for terms in sums for spec in terms]
-    if not specs:
-        return out
-    factors = [_axis_factors(spec, grid) for spec in specs]
-    xs = [spec.amplitude * f[0] for spec, f in zip(specs, factors)]
-    xy = np.fft.fft(np.stack(xs + [f[1] for f in factors]))
-    xs, ys = xy[: len(specs)], xy[len(specs) :]
-    zs = np.fft.rfft(np.stack([f[2] for f in factors]))
+    out = np.zeros((len(sums), n, n, n // 2 + 1), dtype=np.complex128)
+    xs, ys, zs = _gaussian_axis_spectra([spec for terms in sums for spec in terms], grid)
     start = 0
     for acc, terms in zip(out, sums):
         stop = start + len(terms)
-        planes = xs[start:stop, :, None] * ys[start:stop, None, :]
-        np.matmul(planes.reshape(len(terms), n * n).T, zs[start:stop], out=acc.reshape(n * n, half))
+        _outer_rows(xs[start:stop], ys[start:stop], zs[start:stop], acc)
         start = stop
     return out
 
@@ -246,6 +267,16 @@ def _weighted_power(coeff: np.ndarray, weights: np.ndarray) -> float:
     terms = f"{axes},{axes},{axes[coeff.ndim - weights.ndim:]}->"
     re, im = coeff.real, coeff.imag
     return float(np.einsum(terms, re, re, weights) + np.einsum(terms, im, im, weights))
+
+
+def _row_power(coeff: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """:func:`_weighted_power` of each leading-axis row of a 3-D ``coeff``, shape ``(m,)``.
+
+    A row's sum does not depend on the rows around it, so summing these
+    gives one result however the rows were split into slabs.
+    """
+    re, im = coeff.real, coeff.imag
+    return np.einsum("abc,abc,c->a", re, re, weights) + np.einsum("abc,abc,c->a", im, im, weights)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -285,6 +316,27 @@ class _once:
         return cache[self.name]
 
 
+def _wavenumber_rows(grid: Grid3, rows: slice) -> np.ndarray:
+    """|p| on the given x-frequency rows of the half lattice, shape ``(m, n, n/2 + 1)``."""
+    p_sq = grid.frequency_axis**2
+    half = grid.points_per_axis // 2 + 1
+    pm = p_sq[rows, None, None] + p_sq[None, :, None] + p_sq[None, None, :half]
+    return np.sqrt(pm, out=pm)
+
+
+def _plancherel_weights(grid: Grid3) -> np.ndarray:
+    """Weights along the last half-lattice axis that turn ``|c|^2`` sums into ``h^3 sum(f^2)``.
+
+    Every plane but the first and the last (Nyquist) stands for itself and
+    its mirror ``-p``: for plain rfftn coefficients c of samples f,
+    ``h^3 * sum(f^2) = h^3 / n^3 * sum(multiplicity * |c|^2)``.
+    """
+    n = grid.points_per_axis
+    multiplicity = np.full(n // 2 + 1, 2.0)
+    multiplicity[0] = multiplicity[-1] = 1.0
+    return grid.cell_volume / n**3 * multiplicity
+
+
 class HalfLattice:
     """Per-grid data on the ``rfftn`` half lattice ``n x n x (n/2 + 1)``.
 
@@ -295,20 +347,9 @@ class HalfLattice:
     """
 
     def __init__(self, grid: Grid3):
-        n = grid.points_per_axis
-        p = grid.frequency_axis
-        p_sq = p**2
-        half = n // 2 + 1
-        pz_sq = p[:half] ** 2
         self.grid = grid
-        self.wavenumbers = _frozen(
-            np.sqrt(p_sq[:, None, None] + p_sq[None, :, None] + pz_sq[None, None, :])
-        )
-        multiplicity = np.full(half, 2.0)
-        multiplicity[0] = multiplicity[-1] = 1.0
-        # Plancherel for plain rfftn coefficients c of samples f:
-        # h^3 * sum(f^2) = h^3 / n^3 * sum(multiplicity * |c|^2)
-        self.weights = _frozen(grid.cell_volume / n**3 * multiplicity)
+        self.wavenumbers = _frozen(_wavenumber_rows(grid, slice(None)))
+        self.weights = _frozen(_plancherel_weights(grid))
         self._lock = threading.RLock()
 
     @_once

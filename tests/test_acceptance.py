@@ -257,7 +257,7 @@ def test_criterion_09_zero_mode_regimes():
         details = []
         ok = True
         for case in solvability_sweep_cases():
-            points = box_length_sweep(case.half_spectrum, case.s1, case.s2, spacing, boxes)
+            points = box_length_sweep(case.influx, case.s1, case.s2, spacing, boxes)
             if case.expected_growth > 0:
                 slope = fit_growth_exponent(points)
                 ok = ok and abs(slope - case.expected_growth) <= 0.25 * case.expected_growth

@@ -212,6 +212,28 @@ def test_bad_grid_or_box_flag_exits_2_naming_the_flag(flag, value, tmp_path, cap
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("grid", ["34", "18"])
+def test_solvability_grid_not_a_multiple_of_4_exits_2(grid, tmp_path, capsys):
+    # the sweep's half box would have an odd number of points
+    code = run_command(["solvability", "--config", "demo", "--grid", grid, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "--grid: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_solvability_config_grid_not_a_multiple_of_4_exits_2(tmp_path, capsys):
+    raw = json.loads(demo_config_text())
+    raw["grid"]["n"] = 34
+    path = tmp_path / "n34.json"
+    path.write_text(json.dumps(raw))
+    code = run_command(["solvability", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "grid.n: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+    # other subcommands do not halve the box
+    assert run_command(["solve-linear", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_assertion_failure_exits_1(demo_config, tmp_path, capsys):
     # one iteration cannot reach the tolerance: converged stays false
     code = run_command(

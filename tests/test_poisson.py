@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,14 @@ from dualfrac import (
     solvability_report,
     solve_double_fractional,
 )
-from dualfrac.problems import solvability_sweep_cases
+from dualfrac import poisson, spectral
+from dualfrac.problems import GaussianSpec, solvability_sweep_cases
 from dualfrac.spectral import half_lattice
 
 TP = 2.0 * np.pi
+
+# the sum form of gaussian(grid): amplitude 1, width 1, centred
+UNIT_GAUSSIAN = (GaussianSpec(1.0, 1.0),)
 
 
 def gaussian(grid, a=1.0, center=(0.0, 0.0, 0.0), amp=1.0):
@@ -83,7 +88,7 @@ def test_order_validation():
         with pytest.raises(ValueError, match="orders"):
             solve_double_fractional(f, s1, s2)
         with pytest.raises(ValueError, match="orders"):
-            box_length_sweep(lambda grid: np.fft.rfftn(f.values), s1, s2, 0.625, [10.0])
+            box_length_sweep(UNIT_GAUSSIAN, s1, s2, 0.625, [10.0])
 
 
 def test_reject_if_nonzero_policy(grid16):
@@ -111,7 +116,7 @@ def test_drop_policy_logs_mass(grid16, caplog):
     assert any("zero-frequency mass" in r.message for r in caplog.records)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="dualfrac.poisson"):
-        box_length_sweep(lambda g: np.fft.rfftn(gaussian(g).values), 0.4, 0.8, 0.625, [10.0])
+        box_length_sweep(UNIT_GAUSSIAN, 0.4, 0.8, 0.625, [10.0])
     assert any("zero-frequency mass" in r.message for r in caplog.records)
 
 
@@ -231,7 +236,7 @@ def test_l2_monotone_in_second_order_above_unit_frequency(grid16, rng):
 
 def test_box_sweep_points_and_fit():
     pts = box_length_sweep(
-        lambda grid: np.fft.rfftn(gaussian(grid, a=1.0).values),
+        UNIT_GAUSSIAN,
         0.85,
         0.95,
         spacing=0.625,
@@ -245,7 +250,7 @@ def test_box_sweep_points_and_fit():
 
 def test_box_sweep_rejects_odd_point_count():
     with pytest.raises(ValueError, match="odd"):
-        box_length_sweep(lambda g: np.fft.rfftn(ScalarField.zeros(g).values), 0.4, 0.8, 0.4, [10.0])
+        box_length_sweep(UNIT_GAUSSIAN, 0.4, 0.8, 0.4, [10.0])
 
 
 SWEEP_SPACING = 0.625
@@ -254,7 +259,7 @@ SWEEP_BOXES = [10.0, 20.0, 40.0]
 
 @pytest.mark.parametrize("case", solvability_sweep_cases(), ids=lambda c: c.label)
 def test_box_sweep_matches_full_layout_reference(case):
-    pts = box_length_sweep(case.half_spectrum, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
+    pts = box_length_sweep(case.influx, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
     for p, L in zip(pts, SWEEP_BOXES):
         grid = Grid3(L, int(round(L / SWEEP_SPACING)))
         f = case.realize(grid)
@@ -265,11 +270,6 @@ def test_box_sweep_matches_full_layout_reference(case):
         # is itself rounding noise, so compare on the scale of h^3 sum|f|
         mass = grid.cell_volume * float(np.sum(np.abs(f.values)))
         assert abs(p.mean_integral - grid.cell_volume * float(np.sum(f.values))) <= 1e-13 * mass
-
-
-def test_box_sweep_rejects_a_real_field():
-    with pytest.raises(ValueError, match="half-lattice coefficients"):
-        box_length_sweep(lambda g: ScalarField.zeros(g).values, 0.4, 0.8, 0.625, [10.0])
 
 
 def test_box_sweep_makes_no_3d_transform(monkeypatch):
@@ -285,17 +285,53 @@ def test_box_sweep_makes_no_3d_transform(monkeypatch):
     for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     case = solvability_sweep_cases()[0]
-    box_length_sweep(case.half_spectrum, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
+    box_length_sweep(case.influx, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
     # per box, one 1-D fft of the x and y factors and one rfft of the z factors
     assert calls == ["fft", "rfft"] * len(SWEEP_BOXES)
 
 
-def test_box_sweep_builds_no_h2_weights():
+def test_box_sweep_builds_no_half_lattice(monkeypatch):
+    built = []
+    init = spectral.HalfLattice.__init__
+
+    def counting_init(self, grid):
+        built.append(grid)
+        init(self, grid)
+
+    monkeypatch.setattr(spectral.HalfLattice, "__init__", counting_init)
+    misses = half_lattice.cache_info().misses
     case = solvability_sweep_cases()[0]
-    box_length_sweep(case.half_spectrum, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
-    last = Grid3(SWEEP_BOXES[-1], int(round(SWEEP_BOXES[-1] / SWEEP_SPACING)))
-    hits = half_lattice.cache_info().hits
-    lattice = half_lattice(last)  # the lattice the sweep's last box used
-    assert half_lattice.cache_info().hits == hits + 1
-    assert "h2_weights" not in vars(lattice)
-    assert lattice.h2_weights.shape == lattice.wavenumbers.shape  # built on first use
+    box_length_sweep(case.influx, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
+    assert half_lattice.cache_info().misses == misses
+    assert built == []
+
+
+@pytest.mark.parametrize("case", solvability_sweep_cases(), ids=lambda c: c.label)
+def test_box_sweep_memory_stays_at_a_few_slabs(case):
+    # one n = 128 half-lattice array is 16.3 MiB; a whole-box sweep peaks
+    # at about 41.7 MiB, a slab sweep at a few 1 MiB slabs
+    tracemalloc.start()
+    try:
+        box_length_sweep(case.influx, case.s1, case.s2, 0.3125, [10.0, 20.0, 40.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("case", solvability_sweep_cases(), ids=lambda c: c.label)
+def test_box_sweep_is_slab_height_invariant(case, monkeypatch):
+    def sweep(height):
+        points = []
+        for L in SWEEP_BOXES:
+            n = int(round(L / SWEEP_SPACING))
+            row_bytes = 16 * n * (n // 2 + 1)
+            monkeypatch.setattr(poisson, "SLAB_BYTES", row_bytes * (height or n))
+            points += box_length_sweep(case.influx, case.s1, case.s2, SWEEP_SPACING, [L])
+        return points
+
+    whole = sweep(None)
+    for height in (1, 3):  # 3 rows leave a partial last slab on every box
+        for p, q in zip(sweep(height), whole):
+            assert abs(p.u_l2_sq - q.u_l2_sq) <= 1e-14 * q.u_l2_sq
+            assert p.mean_integral == q.mean_integral

@@ -22,7 +22,9 @@ from dualfrac.spectral import (
     _gaussian_half_spectra,
     _irfft,
     _rfft,
+    _row_power,
     _weighted_power,
+    HalfLattice,
     half_lattice,
     nonzero_mode_l2,
     spectrum_l2,
@@ -426,6 +428,21 @@ def test_weighted_power_matches_sum_of_weighted_squares(grid32, rng, lead, which
     w = getattr(half_lattice(grid32), which)
     coeff = _rfft(rng.standard_normal(lead + grid32.shape))
     assert _weighted_power(coeff, w) == pytest.approx(_reference_weighted_power(coeff, w), rel=1e-14)
+
+
+def test_row_power_sums_each_row(grid32, rng):
+    w = half_lattice(grid32).weights
+    coeff = _rfft(rng.standard_normal(grid32.shape))
+    rows = _row_power(coeff, w)
+    assert rows.shape == (grid32.points_per_axis,)
+    for row, c in zip(rows, coeff):
+        assert row == pytest.approx(_reference_weighted_power(c, w), rel=1e-14)
+
+
+def test_half_lattice_builds_h2_weights_on_first_use(grid32):
+    lattice = HalfLattice(grid32)
+    assert "h2_weights" not in vars(lattice)
+    assert lattice.h2_weights.shape == lattice.wavenumbers.shape
 
 
 def test_weighted_power_reads_slices_without_copying(grid64, rng):
