@@ -4,7 +4,8 @@ The whole space is modeled as a periodic cube ``[-L/2, L/2)^3`` sampled on a
 uniform lattice of ``n`` points per axis.  Fourier coefficients carry the
 continuum normalization ``(2*pi)**-1.5 * integral(f(x) exp(-i p.x) dx)`` so
 that transform identities, convolution factors and operator symbols keep
-their continuum form on the lattice.
+their continuum form on the lattice.  :class:`Grid3` caches only its 1-D
+axes; its full ``fftn``-layout ``meshes`` and ``wavenumbers`` are built per access.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class Grid3:
         n = self.points_per_axis
         return -0.5 * self.box_length + self.spacing * np.arange(n)
 
-    @cached_property
+    @property
     def meshes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x, y, z = np.meshgrid(self.axis, self.axis, self.axis, indexing="ij")
         return x, y, z
@@ -80,29 +81,11 @@ class Grid3:
         k = np.fft.fftfreq(n, d=1.0 / n)
         return 2.0 * np.pi * k / self.box_length
 
-    @cached_property
-    def wavevectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        p = self.frequency_axis
-        px, py, pz = np.meshgrid(p, p, p, indexing="ij")
-        return px, py, pz
-
-    @cached_property
+    @property
     def wavenumbers(self) -> np.ndarray:
-        """Euclidean frequency magnitude |p| on the lattice."""
+        """Euclidean frequency magnitude |p| on the full ``fftn`` lattice."""
         p_sq = self.frequency_axis**2
         return np.sqrt(p_sq[:, None, None] + p_sq[None, :, None] + p_sq[None, None, :])
-
-    @cached_property
-    def center_phase(self) -> np.ndarray:
-        # (-1)^(k1+k2+k3) relates the DFT of samples indexed from -L/2 to the
-        # transform with the x=0 origin.
-        sign = _centre_signs(self.points_per_axis)
-        return sign[:, None, None] * sign[None, :, None] * sign
-
-
-def _centre_signs(n: int) -> np.ndarray:
-    """(-1)^k on an axis of n points; n is even, so k and its frequency share parity."""
-    return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
 
 
 def _negated_modes(values: np.ndarray) -> np.ndarray:
@@ -183,9 +166,6 @@ class Spectrum:
         if scale == 0.0:
             return 0.0
         return float(np.max(np.abs(_negated_modes(coeff).conj() - coeff)) / scale)
-
-    def zero_mode(self) -> complex:
-        return complex(self.coefficients[0, 0, 0])
 
 
 @dataclass(frozen=True)

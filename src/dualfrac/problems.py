@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -399,13 +400,23 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _number(value, path: str) -> float:
+    """A finite JSON number as a float; ``true``/``false``, strings and NaN/Infinity are not.
+
+    The magnitude test compares exactly, so an integer too large for a float
+    is rejected here rather than overflowing in ``float()``.
+    """
+    _expect(
+        isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max,
+        path,
+        "expected a finite number",
+    )
+    return float(value)
+
+
 def _float_list(raw, path: str, n: int) -> list[float]:
     _expect(isinstance(raw, list) and len(raw) == n, path, f"expected a list of {n} numbers")
-    out = []
-    for i, v in enumerate(raw):
-        _expect(isinstance(v, (int, float)) and not isinstance(v, bool), f"{path}[{i}]", "expected a number")
-        out.append(float(v))
-    return out
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(raw)]
 
 
 def _parse_gaussian(raw, path: str) -> GaussianSpec:
@@ -414,9 +425,10 @@ def _parse_gaussian(raw, path: str) -> GaussianSpec:
     _expect(not unknown, path, f"unknown keys {sorted(unknown)}")
     for key in ("A", "a", "center"):
         _expect(key in raw, path, f"missing key {key!r}")
+    amplitude, width = _number(raw["A"], f"{path}.A"), _number(raw["a"], f"{path}.a")
     center = _float_list(raw["center"], f"{path}.center", 3)
     try:
-        return GaussianSpec(float(raw["A"]), float(raw["a"]), tuple(center))
+        return GaussianSpec(amplitude, width, tuple(center))
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -453,8 +465,9 @@ def _parse_nonlinearity(raw, path: str, n: int) -> Nonlinearity:
                 f"{mpath}.powers",
                 f"expected a list of {n} integers",
             )
+            coeff = _number(mdef["coeff"], f"{mpath}.coeff")
             try:
-                monos.append(Monomial(tuple(powers), float(mdef["coeff"])))
+                monos.append(Monomial(tuple(powers), coeff))
             except ValueError as exc:
                 raise ConfigError(mpath, str(exc)) from exc
         comps.append(tuple(monos))
@@ -487,12 +500,11 @@ def load_problem(config_text: str) -> ProblemSpec:
     _expect(isinstance(grid_raw, dict), "grid", "expected an object")
     unknown = set(grid_raw) - {"L", "n"}
     _expect(not unknown, "grid", f"unknown keys {sorted(unknown)}")
-    L = grid_raw.get("L", DEFAULT_BOX_LENGTH)
+    L = _number(grid_raw.get("L", DEFAULT_BOX_LENGTH), "grid.L")
     npts = grid_raw.get("n", DEFAULT_POINTS)
-    _expect(isinstance(L, (int, float)) and not isinstance(L, bool), "grid.L", "expected a number")
     _expect(_is_int(npts), "grid.n", "expected an integer")
     try:
-        grid = Grid3(float(L), npts)
+        grid = Grid3(L, npts)
     except ValueError as exc:
         raise ConfigError("grid", str(exc)) from exc
 
@@ -501,11 +513,10 @@ def load_problem(config_text: str) -> ProblemSpec:
     unknown = set(orders_raw) - {"s1", "s2"}
     _expect(not unknown, "orders", f"unknown keys {sorted(unknown)}")
     _expect("s1" in orders_raw and "s2" in orders_raw, "orders", "needs 's1' and 's2'")
+    s1 = _float_list(orders_raw["s1"], "orders.s1", n)
+    s2 = _float_list(orders_raw["s2"], "orders.s2", n)
     try:
-        orders = FractionalOrders(
-            tuple(_float_list(orders_raw["s1"], "orders.s1", n)),
-            tuple(_float_list(orders_raw["s2"], "orders.s2", n)),
-        )
+        orders = FractionalOrders(tuple(s1), tuple(s2))
     except ValueError as exc:
         raise ConfigError("orders", str(exc)) from exc
 
@@ -514,8 +525,7 @@ def load_problem(config_text: str) -> ProblemSpec:
     influxes = _parse_gaussian_lists(raw["influxes"], "influxes", n)
     nonlinearity = _parse_nonlinearity(raw["g"], "g", n)
 
-    rho = raw.get("rho", DEFAULT_RHO)
-    _expect(isinstance(rho, (int, float)) and not isinstance(rho, bool), "rho", "expected a number")
+    rho = _number(raw.get("rho", DEFAULT_RHO), "rho")
 
     try:
         return ProblemSpec(
@@ -526,7 +536,7 @@ def load_problem(config_text: str) -> ProblemSpec:
             influxes=influxes,
             nonlinearity=nonlinearity,
             grid=grid,
-            rho=float(rho),
+            rho=rho,
         )
     except ValueError as exc:
         raise ConfigError("$", str(exc)) from exc

@@ -3,13 +3,13 @@
 All operations are pure functions; fields and spectra are immutable, so
 concurrent calls on distinct data are safe.
 
-The public transforms use the full ``fftn`` layout with continuum
-normalization.  The solver's hot paths instead work on the ``rfftn`` half
-lattice with plain (unnormalized) ``numpy.fft`` coefficients, batched over
-the components of a :class:`VectorField`: :class:`HalfLattice` holds the
-per-grid wavenumbers and norm weights, and :class:`SpectralPlan` holds the
-per-problem symbols, kernel transfer multipliers, influx spectra and the
-linear response u0.  The influx and kernel spectra come from the Gaussians'
+Every 3-D transform runs through :func:`_rfft`/:func:`_irfft`: plain
+``rfftn`` coefficients on the half lattice, batched over the components of
+a :class:`VectorField`; the public :class:`Spectrum` transforms only add
+the continuum normalization and the mirrored upper half of the ``fftn``
+layout.  :class:`HalfLattice` holds the per-grid wavenumbers and norm
+weights, and :class:`SpectralPlan` holds the per-problem symbols, kernel
+transfer multipliers, influx spectra and the linear response u0.  The influx and kernel spectra come from the Gaussians'
 separability, as outer products of 1-D transforms, never from a 3-D
 transform of sampled data.  Plans are immutable: every piece is computed
 once, on first use and under the plan's lock, and its arrays are read-only,
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid3, NormReport, ScalarField, Spectrum, VectorField, _centre_signs
+from .grid import Grid3, NormReport, ScalarField, Spectrum, VectorField, _negated_modes
 from .problems import FractionalOrders, GaussianSpec, _axis_factors, realize_gaussian_sum
 
 __all__ = [
@@ -56,19 +56,26 @@ def forward_transform(field: ScalarField) -> Spectrum:
     """Continuum-normalized forward transform of a real field.
 
     The Riemann sum ``(2*pi)**-1.5 * h^3 * sum(f(x_j) exp(-i p.x_j))`` is
-    evaluated with one FFT; the alternating-sign factor accounts for the
-    box being centered at the origin.
+    evaluated with one :func:`_rfft`; the centre phase accounts for the box
+    being centered at the origin, and conjugate symmetry fills the modes
+    above the half lattice.
     """
     if not np.isfinite(field.values).all():
         raise ValueError("cannot transform a field with non-finite values")
     g = field.grid
-    scale = (2.0 * np.pi) ** -1.5 * g.cell_volume
-    coeff = scale * g.center_phase * np.fft.fftn(field.values)
-    return Spectrum(g, coeff)
+    half = g.points_per_axis // 2 + 1
+    full = np.empty(g.shape, dtype=np.complex128)
+    full[..., :half] = _rfft(field.values)
+    full[..., :half] *= (2.0 * np.pi) ** -1.5 * g.cell_volume * _centre_phase(g)
+    full[..., half:] = _negated_modes(full)[..., half:].conj()
+    return Spectrum(g, full)
 
 
 def inverse_transform(spectrum: Spectrum) -> ScalarField:
-    """Invert :func:`forward_transform`; rejects spectra of non-real fields."""
+    """Invert :func:`forward_transform`; rejects spectra of non-real fields.
+
+    Only the half lattice is read: the check keeps an edited upper half from being dropped.
+    """
     asym = spectrum.conjugate_asymmetry()
     if asym > CONJUGATE_SYMMETRY_RTOL:
         raise ValueError(
@@ -77,8 +84,9 @@ def inverse_transform(spectrum: Spectrum) -> ScalarField:
         )
     g = spectrum.grid
     scale = (2.0 * np.pi) ** -1.5 * g.cell_volume
-    values = np.fft.ifftn(spectrum.coefficients * g.center_phase / scale).real
-    return ScalarField(g, values)
+    half = spectrum.coefficients[..., : g.points_per_axis // 2 + 1] * _centre_phase(g)
+    half /= scale
+    return ScalarField(g, _irfft(half, g))
 
 
 def apply_fractional_symbol(spectrum: Spectrum, s: float) -> Spectrum:
@@ -102,14 +110,16 @@ def convolve(h: ScalarField, g: ScalarField) -> ScalarField:
     """Continuum convolution ``integral(h(x-y) g(y) dy)`` on the periodic box.
 
     Under the continuum normalization the convolution theorem reads
-    ``conv_hat = (2*pi)**1.5 * h_hat * g_hat``.
+    ``conv_hat = (2*pi)**1.5 * h_hat * g_hat``; on plain coefficients the
+    centred ``h`` contributes ``h^3 * phase * c_h``.
     """
     if h.grid != g.grid:
         raise ValueError("convolution operands live on different grids")
-    ch = forward_transform(h)
-    cg = forward_transform(g)
-    product = Spectrum(h.grid, TWO_PI_32 * ch.coefficients * cg.coefficients)
-    return inverse_transform(product)
+    grid = h.grid
+    ch, cg = _rfft(np.stack([h.values, g.values]))
+    ch *= grid.cell_volume * _centre_phase(grid)
+    ch *= cg
+    return ScalarField(grid, _irfft(ch, grid))
 
 
 def spectrum_l2(spectrum: Spectrum) -> float:
@@ -337,6 +347,13 @@ def _plancherel_weights(grid: Grid3) -> np.ndarray:
     return grid.cell_volume / n**3 * multiplicity
 
 
+def _centre_phase(grid: Grid3) -> np.ndarray:
+    """``(-1)^(k1+k2+k3)`` on the half lattice, relating samples indexed from ``-L/2`` to ``x = 0``."""
+    n = grid.points_per_axis
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return sign[:, None, None] * sign[None, :, None] * sign[: n // 2 + 1]
+
+
 class HalfLattice:
     """Per-grid data on the ``rfftn`` half lattice ``n x n x (n/2 + 1)``.
 
@@ -476,8 +493,7 @@ class SpectralPlan:
         )
         # continuum convolution theorem on plain coefficients: the centred
         # kernel contributes h^3 * phase * c_h
-        sign = _centre_signs(g.points_per_axis)
-        coeff *= g.cell_volume * (sign[:, None, None] * sign[None, :, None] * sign[: coeff.shape[-1]])
+        coeff *= g.cell_volume * _centre_phase(g)
         transfer = _frozen(_without_zero_mode(coeff, self.symbols, out=coeff))
         return (math.sqrt(h_sq), math.sqrt(q_sq)), transfer
 

@@ -190,6 +190,24 @@ def test_bad_config_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "mutate,leaf",
+    [
+        (lambda raw: raw["influxes"][0][0].update(A=None), "influxes[0][0].A"),
+        (lambda raw: raw["kernels"][1][0].update(a=True), "kernels[1][0].a"),
+        (lambda raw: raw["g"][0]["monomials"][1].update(coeff={}), "g[0].monomials[1].coeff"),
+    ],
+    ids=["A-null", "a-bool", "coeff-dict"],
+)
+def test_non_number_config_leaf_exits_2_naming_it(mutate, leaf, tmp_path, capsys):
+    raw = json.loads(demo_config_text())
+    mutate(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert run_command(small(["solve-linear", "--config", str(path)], tmp_path, n=16)) == 2
+    assert f"{leaf}: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "flag,value",
     [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1"), ("--max-iter", "0"),
      ("--max-iter", "-5"), ("--trials", "0"), ("--seed", "-1")],

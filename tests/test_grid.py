@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,12 @@ def test_frequency_lattice_symmetric_except_nyquist(grid16):
         assert round(-p, 12) in present
     # exactly one Nyquist entry, with negative sign in fftfreq layout
     assert np.sum(np.isclose(np.abs(freqs), nyquist)) == 1
+
+
+def test_grid_caches_only_its_1d_axes():
+    # the dense full-layout arrays are rebuilt per access, never held
+    cached = {name for name, attr in vars(Grid3).items() if isinstance(attr, cached_property)}
+    assert cached == {"axis", "frequency_axis"}
 
 
 def test_wavenumbers_zero_only_at_origin(grid16):

@@ -105,6 +105,27 @@ def test_reject_policy_accepts_dipole(grid32):
     assert np.isfinite(u.values).all()
 
 
+@pytest.mark.parametrize("ratio,nonzero", [(5e-10, True), (2e-11, False)], ids=["above", "below"])
+def test_reject_policy_and_solvability_report_share_one_zero_mean_test(ratio, nonzero, rng):
+    # a zero-mean field shifted so that its mean integral is ratio * ||f||_L2,
+    # five times above or below ORTHOGONALITY_RTOL; the reject policy and the
+    # predicted growth must agree on which side of the threshold it lies
+    grid = Grid3(20.0, 16)
+    values = rng.standard_normal(grid.shape)
+    values -= values.mean()
+    l2 = np.sqrt(grid.cell_volume * np.sum(values**2))
+    f = ScalarField(grid, values + ratio * l2 / grid.box_length**3)
+    report = solvability_report(f, 0.8)
+    assert report.orthogonality_residual == pytest.approx(ratio * l2, rel=1e-3)
+    if nonzero:
+        assert report.predicted_low_freq_growth == pytest.approx(0.2)
+        with pytest.raises(ValueError, match="zero-mean"):
+            solve_double_fractional(f, 0.8, 0.9, "reject_if_nonzero")
+    else:
+        assert report.predicted_low_freq_growth == 0.0
+        solve_double_fractional(f, 0.8, 0.9, "reject_if_nonzero")
+
+
 def test_unknown_policy_rejected(grid16):
     with pytest.raises(ValueError, match="policy"):
         solve_double_fractional(ScalarField.zeros(grid16), 0.4, 0.8, "keep")
@@ -212,7 +233,7 @@ def test_transform_derivative_bound_along_axis(grid64):
     f = gaussian(grid64)
     coeff = forward_transform(f).coefficients
     line = coeff[:, 0, 0]
-    p_line = grid64.wavevectors[0][:, 0, 0]
+    p_line = grid64.frequency_axis
     order = np.argsort(p_line)
     line, p_sorted = line[order], p_line[order]
     diffs = np.abs((line[2:] - line[:-2]) / (p_sorted[2:] - p_sorted[:-2]))

@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualfrac import (
     GaussianSpec,
@@ -138,6 +141,76 @@ def test_boolean_where_integer_expected_rejected(mutate, path):
     assert excinfo.value.path == path
 
 
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("influxes", 0, 0, "A"), None),
+        (("influxes", 0, 0, "A"), "2.5"),
+        (("kernels", 1, 0, "a"), True),
+        (("g", 0, "monomials", 1, "coeff"), {}),
+        (("epsilon", 0), float("nan")),
+        (("influxes", 1, 0, "center", 2), float("inf")),
+        (("grid", "L"), 10**400),
+        (("rho",), [1.0]),
+        (("orders", "s1", 1), False),
+    ],
+    ids=["A-null", "A-string", "a-bool", "coeff-dict", "epsilon-nan", "center-inf", "L-huge", "rho-list", "s1-bool"],
+)
+def test_non_number_leaf_rejected_naming_it(path, value):
+    doc = demo_dict()
+    _set_leaf(doc, path, value)
+    with pytest.raises(ConfigError, match="expected a finite number") as excinfo:
+        load_problem(json.dumps(doc))
+    assert excinfo.value.path == _leaf_name(path)
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _leaves(child, path + (i,))
+    else:
+        yield path
+
+
+def _set_leaf(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _leaf_name(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+DEMO_DOC = demo_dict()
+DEMO_LEAVES = list(_leaves(DEMO_DOC))
+
+LEAF_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=5),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(path=st.sampled_from(DEMO_LEAVES), value=LEAF_VALUES)
+def test_loader_raises_only_config_error_and_round_trips(path, value):
+    doc = copy.deepcopy(DEMO_DOC)
+    _set_leaf(doc, path, value)
+    try:
+        problem = load_problem(json.dumps(doc))
+    except ConfigError:
+        return
+    assert load_problem(serialize_problem(problem)) == problem
+
+
 # --- gaussian realization -----------------------------------------------------
 
 
@@ -168,10 +241,10 @@ def test_shifted_gaussian_keeps_l1_and_gains_phase(grid64):
     f = realize_gaussian(spec, grid64)
     assert abs(field_norms(f).l1 - spec.analytic_l1()) <= 1e-8
     coeff = forward_transform(f).coefficients
-    px, py, pz = grid64.wavevectors
+    p = grid64.frequency_axis
     # five lattice frequencies, including the origin
     for idx in [(0, 0, 0), (1, 0, 0), (0, 2, 0), (3, 1, 0), (0, 0, 5)]:
-        expected = spec.analytic_transform(px[idx], py[idx], pz[idx])
+        expected = spec.analytic_transform(*(p[k] for k in idx))
         assert abs(coeff[idx] - expected) <= 1e-8
 
 

@@ -3,18 +3,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import _oracles
 from dualfrac import (
     GaussianSpec,
     Grid3,
     ScalarField,
     Spectrum,
     VectorField,
+    apply_double_fractional,
     apply_fractional_symbol,
     convolve,
     field_norms,
     forward_transform,
     inverse_transform,
     demo_problem,
+    solve_double_fractional,
     vector_norms,
 )
 from dualfrac.problems import realize_gaussian_sum, solvability_sweep_cases
@@ -114,10 +117,40 @@ def test_parseval_on_random_symmetric_spectrum(grid16, rng):
 
 def test_asymmetric_spectrum_rejected(grid16, rng):
     f = ScalarField(grid16, rng.standard_normal(grid16.shape))
-    coeff = forward_transform(f).coefficients.copy()
-    coeff[1, 2, 3] += 10.0  # breaks coeff(-p) == conj(coeff(p))
-    with pytest.raises(ValueError, match="conjugate"):
-        inverse_transform(Spectrum(grid16, coeff))
+    # the inverse reads only k3 <= n/2, so an edit above it must be rejected too
+    for idx in [(1, 2, 3), (1, 2, 12)]:
+        coeff = forward_transform(f).coefficients.copy()
+        coeff[idx] += 10.0  # breaks coeff(-p) == conj(coeff(p))
+        with pytest.raises(ValueError, match="conjugate"):
+            inverse_transform(Spectrum(grid16, coeff))
+
+
+def test_transforms_match_dense_dft_oracles(grid16, rng):
+    # a random field fills every mode, the mirrored ones with k3 > n/2 included
+    f = ScalarField(grid16, rng.standard_normal(grid16.shape))
+    oracle = _oracles.dft3(f.values, grid16)
+    coeff = forward_transform(f).coefficients
+    assert np.max(np.abs(coeff - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    expected = _oracles.idft3(oracle, grid16)
+    back = inverse_transform(Spectrum(grid16, oracle)).values
+    assert np.max(np.abs(back - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_public_spectral_functions_make_no_full_layout_fft(grid16, rng, monkeypatch):
+    # every 3-D transform runs on the half lattice, through _rfft/_irfft
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-layout numpy.fft transform called")
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    f = ScalarField(grid16, rng.standard_normal(grid16.shape))
+    g = ScalarField(grid16, rng.standard_normal(grid16.shape))
+    spec = forward_transform(f)
+    inverse_transform(spec)
+    inverse_transform(apply_fractional_symbol(spec, 0.5))
+    convolve(f, g)
+    u = solve_double_fractional(f, 0.4, 0.8)
+    apply_double_fractional(u, 0.4, 0.8)
 
 
 def test_transform_linearity(grid16, rng):
