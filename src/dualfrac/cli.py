@@ -30,21 +30,22 @@ from .fixed_point import (
 from .grid import Grid3, VectorField
 from .poisson import (
     _regularity_defect,
+    _zero_mode_report,
     box_length_sweep,
     fit_growth_exponent,
-    solvability_report,
     solve_linear_system,
 )
 from .problems import (
     ConfigError,
+    _gaussian_sum_moments,
     continuity_pairs,
     demo_config_text,
     load_problem,
     solvability_sweep_cases,
 )
 from .spectral import (
+    _defect_ratio,
     _rfft,
-    relative_defect,
     spectral_plan,
     vector_norms,
 )
@@ -189,25 +190,27 @@ def _parallel_map(fn, items):
 def _cmd_solve_linear(problem, args, dump):
     plan = spectral_plan(problem)
     u0 = solve_linear_system(problem)
-    influxes = problem.influx_fields()
     grid = problem.grid
     components = []
     checks = []
-    for m, (u0_m, f_m) in enumerate(zip(u0.values, influxes)):
+    work = np.empty_like(u0.spectrum[0])
+    for m, u0_m in enumerate(u0.values):
         s1, s2 = problem.orders.s1[m], problem.orders.s2[m]
-        # One rfftn of the real-space u0_m feeds both residuals and the norms;
-        # the influx side is the plan's spectrum, computed from the Gaussians
+        # One rfftn of the real-space u0_m feeds the norms and both residuals;
+        # the influx side is the plan's spectrum, rebuilt from the Gaussians
         # independently of u0's values.  u0's carried spectrum is not reused:
         # it is the division that defines u0, so residuals taken from it would
         # vanish whatever u0's values hold.
         cu = _rfft(u0_m)
-        cf = plan.influx_spectra[m]
-        forward_residual = relative_defect(plan.symbols[m] * cu, cf, grid)
-        reg_residual = _regularity_defect(cu, cf, grid, s1, s2)
-        report = solvability_report(f_m, s1)
+        norms = vector_norms(VectorField(grid, u0_m[None], cu[None])).as_dict()
+        cf = plan.influx_spectrum(m)
+        lhs = np.multiply(plan.symbols[m], cu, out=work)
+        forward_residual = _defect_ratio(np.subtract(lhs, cf, out=lhs), cf, grid)
+        reg_residual = _regularity_defect(cu, cf, grid, s1, s2)  # overwrites cu and cf
+        report = _zero_mode_report(*_gaussian_sum_moments(problem.influxes[m], grid), s1)
         components.append(
             {
-                "norms": vector_norms(VectorField(grid, u0_m[None], cu[None])).as_dict(),
+                "norms": norms,
                 "forward_residual": forward_residual,
                 "regularity_residual": reg_residual,
                 "solvability": report.as_dict(),
@@ -327,7 +330,7 @@ def _cmd_solvability(problem, args, dump):
     series = []
     for case in solvability_sweep_cases():
         points = box_length_sweep(case.influx, case.s1, case.s2, spacing, boxes)
-        base_report = solvability_report(case.realize(problem.grid), case.s1)
+        base_report = _zero_mode_report(*_gaussian_sum_moments(case.influx, problem.grid), case.s1)
         entry = {
             "case": case.label,
             "s1": case.s1,

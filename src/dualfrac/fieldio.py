@@ -22,12 +22,15 @@ assert HEADER_STRUCT.size == 32
 
 
 def write_snapshot(field: ScalarField, component_index: int, path) -> Path:
+    """Write the header, then the samples straight from the array's buffer (no bytes copy)."""
     path = Path(path)
     header = HEADER_STRUCT.pack(
         MAGIC, field.grid.points_per_axis, field.grid.box_length, component_index
     )
-    payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
-    path.write_bytes(header + payload)
+    payload = np.ascontiguousarray(field.values, dtype="<f8")
+    with path.open("wb") as fh:
+        fh.write(header)
+        fh.write(memoryview(payload).cast("B"))
     return path
 
 

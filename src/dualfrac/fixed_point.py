@@ -285,7 +285,8 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     real-space values, whatever spectrum u carries, so the residual checks
     the values a report is written from.  g(u) is transformed in one batch
     and its values freed; u is then transformed one component at a time,
-    and each defect is formed in place on the coefficients.
+    and each defect is formed in place on the coefficients, with f_hat
+    rebuilt for its component by :meth:`SpectralPlan.influx_spectrum`.
     """
     if u.grid != problem.grid:
         raise ValueError("field does not live on the problem grid")
@@ -295,7 +296,7 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     for m, eps in enumerate(problem.epsilon):
         # symbol * u_hat - (eps * symbol * transfer * g_hat + f_hat)
         coeff_g[m] *= plan.transfer[m] * (eps * plan.symbols[m])
-        coeff_g[m] += plan.influx_spectra[m]
+        coeff_g[m] += plan.influx_spectrum(m)
         coeff = _rfft(u.values[m])
         coeff *= plan.symbols[m]
         coeff -= coeff_g[m]

@@ -22,6 +22,7 @@ from .grid import Grid3, ScalarField, VectorField
 from .problems import GaussianSpec
 from .spectral import (
     TWO_PI_32,
+    _defect_ratio,
     _gaussian_axis_spectra,
     _irfft,
     _outer_rows,
@@ -32,7 +33,6 @@ from .spectral import (
     _weighted_power,
     _without_zero_mode,
     half_lattice,
-    relative_defect,
     spectral_plan,
     two_exponent_symbol,
 )
@@ -150,20 +150,28 @@ def apply_double_fractional(u: ScalarField, s1: float, s2: float) -> ScalarField
 
 def solvability_report(f: ScalarField, s1: float) -> SolvabilityReport:
     """Classify the zero-mode regime of a right side for a given first order."""
-    if not 0.0 < s1 < 1.0:
-        raise ValueError(f"first fractional order must lie in (0, 1), got {s1}")
     g = f.grid
     mean = float(g.cell_volume * np.sum(f.values))
-    residual = abs(mean)
-    regime = "unconditional" if s1 < CRITICAL_ORDER else "orthogonality_required"
     f_l2 = float(np.sqrt(g.cell_volume * np.sum(f.values**2)))
+    return _zero_mode_report(mean, f_l2, s1)
+
+
+def _zero_mode_report(mean: float, f_l2: float, s1: float) -> SolvabilityReport:
+    """:func:`solvability_report` of a right side with mean integral ``mean`` and L2 norm ``f_l2``.
+
+    The CLI feeds it the moments of a Gaussian sum
+    (:func:`~dualfrac.problems._gaussian_sum_moments`), so no influx is sampled.
+    """
+    if not 0.0 < s1 < 1.0:
+        raise ValueError(f"first fractional order must lie in (0, 1), got {s1}")
+    regime = "unconditional" if s1 < CRITICAL_ORDER else "orthogonality_required"
     growth = 0.0
     if s1 > CRITICAL_ORDER and not _is_zero_mean(mean, f_l2):
         growth = 4.0 * s1 - 3.0
     return SolvabilityReport(
         mean_integral=mean,
         regime=regime,
-        orthogonality_residual=residual,
+        orthogonality_residual=abs(mean),
         predicted_low_freq_growth=growth,
     )
 
@@ -182,14 +190,17 @@ def regularity_check(u0: ScalarField, f: ScalarField, s1: float, s2: float) -> f
 
 
 def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s2: float) -> float:
-    """:func:`regularity_check` on plain ``rfftn`` coefficients of u0 and f."""
+    """:func:`regularity_check` on plain ``rfftn`` coefficients of u0 and f; overwrites both.
+
+    Each side is formed in its operand's buffer and the defect in cu's.
+    """
     lattice = half_lattice(grid)
     pm = lattice.wavenumbers
     if not math.isfinite(_weighted_power(cu, lattice.h2_weights)):
         raise ValueError("Laplacian of u0 is not square integrable on the lattice")
-    lhs = two_exponent_symbol(pm, 1.0, 1.0 + s2 - s1) * cu
-    rhs = pm ** (2.0 * (1.0 - s1)) * cf
-    return relative_defect(lhs, rhs, grid)
+    lhs = np.multiply(two_exponent_symbol(pm, 1.0, 1.0 + s2 - s1), cu, out=cu)
+    rhs = np.multiply(pm ** (2.0 * (1.0 - s1)), cf, out=cf)
+    return _defect_ratio(np.subtract(lhs, rhs, out=lhs), rhs, grid)
 
 
 def solve_linear_system(problem) -> VectorField:

@@ -127,6 +127,28 @@ def realize_gaussian_sum(specs, grid: Grid3) -> ScalarField:
     return ScalarField(grid, total)
 
 
+def _gaussian_sum_moments(specs, grid: Grid3) -> tuple[float, float]:
+    """Mean integral ``h^3 sum(f)`` and L2 norm of a Gaussian sum sampled on the grid.
+
+    Each term ``A_t e_x e_y e_z`` factors over the axes, so with 1-D sums
+    and inner products of the :func:`_axis_factors`
+    ``mean = h^3 sum_t A_t prod_axis sum(e_t)`` and
+    ``||f||^2 = h^3 sum_{t,t'} A_t A_t' prod_axis <e_t, e_t'>``: nothing of
+    lattice size is sampled.  Every sum is a ``math.fsum``, so only the
+    products round.
+    """
+    factors = [_axis_factors(spec, grid) for spec in specs]
+    mean = math.fsum(
+        spec.amplitude * math.prod(math.fsum(e) for e in f) for spec, f in zip(specs, factors)
+    )
+    l2_sq = math.fsum(
+        a.amplitude * b.amplitude * math.prod(math.fsum(ea * eb) for ea, eb in zip(fa, fb))
+        for a, fa in zip(specs, factors)
+        for b, fb in zip(specs, factors)
+    )
+    return grid.cell_volume * mean, math.sqrt(max(grid.cell_volume * l2_sq, 0.0))
+
+
 @dataclass(frozen=True)
 class Monomial:
     """One term ``coeff * z1^p1 * ... * zN^pN`` of a polynomial coupling."""

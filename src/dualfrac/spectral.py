@@ -9,9 +9,11 @@ a :class:`VectorField`; the public :class:`Spectrum` transforms only add
 the continuum normalization and the mirrored upper half of the ``fftn``
 layout.  :class:`HalfLattice` holds the per-grid wavenumbers and norm
 weights, and :class:`SpectralPlan` holds the per-problem symbols, kernel
-transfer multipliers, influx spectra and the linear response u0.  The influx and kernel spectra come from the Gaussians'
-separability, as outer products of 1-D transforms, never from a 3-D
-transform of sampled data.  Plans are immutable: every piece is computed
+transfer multipliers and the linear response u0.  The influx and kernel
+spectra come from the Gaussians' separability, as outer products of 1-D
+transforms, never from a 3-D transform of sampled data; the plan keeps
+only the influxes' 1-D axis spectra and rebuilds one influx spectrum when
+asked for it.  Plans are immutable: every piece is computed
 once, on first use and under the plan's lock, and its arrays are read-only,
 so one plan is safe to share across the ``sweep-epsilon`` thread pool.
 """
@@ -405,7 +407,12 @@ def relative_defect(lhs: np.ndarray, rhs: np.ndarray, grid: Grid3, reference: fl
     ``reference`` defaults to the same norm of rhs; a zero reference leaves
     the defect unnormalized.
     """
-    num = nonzero_mode_l2(lhs - rhs, grid)
+    return _defect_ratio(lhs - rhs, rhs, grid, reference)
+
+
+def _defect_ratio(diff: np.ndarray, rhs: np.ndarray, grid: Grid3, reference: float | None = None) -> float:
+    """:func:`relative_defect` from the difference ``diff = lhs - rhs``, which the caller may form in place."""
+    num = nonzero_mode_l2(diff, grid)
     den = nonzero_mode_l2(rhs, grid) if reference is None else reference
     return num / den if den else num
 
@@ -416,11 +423,15 @@ def relative_defect(lhs: np.ndarray, rhs: np.ndarray, grid: Grid3, reference: fl
 class SpectralPlan:
     """Spectral data of one ``(orders, kernels, influxes, grid)`` on the half lattice.
 
-    Every array holds plain ``rfftn`` coefficients stacked over components,
-    shape ``(N, n, n, n/2 + 1)``.  Couplings and nonlinearities are not part
-    of the plan, so ``with_epsilon``/``with_nonlinearity`` variants of a
-    problem share one.  Pieces are built on first use: a linear solve
-    realizes nothing, and the real-space influxes are realized only when
+    Every lattice-size array holds plain ``rfftn`` coefficients stacked over
+    components, shape ``(N, n, n, n/2 + 1)``: the symbols, the transfer and
+    u0's spectrum.  The influx spectra are not kept; the plan caches only
+    the influx Gaussians' 1-D axis spectra, from which u0 is built and
+    :meth:`influx_spectrum` rebuilds one component's f_hat on request.
+    Couplings and nonlinearities are not part of the plan, so
+    ``with_epsilon``/``with_nonlinearity`` variants of a problem share one.
+    Pieces are built on first use: a linear solve realizes nothing, and the
+    real-space influxes are realized only when
     :meth:`ProblemSpec.influx_fields` asks for them.
     """
 
@@ -453,20 +464,46 @@ class SpectralPlan:
         return fields
 
     @_once
-    def influx_spectra(self) -> np.ndarray:
-        return _frozen(_gaussian_half_spectra(self.influxes, self.grid))
+    def _influx_axis_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # every influx Gaussian's 1-D axis spectra, stacked in component order
+        specs = [spec for terms in self.influxes for spec in terms]
+        return tuple(_frozen(a) for a in _gaussian_axis_spectra(specs, self.grid))
+
+    def influx_spectrum(self, m: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Plain ``rfftn`` coefficients of influx ``m``, shape ``(n, n, n/2 + 1)``.
+
+        Rebuilt on every call, into ``out`` or a new array, as an outer
+        product of the cached 1-D axis spectra: the plan keeps no influx
+        spectrum of lattice size.
+        """
+        xs, ys, zs = self._influx_axis_spectra
+        start = sum(len(terms) for terms in self.influxes[:m])
+        rows = slice(start, start + len(self.influxes[m]))
+        if out is None:
+            out = np.empty(self.lattice.wavenumbers.shape, dtype=np.complex128)
+        return _outer_rows(xs[rows], ys[rows], zs[rows], out)
 
     @_once
+    def _linear_pieces(self) -> tuple[float, VectorField]:
+        # One stack of influx spectra gives the influx norm, then is divided
+        # by the symbols in place to become u0's carried spectrum.
+        coeff = np.empty((len(self.influxes),) + self.lattice.wavenumbers.shape, dtype=np.complex128)
+        for m, acc in enumerate(coeff):
+            self.influx_spectrum(m, out=acc)
+        influx_l2 = math.sqrt(_weighted_power(coeff, self.lattice.weights))
+        coeff = _frozen(_without_zero_mode(coeff, self.symbols, out=coeff))
+        values = _frozen(_irfft(coeff, self.grid))
+        return influx_l2, VectorField(self.grid, values, coeff)
+
+    @property
     def influx_l2(self) -> float:
         """L2 norm of the influx vector, by Plancherel on its spectra (zero mode included)."""
-        return math.sqrt(_weighted_power(self.influx_spectra, self.lattice.weights))
+        return self._linear_pieces[0]
 
-    @_once
+    @property
     def u0(self) -> VectorField:
         """Linear response to the influxes, zero mode dropped; carries its spectrum."""
-        coeff = _frozen(_without_zero_mode(self.influx_spectra, self.symbols))
-        values = _frozen(_irfft(coeff, self.grid))
-        return VectorField(self.grid, values, coeff)
+        return self._linear_pieces[1]
 
     @_once
     def u0_norms(self) -> NormReport:

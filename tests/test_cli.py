@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dualfrac import Grid3, VectorField, cli, fixed_point, problems, spectral
+from dualfrac import VectorField, cli, fixed_point, problems, spectral
 from dualfrac.cli import run_command
 from dualfrac.fieldio import read_snapshot
 from dualfrac.problems import demo_config_text
@@ -148,12 +148,12 @@ def realized_grids(monkeypatch):
     return grids
 
 
-def test_solvability_realizes_only_the_base_grid_influx(tmp_path, realized_grids):
-    assert run_command(small(["solvability", "--config", "demo"], tmp_path, n=16)) == 0
-    # the sweep transforms every box by separability; only the base-grid
-    # solvability report samples the influx
-    base = Grid3(20.0, 16)
-    assert realized_grids == [base] * sum(len(case.influx) for case in problems.solvability_sweep_cases())
+@pytest.mark.parametrize("command", ["solvability", "solve-linear"])
+def test_linear_commands_realize_no_gaussian(command, tmp_path, realized_grids):
+    spectral._cached_plan.cache_clear()
+    assert run_command(small([command, "--config", "demo"], tmp_path, n=16)) == 0
+    # spectra, sweeps and the solvability moments all come from 1-D factors
+    assert realized_grids == []
 
 
 @pytest.mark.parametrize("command", ["solve", "verify-bounds", "contraction", "continuity", "sweep-epsilon"])

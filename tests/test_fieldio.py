@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,26 @@ def test_header_layout(tmp_path, grid16):
     assert (n, L, comp) == (16, 10.0, 7)
     assert HEADER_STRUCT.size == 32
     assert len(raw) == 32 + 16**3 * 8
+
+
+def test_snapshot_bytes_are_header_plus_payload(tmp_path, grid16, rng):
+    field = ScalarField(grid16, rng.standard_normal(grid16.shape))
+    path = write_snapshot(field, 5, tmp_path / "f.fsf")
+    expected = HEADER_STRUCT.pack(MAGIC, 16, 10.0, 5) + field.values.astype("<f8").tobytes()
+    assert path.read_bytes() == expected
+
+
+def test_snapshot_write_makes_no_copy_of_the_payload(tmp_path, grid32, rng):
+    field = ScalarField(grid32, rng.standard_normal(grid32.shape))
+    write_snapshot(field, 0, tmp_path / "warm.fsf")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_snapshot(field, 0, tmp_path / "f.fsf")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * field.values.nbytes
 
 
 def test_bad_magic_rejected(tmp_path, grid16):

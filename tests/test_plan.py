@@ -21,7 +21,7 @@ from dualfrac import (
     system_residual,
     vector_norms,
 )
-from dualfrac import fixed_point, problems, spectral
+from dualfrac import cli, fixed_point, problems, spectral
 from dualfrac.fixed_point import CONTINUITY_TOL
 from dualfrac.spectral import SpectralPlan, h2_distance, half_lattice, relative_defect, spectral_plan
 
@@ -123,10 +123,15 @@ def test_plan_data_makes_no_3d_transform(demo, monkeypatch):
     for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     plan = SpectralPlan(demo.orders, demo.kernels, demo.influxes, Grid3(20.0, 16))
-    plan.influx_spectra, plan.transfer, plan.kernel_constants, plan.influx_l2
+    plan.influx_spectrum(0), plan.influx_spectrum(1), plan.transfer, plan.kernel_constants
     # one fft of the x and y factors and one rfft of the z factors, for the
     # influxes and again for the kernels
     assert calls == ["fft", "rfft"] * 2
+    calls.clear()
+    plan.influx_l2
+    # the influx norm comes with u0, from the cached axis spectra: only u0's
+    # inverse transform runs, one component at a time
+    assert calls == ["ifft", "ifft", "irfft"] * 2
 
 
 def test_plan_pieces_built_once_under_concurrent_access(demo, realize_calls):
@@ -192,11 +197,11 @@ def test_continuity_holds_little_beyond_one_solve(demo32):
 
 
 # Peak numpy memory of one demo solve at n = 64, in n^3 float64 arrays, plan
-# build included.  The live data are the plan (about 10.3) and u_p with its
+# build included.  The live data are the plan (about 8.2) and u_p with its
 # half spectrum (4.1); the loop adds the next iterate, and the residual
-# stage, the peak at 20.4, adds u's values, g(u) and g(u)'s spectrum.  Norm
-# kernels that built weighted-square temporaries reached 23.1 here.
-SOLVE_PEAK_ARRAYS = 21.5
+# stage, the peak at 18.3, adds u's values, g(u) and g(u)'s spectrum.  A plan
+# that also kept the stacked influx spectra (2.1) reached 20.5 here.
+SOLVE_PEAK_ARRAYS = 19.5
 
 
 def test_solve_peak_stays_under_the_memory_ceiling(monkeypatch):
@@ -231,13 +236,16 @@ def test_solve_peak_stays_under_the_memory_ceiling(monkeypatch):
 def test_residual_matches_batched_formula(demo32):
     plan = spectral_plan(demo32)
     u0 = solve_linear_system(demo32)
+    influx_spectra = spectral._gaussian_half_spectra(demo32.influxes, demo32.grid)
+    for m, spectrum in enumerate(influx_spectra):
+        np.testing.assert_array_equal(plan.influx_spectrum(m), spectrum)
     for seed in (14, 15):
         u = u0 + sample_ball(demo32.grid, 2, demo32.rho, np.random.default_rng(seed))
         g_values = np.stack(demo32.nonlinearity.eval_components(list(u.values)))
         coeff_u, coeff_g = np.fft.rfftn(np.stack([u.values, g_values]), axes=(-3, -2, -1))
         eps = np.asarray(demo32.epsilon)[:, None, None, None]
         lhs = plan.symbols * coeff_u
-        rhs = eps * plan.symbols * plan.transfer * coeff_g + plan.influx_spectra
+        rhs = eps * plan.symbols * plan.transfer * coeff_g + influx_spectra
         batched = relative_defect(lhs, rhs, demo32.grid, reference=plan.influx_l2)
         assert abs(system_residual(u, demo32) - batched) <= 1e-12 * batched
 
@@ -249,3 +257,48 @@ def test_plan_u0_norms_are_computed_once_and_only_for_its_own_u0(demo32):
     assert plan.norms_of(u0) == vector_norms(u0)
     other = 2.0 * u0
     assert plan.norms_of(other).h2 == pytest.approx(2.0 * vector_norms(u0).h2, rel=1e-14)
+
+
+def test_solve_leaves_no_influx_spectra_in_the_plan(demo32):
+    result = solve_fixed_point(demo32)
+    plan = spectral_plan(demo32)
+    stacks = []
+
+    def collect(value):
+        if isinstance(value, np.ndarray):
+            stacks.append(value)
+        elif isinstance(value, VectorField):
+            collect(value.values)
+            collect(value.spectrum)
+        elif isinstance(value, tuple):
+            for v in value:
+                collect(v)
+
+    for value in vars(plan).values():
+        collect(value)
+    stack_shape = (demo32.n_components,) + half_lattice(demo32.grid).wavenumbers.shape
+    complex_stacks = [a for a in stacks if a.shape == stack_shape and np.iscomplexobj(a)]
+    # u0's carried spectrum and the transfer; f_hat is rebuilt when it is asked for
+    assert sorted(map(id, complex_stacks)) == sorted(map(id, (result.u0.spectrum, plan.transfer)))
+
+
+# Peak numpy memory of `solve-linear --dump-fields` on the demo at n = 64, in
+# n^3 float64 arrays, plan build included: the plan (wavenumbers, symbols,
+# u0's values and spectrum, H2 weights, about 6.1) plus one component's u0
+# spectrum, influx spectrum and defect buffer and the symbols' temporaries.
+# Sampling the influxes, keeping their stacked spectra in the plan and
+# copying each snapshot into bytes reached 14.5 here.
+SOLVE_LINEAR_PEAK_ARRAYS = 12.0
+
+
+def test_solve_linear_peak_stays_under_the_memory_ceiling(tmp_path):
+    n = problems.demo_problem().grid.points_per_axis
+    spectral._cached_plan.cache_clear()
+    spectral.half_lattice.cache_clear()
+    argv = ["solve-linear", "--config", "demo", "--dump-fields", "--out", str(tmp_path)]
+    try:
+        peak = traced_peak(lambda: cli.run_command(argv))
+    finally:
+        spectral._cached_plan.cache_clear()
+    assert (tmp_path / "u0_1.fsf").is_file()
+    assert peak <= SOLVE_LINEAR_PEAK_ARRAYS * 8 * n**3

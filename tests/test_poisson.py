@@ -20,7 +20,13 @@ from dualfrac import (
     solve_double_fractional,
 )
 from dualfrac import poisson, spectral
-from dualfrac.problems import GaussianSpec, solvability_sweep_cases
+from dualfrac.problems import (
+    GaussianSpec,
+    _gaussian_sum_moments,
+    demo_problem,
+    realize_gaussian_sum,
+    solvability_sweep_cases,
+)
 from dualfrac.spectral import half_lattice
 
 TP = 2.0 * np.pi
@@ -168,6 +174,28 @@ def test_solvability_subcritical_unconditional(grid64):
 def test_solvability_order_validation(grid16):
     with pytest.raises(ValueError):
         solvability_report(ScalarField.zeros(grid16), 1.2)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_gaussian_moments_classify_like_the_sampled_influx(n):
+    # the CLI's 1-D moments against the sampled field's sums, on the sweep
+    # cases and the demo influxes
+    grid = Grid3(20.0, n)
+    sums = [case.influx for case in solvability_sweep_cases()] + list(demo_problem().influxes)
+    for specs in sums:
+        f = realize_gaussian_sum(specs, grid)
+        mean, l2 = _gaussian_sum_moments(specs, grid)
+        sampled_l2 = np.sqrt(grid.cell_volume * np.sum(f.values**2))
+        assert abs(l2 - sampled_l2) <= 1e-14 * sampled_l2
+        assert abs(mean - grid.cell_volume * np.sum(f.values)) <= 1e-14 * sampled_l2
+        for s1 in (0.5, 0.85):
+            sampled, moments = solvability_report(f, s1), poisson._zero_mode_report(mean, l2, s1)
+            assert (moments.regime, moments.predicted_low_freq_growth) == (
+                sampled.regime,
+                sampled.predicted_low_freq_growth,
+            )
+            assert moments.orthogonality_residual == abs(mean)
+    assert _gaussian_sum_moments((), grid) == (0.0, 0.0)
 
 
 # --- regularity identity ----------------------------------------------------
