@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import os
 import sys
 import time
@@ -19,6 +18,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+# SHA-256 from CPython's built-in module: ``hashlib`` would also load OpenSSL
+# (about 3.4 MB of resident memory) for the one digest a report carries.
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .bounds import build_bounds_context
 from .fieldio import write_snapshot
@@ -44,8 +53,9 @@ from .problems import (
     solvability_sweep_cases,
 )
 from .spectral import (
-    _defect_ratio,
     _rfft,
+    _row_slabs,
+    nonzero_mode_l2,
     spectral_plan,
     vector_norms,
 )
@@ -191,21 +201,28 @@ def _cmd_solve_linear(problem, args, dump):
     plan = spectral_plan(problem)
     u0 = solve_linear_system(problem)
     grid = problem.grid
+    slabs = _row_slabs(grid.points_per_axis)
     components = []
     checks = []
-    work = np.empty_like(u0.spectrum[0])
     for m, u0_m in enumerate(u0.values):
         s1, s2 = problem.orders.s1[m], problem.orders.s2[m]
         # One rfftn of the real-space u0_m feeds the norms and both residuals;
         # the influx side is the plan's spectrum, rebuilt from the Gaussians
         # independently of u0's values.  u0's carried spectrum is not reused:
         # it is the division that defines u0, so residuals taken from it would
-        # vanish whatever u0's values hold.
+        # vanish whatever u0's values hold.  Two half-lattice buffers serve
+        # the component: cu, and cf for f_hat, its forward defect and f_hat again.
         cu = _rfft(u0_m)
         norms = vector_norms(VectorField(grid, u0_m[None], cu[None])).as_dict()
         cf = plan.influx_spectrum(m)
-        lhs = np.multiply(plan.symbols[m], cu, out=work)
-        forward_residual = _defect_ratio(np.subtract(lhs, cf, out=lhs), cf, grid)
+        f_l2 = nonzero_mode_l2(cf, grid)
+        # f_hat - S u_hat, formed slab by slab in f_hat's buffer, is
+        # -(S u_hat - f_hat) bit for bit, so its norm is the forward defect's
+        for rows in slabs:
+            cf[rows] -= plan.symbols[m][rows] * cu[rows]
+        defect = nonzero_mode_l2(cf, grid)
+        forward_residual = defect / f_l2 if f_l2 else defect
+        plan.influx_spectrum(m, out=cf)
         reg_residual = _regularity_defect(cu, cf, grid, s1, s2)  # overwrites cu and cf
         report = _zero_mode_report(*_gaussian_sum_moments(problem.influxes[m], grid), s1)
         components.append(
@@ -232,7 +249,7 @@ def _cmd_solve(problem, args, dump):
     result = solve_fixed_point(
         problem, rho=problem.rho, tol=args.tol, max_iter=args.max_iter
     )
-    up_norms = vector_norms(result.u_p)
+    up_norms = result.u_p_norms
     results = {
         "iterations": result.iterations,
         "step_norms": list(result.step_norms),
@@ -296,7 +313,7 @@ def _cmd_sweep_epsilon(problem, args, dump):
         res = solve_fixed_point(
             problem.with_epsilon(eps), rho=problem.rho, tol=args.tol, max_iter=args.max_iter
         )
-        return vector_norms(res.u_p).h2
+        return res.u_p_norms.h2
 
     norms = _parallel_map(solve_at, eps_values)
     slope = float(np.polyfit(np.log(eps_values), np.log(norms), 1)[0])
@@ -481,7 +498,7 @@ def run_command(argv) -> int:
 
     report = {
         "command": args.command,
-        "problem_digest": hashlib.sha256(config_text.encode()).hexdigest(),
+        "problem_digest": _sha256(config_text.encode()).hexdigest(),
         "args": {
             "seed": args.seed,
             "tol": args.tol,

@@ -23,7 +23,7 @@ from .bounds import (
     continuity_rhs,
     embedding_constant,
 )
-from .grid import VectorField
+from .grid import NormReport, VectorField
 from .poisson import solve_linear_system
 from .problems import (
     NONLINEAR_S1_HIGH,
@@ -32,8 +32,10 @@ from .problems import (
     ProblemSpec,
 )
 from .spectral import (  # noqa: F401  (forward_transform stays importable from here)
+    _h2_gap,
     _irfft,
     _rfft,
+    _row_slabs,
     forward_transform,
     h2_distance,
     half_lattice,
@@ -64,14 +66,16 @@ CONTINUITY_TOL = 1e-11
 class FixedPointResult:
     """Converged state of the Picard iteration.
 
-    ``u`` is exactly ``u0 + u_p`` componentwise.  ``converged`` implies the
-    final step norm and the relative system residual are both at or below
-    the configured tolerance and that u_p stayed inside the radius-rho ball.
+    ``u`` is exactly ``u0 + u_p`` componentwise, and ``u_p_norms`` is
+    ``vector_norms(u_p)``.  ``converged`` implies the final step norm and
+    the relative system residual are both at or below the configured
+    tolerance and that u_p stayed inside the radius-rho ball.
     """
 
     u0: VectorField
     u_p: VectorField
     u: VectorField
+    u_p_norms: NormReport
     iterations: int
     step_norms: list[float]
     contraction_estimates: list[float]
@@ -105,10 +109,26 @@ def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorFi
         raise ValueError("fields do not live on the problem grid")
     if v.n_components != problem.n_components or u0.n_components != problem.n_components:
         raise ValueError("component count mismatch with the problem")
+    coeff = _tau_spectrum([u0.values + v.values], problem, _ball_radius(problem, u0))
+    return VectorField(problem.grid, _irfft(coeff, problem.grid), coeff)
 
-    plan = spectral_plan(problem)
-    z = u0.values + v.values
-    ball_radius = embedding_constant() * (plan.norms_of(u0).h2 + 1.0)
+
+def _ball_radius(problem: ProblemSpec, u0: VectorField) -> float:
+    # radius of the pointwise ball the coupling bound M is sized on
+    return embedding_constant() * (spectral_plan(problem).norms_of(u0).h2 + 1.0)
+
+
+def _tau_spectrum(z_box: list[np.ndarray], problem: ProblemSpec, ball_radius: float) -> np.ndarray:
+    """Half spectrum of tau(v), from the pointwise argument ``z = u0 + v``.
+
+    The one Picard step of :func:`apply_tau` and :func:`solve_fixed_point`:
+    warns when |z| leaves the coupling ball, raises when g(z) is not finite,
+    and multiplies g's spectrum by the couplings and the plan's transfer.
+    z comes in a one-item list and is popped from it, so when the caller
+    keeps no other reference, z is freed once g(z) is evaluated, before
+    the transform.
+    """
+    z = z_box.pop()
     max_len = math.sqrt(float(np.max(np.einsum("i...,i...->...", z, z))))
     if max_len > ball_radius:
         logger.warning(
@@ -117,7 +137,6 @@ def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorFi
             max_len,
             ball_radius,
         )
-
     g_values = problem.nonlinearity.eval_components(z)
     del z
     for m in range(problem.n_components):
@@ -126,9 +145,8 @@ def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorFi
     coeff = _rfft(g_values)
     del g_values
     coeff *= np.asarray(problem.epsilon)[:, None, None, None]
-    coeff *= plan.transfer
-    values = _irfft(coeff, problem.grid)
-    return VectorField(problem.grid, values, coeff)
+    coeff *= spectral_plan(problem).transfer
+    return coeff
 
 
 def _context_for(problem: ProblemSpec, u0: VectorField, rho: float) -> BoundsContext:
@@ -180,12 +198,24 @@ def solve_fixed_point(
                 rho,
             )
 
+    grid = problem.grid
+    radius = _ball_radius(problem, u0)
+    # The caller's v0 is only read; every later iterate is the loop's own,
+    # so its z = u0 + v is formed in its values' buffer and handed to the
+    # step as its only reference.  The step norm is taken, and the previous
+    # spectrum dropped, before the inverse transform.
+    owned = v0 is None
     step_norms: list[float] = []
     for _ in range(max_iter):
-        v_next = apply_tau(v, problem, u0)
-        step = h2_distance(v_next, v)
+        z_box = [np.add(u0.values, v.values, out=v.values if owned else None)]
+        spectrum = v.spectrum
+        del v
+        coeff = _tau_spectrum(z_box, problem, radius)
+        step = _h2_gap(coeff, spectrum, grid)
+        del spectrum
+        v = VectorField(grid, _irfft(coeff, grid), coeff)
+        owned = True
         step_norms.append(step)
-        v = v_next
         if step <= tol:
             break
         if len(step_norms) > DIVERGENCE_STREAK and all(
@@ -200,18 +230,19 @@ def solve_fixed_point(
             )
 
     ratios = [b / a for a, b in zip(step_norms, step_norms[1:]) if a > 0.0]
+    u_p_norms = vector_norms(v)
     # the residual reads values only; u's spectrum is summed once it is done
     u_values = u0.values + v.values
-    residual = system_residual(VectorField(problem.grid, u_values), problem)
-    u = VectorField(problem.grid, u_values, u0.spectrum + v.spectrum)
-    u_p_h2 = vector_norms(v).h2
+    residual = system_residual(VectorField(grid, u_values), problem)
+    u = VectorField(grid, u_values, u0.spectrum + v.spectrum)
     converged = bool(
-        step_norms and step_norms[-1] <= tol and residual <= tol and u_p_h2 <= rho * (1 + 1e-12)
+        step_norms and step_norms[-1] <= tol and residual <= tol and u_p_norms.h2 <= rho * (1 + 1e-12)
     )
     return FixedPointResult(
         u0=u0,
         u_p=v,
         u=u,
+        u_p_norms=u_p_norms,
         iterations=len(step_norms),
         step_norms=step_norms,
         contraction_estimates=ratios,
@@ -283,23 +314,28 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     modes (matching the drop zero-mode policy), normalized by the L2 norm
     of the influx vector.  u and g(u) are transformed afresh from their
     real-space values, whatever spectrum u carries, so the residual checks
-    the values a report is written from.  g(u) is transformed in one batch
-    and its values freed; u is then transformed one component at a time,
-    and each defect is formed in place on the coefficients, with f_hat
-    rebuilt for its component by :meth:`SpectralPlan.influx_spectrum`.
+    the values a report is written from.  It works one component at a
+    time: g_m(u) is evaluated (:meth:`Nonlinearity.eval_component`) and
+    transformed, and its values freed; the rest of the right side is formed
+    in place on its coefficients, the multipliers slab by slab, with f_hat
+    rebuilt by :meth:`SpectralPlan.influx_spectrum`; then u_m is
+    transformed and the defect formed in place on its coefficients.
     """
     if u.grid != problem.grid:
         raise ValueError("field does not live on the problem grid")
     plan = spectral_plan(problem)
-    coeff_g = _rfft(problem.nonlinearity.eval_components(u.values))
+    slabs = _row_slabs(problem.grid.points_per_axis)
     defect_sq = 0.0
     for m, eps in enumerate(problem.epsilon):
         # symbol * u_hat - (eps * symbol * transfer * g_hat + f_hat)
-        coeff_g[m] *= plan.transfer[m] * (eps * plan.symbols[m])
-        coeff_g[m] += plan.influx_spectrum(m)
+        coeff_g = _rfft(problem.nonlinearity.eval_component(u.values, m))
+        for rows in slabs:
+            coeff_g[rows] *= plan.transfer[m][rows] * (eps * plan.symbols[m][rows])
+        coeff_g += plan.influx_spectrum(m)
         coeff = _rfft(u.values[m])
         coeff *= plan.symbols[m]
-        coeff -= coeff_g[m]
+        coeff -= coeff_g
+        del coeff_g
         defect_sq += nonzero_mode_l2(coeff, problem.grid) ** 2
         del coeff
     defect = math.sqrt(defect_sq)

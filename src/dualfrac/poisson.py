@@ -21,6 +21,7 @@ import numpy as np
 from .grid import Grid3, ScalarField, VectorField
 from .problems import GaussianSpec
 from .spectral import (
+    SLAB_BYTES,
     TWO_PI_32,
     _defect_ratio,
     _gaussian_axis_spectra,
@@ -29,6 +30,7 @@ from .spectral import (
     _plancherel_weights,
     _rfft,
     _row_power,
+    _row_slabs,
     _wavenumber_rows,
     _weighted_power,
     _without_zero_mode,
@@ -59,10 +61,6 @@ CRITICAL_ORDER = 0.75
 ORTHOGONALITY_RTOL = 1e-10
 
 ZERO_MODE_POLICIES = ("drop", "reject_if_nonzero")
-
-# Coefficient bytes per slab of the box sweep: about 1 MiB, so one slab and
-# its |p| and symbol stay in L2 cache.
-SLAB_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -192,15 +190,19 @@ def regularity_check(u0: ScalarField, f: ScalarField, s1: float, s2: float) -> f
 def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s2: float) -> float:
     """:func:`regularity_check` on plain ``rfftn`` coefficients of u0 and f; overwrites both.
 
-    Each side is formed in its operand's buffer and the defect in cu's.
+    Each side is formed in its operand's buffer and the defect in cu's, one
+    slab of rows at a time (:data:`SLAB_BYTES`), so the symbols exist only
+    slab by slab.
     """
     lattice = half_lattice(grid)
     pm = lattice.wavenumbers
     if not math.isfinite(_weighted_power(cu, lattice.h2_weights)):
         raise ValueError("Laplacian of u0 is not square integrable on the lattice")
-    lhs = np.multiply(two_exponent_symbol(pm, 1.0, 1.0 + s2 - s1), cu, out=cu)
-    rhs = np.multiply(pm ** (2.0 * (1.0 - s1)), cf, out=cf)
-    return _defect_ratio(np.subtract(lhs, rhs, out=lhs), rhs, grid)
+    for rows in _row_slabs(grid.points_per_axis, SLAB_BYTES):
+        lhs = np.multiply(two_exponent_symbol(pm[rows], 1.0, 1.0 + s2 - s1), cu[rows], out=cu[rows])
+        rhs = np.multiply(pm[rows] ** (2.0 * (1.0 - s1)), cf[rows], out=cf[rows])
+        np.subtract(lhs, rhs, out=lhs)
+    return _defect_ratio(cu, cf, grid)
 
 
 def solve_linear_system(problem) -> VectorField:
@@ -260,14 +262,12 @@ def box_length_sweep(
         grid = Grid3(float(L), n)
         xs, ys, zs = _gaussian_axis_spectra(influx, grid)
         weights = _plancherel_weights(grid)
-        row_bytes = n * (n // 2 + 1) * np.dtype(np.complex128).itemsize
-        height = min(n, max(1, SLAB_BYTES // row_bytes))
-        slab = np.empty((height, n, n // 2 + 1), dtype=np.complex128)
+        slabs = _row_slabs(n, SLAB_BYTES)
+        slab = np.empty((slabs[0].stop, n, n // 2 + 1), dtype=np.complex128)
         power = np.empty(n)
-        for r0 in range(0, n, height):
-            rows = slice(r0, min(r0 + height, n))
-            coeff = _outer_rows(xs[:, rows], ys, zs, slab[: rows.stop - r0])
-            if r0 == 0:
+        for rows in slabs:
+            coeff = _outer_rows(xs[:, rows], ys, zs, slab[: rows.stop - rows.start])
+            if rows.start == 0:
                 mean = grid.cell_volume * float(coeff[0, 0, 0].real)
                 if mean != 0.0:
                     logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)

@@ -207,36 +207,53 @@ class Nonlinearity:
         """Vectorized evaluation of every g_m over arrays of z samples.
 
         ``z_fields`` holds one array per variable (a list, or a stacked
-        array); the result stacks g_1 .. g_N along a leading axis.  Each
-        monomial is built in one ``term`` buffer: its first factor is
-        written there, then scaled by the coefficient, then the later
-        factors are multiplied in; a second buffer exists only for a later
-        factor of power 2 or more.  Every product is the one
-        ``coeff * z_1**p_1 * z_2**p_2 ...`` makes, so the values are bitwise
-        those of that expression.
+        array); the result stacks g_1 .. g_N along a leading axis, each
+        component as :meth:`eval_component` builds it.
         """
         shape = z_fields[0].shape
-        out = np.zeros((self.n_components,) + shape)
+        out = np.empty((self.n_components,) + shape)
         term = np.empty(shape)
-        fac = None
-        for acc, comp in zip(out, self.components):
-            for mono in comp:
-                factors = [(z, power) for z, power in zip(z_fields, mono.powers) if power]
-                (z, power), rest = factors[0], factors[1:]
-                if power > 1:
-                    np.power(z, power, out=term)
-                else:
-                    np.copyto(term, z)
-                term *= mono.coeff
-                for z, power in rest:
-                    if power > 1:
-                        if fac is None:
-                            fac = np.empty(shape)
-                        term *= np.power(z, power, out=fac)
-                    else:
-                        term *= z
-                acc += term
+        for m, acc in enumerate(out):
+            self._accumulate(z_fields, m, acc, term)
         return out
+
+    def eval_component(self, z_fields, m: int) -> np.ndarray:
+        """g_m alone over arrays of z samples: bitwise ``eval_components(z_fields)[m]``.
+
+        Holds one component's output and one monomial buffer, where the
+        stacked evaluation holds every component's output.
+        """
+        shape = z_fields[0].shape
+        out = np.empty(shape)
+        self._accumulate(z_fields, m, out, np.empty(shape))
+        return out
+
+    def _accumulate(self, z_fields, m: int, acc: np.ndarray, term: np.ndarray) -> None:
+        # Each monomial is built in the one ``term`` buffer: its first factor
+        # is written there, then scaled by the coefficient, then the later
+        # factors are multiplied in; a second buffer exists only for a later
+        # factor of power 2 or more.  Every product is the one
+        # ``coeff * z_1**p_1 * z_2**p_2 ...`` makes, and the monomials are
+        # added to a zeroed ``acc``, so the values are bitwise those of that
+        # expression summed from 0.
+        acc.fill(0.0)
+        fac = None
+        for mono in self.components[m]:
+            factors = [(z, power) for z, power in zip(z_fields, mono.powers) if power]
+            (z, power), rest = factors[0], factors[1:]
+            if power > 1:
+                np.power(z, power, out=term)
+            else:
+                np.copyto(term, z)
+            term *= mono.coeff
+            for z, power in rest:
+                if power > 1:
+                    if fac is None:
+                        fac = np.empty(acc.shape)
+                    term *= np.power(z, power, out=fac)
+                else:
+                    term *= z
+            acc += term
 
     def scaled(self, factor: float) -> "Nonlinearity":
         return Nonlinearity(

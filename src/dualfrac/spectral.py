@@ -49,6 +49,11 @@ __all__ = [
 
 TWO_PI_32 = (2.0 * np.pi) ** 1.5
 
+# Coefficient bytes per slab of x-frequency rows for the slab-wise passes
+# (:func:`_row_slabs`): about 1 MiB, so one slab and its |p| and symbol
+# stay in L2 cache.
+SLAB_BYTES = 1 << 20
+
 # A real field's spectrum deviates from conjugate symmetry only at rounding
 # level; anything above this came from editing coefficients by hand.
 CONJUGATE_SYMMETRY_RTOL = 1e-12
@@ -167,10 +172,15 @@ def h2_distance(a: VectorField, b: VectorField) -> float:
         raise ValueError("fields differ in grid or component count")
     if a.spectrum is None or b.spectrum is None:
         raise ValueError("both fields must carry their half spectra")
-    lattice = half_lattice(a.grid)
-    diff = np.empty_like(a.spectrum[0])
+    return _h2_gap(a.spectrum, b.spectrum, a.grid)
+
+
+def _h2_gap(sa: np.ndarray, sb: np.ndarray, grid: Grid3) -> float:
+    """:func:`h2_distance` of two fields given by their stacked half spectra."""
+    lattice = half_lattice(grid)
+    diff = np.empty_like(sa[0])
     total = 0.0
-    for ca, cb in zip(a.spectrum, b.spectrum):
+    for ca, cb in zip(sa, sb):
         np.subtract(ca, cb, out=diff)
         total += _weighted_power(diff, lattice.weights) + _weighted_power(diff, lattice.h2_weights)
     return math.sqrt(total)
@@ -328,6 +338,19 @@ class _once:
         return cache[self.name]
 
 
+def _row_slabs(n: int, slab_bytes: int = SLAB_BYTES) -> list[slice]:
+    """Slabs of x-frequency rows covering the n-point half lattice in order.
+
+    Each slab but the last holds the same number of rows, as many as fit in
+    ``slab_bytes`` of complex coefficients (at least one).  Elementwise work
+    done slab by slab gives bitwise the whole-array result, with temporaries
+    of slab size.
+    """
+    row_bytes = n * (n // 2 + 1) * np.dtype(np.complex128).itemsize
+    height = min(n, max(1, slab_bytes // row_bytes))
+    return [slice(r, min(r + height, n)) for r in range(0, n, height)]
+
+
 def _wavenumber_rows(grid: Grid3, rows: slice) -> np.ndarray:
     """|p| on the given x-frequency rows of the half lattice, shape ``(m, n, n/2 + 1)``."""
     p_sq = grid.frequency_axis**2
@@ -349,11 +372,14 @@ def _plancherel_weights(grid: Grid3) -> np.ndarray:
     return grid.cell_volume / n**3 * multiplicity
 
 
-def _centre_phase(grid: Grid3) -> np.ndarray:
-    """``(-1)^(k1+k2+k3)`` on the half lattice, relating samples indexed from ``-L/2`` to ``x = 0``."""
+def _centre_phase(grid: Grid3, rows: slice = slice(None)) -> np.ndarray:
+    """``(-1)^(k1+k2+k3)`` on the half lattice, relating samples indexed from ``-L/2`` to ``x = 0``.
+
+    ``rows`` restricts it to those x-frequency rows.
+    """
     n = grid.points_per_axis
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return sign[:, None, None] * sign[None, :, None] * sign[: n // 2 + 1]
+    return sign[rows, None, None] * sign[None, :, None] * sign[: n // 2 + 1]
 
 
 class HalfLattice:
@@ -517,20 +543,31 @@ class SpectralPlan:
     @_once
     def _kernel_pieces(self) -> tuple[tuple[float, float], np.ndarray]:
         # H is a real-space L1 norm: each kernel is realized, one at a time,
-        # for it alone.  Q and the transfer multiplier read the separable spectra.
+        # for it alone, and its |values| taken in place.  Q and the transfer
+        # multiplier read the separable spectra: each filtered spectrum is
+        # formed in one reused buffer, and the filter and the centre phase
+        # run slab by slab, so besides the kernel stack the build holds one
+        # component's buffer and slab-sized temporaries.
         g = self.grid
-        h_sq = sum(
-            float(g.cell_volume * np.sum(np.abs(realize_gaussian_sum(k, g).values))) ** 2 for k in self.kernels
-        )
+        h_sq = 0.0
+        for k in self.kernels:
+            values = realize_gaussian_sum(k, g).values
+            h_sq += float(g.cell_volume * np.sum(np.abs(values, out=values))) ** 2
+            del values
         coeff = _gaussian_half_spectra(self.kernels, g)
         pm = self.lattice.wavenumbers
-        q_sq = sum(
-            nonzero_mode_l2(pm ** (2.0 * (1.0 - s1)) * c, g) ** 2
-            for s1, c in zip(self.orders.s1, coeff)
-        )
+        slabs = _row_slabs(g.points_per_axis)
+        filtered = np.empty_like(coeff[0])
+        q_sq = 0.0
+        for s1, c in zip(self.orders.s1, coeff):
+            for rows in slabs:
+                np.multiply(pm[rows] ** (2.0 * (1.0 - s1)), c[rows], out=filtered[rows])
+            q_sq += nonzero_mode_l2(filtered, g) ** 2
+        del filtered
         # continuum convolution theorem on plain coefficients: the centred
         # kernel contributes h^3 * phase * c_h
-        coeff *= g.cell_volume * _centre_phase(g)
+        for rows in slabs:
+            coeff[:, rows] *= g.cell_volume * _centre_phase(g, rows)
         transfer = _frozen(_without_zero_mode(coeff, self.symbols, out=coeff))
         return (math.sqrt(h_sq), math.sqrt(q_sq)), transfer
 

@@ -1,6 +1,10 @@
+import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,26 @@ def test_only_spectral_calls_numpy_fft(tmp_path, monkeypatch):
         args = [sub, "--config", "demo"] + (["--trials", "2"] if sub == "contraction" else [])
         assert run_command(small(args, tmp_path / sub, n=16)) == 0
         assert callers and set(callers) == {"dualfrac.spectral"}, sub
+
+
+def test_cli_process_loads_no_openssl(tmp_path):
+    # a fresh interpreter: this one has long imported hashlib
+    script = (
+        "import sys\n"
+        "import dualfrac.cli as cli\n"
+        f"code = cli.run_command(['verify-bounds', '--config', 'demo', '--grid', '16', '--out', {str(tmp_path)!r}])\n"
+        "print(code, '_hashlib' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"
+
+
+def test_report_digest_is_the_config_sha256(demo_config, tmp_path):
+    assert run_command(small(["verify-bounds", "--config", str(demo_config)], tmp_path, n=16)) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["problem_digest"] == hashlib.sha256(demo_config.read_text().encode()).hexdigest()
 
 
 def test_continuity_sizes_each_shared_ball_once_per_pair(tmp_path, monkeypatch):

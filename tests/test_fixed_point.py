@@ -22,6 +22,7 @@ from dualfrac import (
     vector_norms,
 )
 from dualfrac.fixed_point import CONTINUITY_TOL
+from dualfrac.spectral import h2_distance
 
 
 def single_component_problem(grid=None, eps=0.01):
@@ -128,6 +129,40 @@ def test_restart_reaches_same_fixed_point(demo32):
     assert res1.converged
     gap = vector_norms(res0.u_p - res1.u_p).h2
     assert gap <= 10 * tol
+
+
+def reference_picard(problem, v, tol, max_iter):
+    """Picard iteration from v spelled out with the public apply_tau and h2_distance."""
+    u0 = solve_linear_system(problem)
+    steps = []
+    for _ in range(max_iter):
+        v_next = apply_tau(v, problem, u0)
+        steps.append(h2_distance(v_next, v))
+        v = v_next
+        if steps[-1] <= tol:
+            break
+    return steps, v
+
+
+@pytest.mark.parametrize(
+    "start, max_iter", [("zero", 200), ("sampled", 200), ("zero", 3)], ids=["zero", "v0", "cut-short"]
+)
+def test_loop_is_bitwise_the_apply_tau_reference(demo32, start, max_iter):
+    if start == "zero":
+        v0, v = None, VectorField.zeros(demo32.grid, demo32.n_components)
+    else:
+        v0 = v = sample_ball(demo32.grid, demo32.n_components, 0.5, np.random.default_rng(21))
+        start_values = v0.values.copy()
+    res = solve_fixed_point(demo32, tol=1e-10, max_iter=max_iter, v0=v0)
+    steps, ref = reference_picard(demo32, v, 1e-10, max_iter)
+    assert len(steps) == (max_iter if max_iter < 200 else res.iterations)
+    assert res.step_norms == steps
+    assert np.array_equal(res.u_p.values, ref.values)
+    assert np.array_equal(res.u_p.spectrum, ref.spectrum)
+    assert res.u_p_norms == vector_norms(ref)
+    if v0 is not None:
+        # the caller's starting point is read, never written
+        assert np.array_equal(v0.values, start_values)
 
 
 def test_out_of_certificate_coupling_warns(demo32, caplog):

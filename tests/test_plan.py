@@ -198,10 +198,13 @@ def test_continuity_holds_little_beyond_one_solve(demo32):
 
 # Peak numpy memory of one demo solve at n = 64, in n^3 float64 arrays, plan
 # build included.  The live data are the plan (about 8.2) and u_p with its
-# half spectrum (4.1); the loop adds the next iterate, and the residual
-# stage, the peak at 18.3, adds u's values, g(u) and g(u)'s spectrum.  A plan
-# that also kept the stacked influx spectra (2.1) reached 20.5 here.
-SOLVE_PEAK_ARRAYS = 19.5
+# half spectrum (4.1).  A Picard step adds z = u0 + v, g(z) and one monomial
+# buffer (15.3 in all), and the residual stage, the peak at 16.6, adds u's
+# values and one component's g_m(u) and monomial buffer.  Holding each
+# iterate's values beside z and g(z), and the whole g(u) with its spectrum in
+# the residual, reached 18.3 here; a plan that also kept the stacked influx
+# spectra (2.1) reached 20.5.
+SOLVE_PEAK_ARRAYS = 17.8
 
 
 def test_solve_peak_stays_under_the_memory_ceiling(monkeypatch):
@@ -284,21 +287,39 @@ def test_solve_leaves_no_influx_spectra_in_the_plan(demo32):
 
 # Peak numpy memory of `solve-linear --dump-fields` on the demo at n = 64, in
 # n^3 float64 arrays, plan build included: the plan (wavenumbers, symbols,
-# u0's values and spectrum, H2 weights, about 6.1) plus one component's u0
-# spectrum, influx spectrum and defect buffer and the symbols' temporaries.
-# Sampling the influxes, keeping their stacked spectra in the plan and
-# copying each snapshot into bytes reached 14.5 here.
-SOLVE_LINEAR_PEAK_ARRAYS = 12.0
+# u0's values and spectrum, H2 weights, about 6.1) plus one component's two
+# half-lattice buffers, u_hat and f_hat (which also holds the forward defect),
+# and slab-sized symbol temporaries; 9.5 measured.  A third buffer for the
+# defect and whole-lattice symbol temporaries reached 10.5; sampling the
+# influxes, keeping their stacked spectra in the plan and copying each
+# snapshot into bytes reached 14.5.
+SOLVE_LINEAR_PEAK_ARRAYS = 11.0
+
+# The same for `verify-bounds`, whose peak is the plan's kernel build on top
+# of u0: 9.6 measured.  Taking |kernel| into a second array, the filtered
+# spectrum and the centre phase as whole-lattice temporaries reached 9.8.
+VERIFY_BOUNDS_PEAK_ARRAYS = 10.5
 
 
-def test_solve_linear_peak_stays_under_the_memory_ceiling(tmp_path):
+def command_peak_arrays(argv, tmp_path):
+    """Peak numpy memory of one CLI run on the demo, plan build included, in n^3 arrays."""
     n = problems.demo_problem().grid.points_per_axis
     spectral._cached_plan.cache_clear()
     spectral.half_lattice.cache_clear()
-    argv = ["solve-linear", "--config", "demo", "--dump-fields", "--out", str(tmp_path)]
+    run = [argv[0], "--config", "demo", "--out", str(tmp_path)] + argv[1:]
     try:
-        peak = traced_peak(lambda: cli.run_command(argv))
+        peak = traced_peak(lambda: cli.run_command(run))
     finally:
         spectral._cached_plan.cache_clear()
+    assert (tmp_path / "report.json").is_file()
+    return peak / (8 * n**3)
+
+
+def test_solve_linear_peak_stays_under_the_memory_ceiling(tmp_path):
+    peak = command_peak_arrays(["solve-linear", "--dump-fields"], tmp_path)
     assert (tmp_path / "u0_1.fsf").is_file()
-    assert peak <= SOLVE_LINEAR_PEAK_ARRAYS * 8 * n**3
+    assert peak <= SOLVE_LINEAR_PEAK_ARRAYS
+
+
+def test_verify_bounds_peak_stays_under_the_memory_ceiling(tmp_path):
+    assert command_peak_arrays(["verify-bounds"], tmp_path) <= VERIFY_BOUNDS_PEAK_ARRAYS

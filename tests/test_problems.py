@@ -354,6 +354,23 @@ def test_evaluation_is_bitwise_the_coefficient_times_power_product(rng):
     assert np.array_equal(g.eval_components(z), ref)
 
 
+def test_component_evaluation_is_bitwise_the_stacked_one(rng):
+    # a later factor of power 2 or more, a one-monomial and an empty component
+    monomials = [((2, 0, 1), 0.5), ((1, 1, 0), -0.3), ((1, 2, 0), 1.7), ((0, 2, 3), -1.1)]
+    g = Nonlinearity(
+        (tuple(Monomial(p, c) for p, c in monomials), (Monomial((1, 0, 1), 2.5),), ())
+    )
+    z = 3.0 * rng.standard_normal((3, 6, 6, 6))
+    z[:, 0, 0, 0] = -0.0
+    stacked = g.eval_components(z)
+    for m in range(g.n_components):
+        single = g.eval_component(z, m)
+        assert single.shape == z.shape[1:]
+        # the same bits, signs of zero included
+        assert np.array_equal(single.view(np.uint64), stacked[m].view(np.uint64))
+        assert np.array_equal(g.eval_component(list(z), m).view(np.uint64), stacked[m].view(np.uint64))
+
+
 def test_coupling_difference_merges_like_terms(demo):
     g = demo.nonlinearity
     diff = g.scaled(1.1) - g
