@@ -32,10 +32,12 @@ from .problems import (
     ProblemSpec,
 )
 from .spectral import (  # noqa: F401  (forward_transform stays importable from here)
+    _band_limit,
     _h2_gap,
     _irfft,
     _rfft,
     _row_slabs,
+    _weighted_power,
     forward_transform,
     h2_distance,
     half_lattice,
@@ -93,6 +95,19 @@ def _check_nonlinear_orders(problem: ProblemSpec) -> None:
         )
 
 
+def _check_rho(rho: float) -> None:
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+
+
+def _check_tau_inputs(problem: ProblemSpec, *fields: VectorField) -> None:
+    _check_nonlinear_orders(problem)
+    if any(f.grid != problem.grid for f in fields):
+        raise ValueError("fields do not live on the problem grid")
+    if any(f.n_components != problem.n_components for f in fields):
+        raise ValueError("component count mismatch with the problem")
+
+
 def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorField:
     """One application of the solution map: v -> solve(eps_m * H_m * g_m(u0 + v)).
 
@@ -104,11 +119,7 @@ def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorFi
     ball the coupling bound was sized on.  Each full-size intermediate is
     released as soon as it is consumed.
     """
-    _check_nonlinear_orders(problem)
-    if v.grid != problem.grid or u0.grid != problem.grid:
-        raise ValueError("fields do not live on the problem grid")
-    if v.n_components != problem.n_components or u0.n_components != problem.n_components:
-        raise ValueError("component count mismatch with the problem")
+    _check_tau_inputs(problem, v, u0)
     coeff = _tau_spectrum([u0.values + v.values], problem, _ball_radius(problem, u0))
     return VectorField(problem.grid, _irfft(coeff, problem.grid), coeff)
 
@@ -169,8 +180,7 @@ def solve_fixed_point(
     coupling above the certified threshold only logs a warning: the
     threshold is sufficient, not necessary.
     """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+    _check_rho(rho)
     _check_nonlinear_orders(problem)
     u0 = solve_linear_system(problem)
     ctx = _context_for(problem, u0, rho)
@@ -259,18 +269,25 @@ def sample_ball(
 
     Gaussian white noise is truncated to |p| at or below half the axis
     Nyquist frequency (so discrete norms stay faithful to continuum ones)
-    and rescaled to the target radius.
+    and rescaled to the target radius.  The transforms are pruned to the
+    kept modes (:func:`~dualfrac.spectral._band_limit`), the noise buffer
+    becomes the draw's values, and the norm is ``vector_norms(draw).h2``'s
+    own expression, without the pointwise length.
     """
-    cutoff = 0.5 * grid.nyquist
-    coeff = _rfft(rng.standard_normal((n_components,) + grid.shape))
-    coeff[:, half_lattice(grid).wavenumbers > cutoff] = 0.0
-    values = _irfft(coeff, grid)
-    draw = VectorField(grid, values, coeff)
-    norm = vector_norms(draw).h2
-    if norm == 0.0:
-        return sample_ball(grid, n_components, rho, rng)
-    target = rho * (1.0 - rng.random())  # uniform in (0, rho]
-    return draw * (target / norm)
+    _check_rho(rho)
+    lap_weights = half_lattice(grid).h2_weights
+    while True:
+        values = rng.standard_normal((n_components,) + grid.shape)
+        coeff = _band_limit(values, grid)
+        flat = values.ravel()
+        l2_sq = grid.cell_volume * float(np.vdot(flat, flat))
+        norm = float(np.sqrt(l2_sq + _weighted_power(coeff, lap_weights)))
+        if norm != 0.0:
+            break
+    scale = rho * (1.0 - rng.random()) / norm  # target radius uniform in (0, rho]
+    values *= scale
+    coeff *= scale
+    return VectorField(grid, values, coeff)
 
 
 def measure_contraction(
@@ -282,26 +299,39 @@ def measure_contraction(
 ) -> list[float]:
     """Lipschitz ratios of the solution map on random pairs from the rho ball.
 
-    Both gaps are Plancherel sums on the pairs' carried half spectra, so no
-    difference field is built, and each trial's fields are released before
-    the next trial draws.
+    Both gaps are Plancherel sums on half spectra: the draws' carried ones,
+    and the images' from :func:`_tau_spectrum`, so no difference field and
+    no image field is built, and no image is transformed back.  Once the
+    draws' gap is taken their spectra are dropped, and each z = u0 + v is
+    formed in its draw's own values buffer and handed to the step as its
+    only reference.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    _check_rho(rho)
+    _check_tau_inputs(problem, u0)
+    grid = problem.grid
+    radius = _ball_radius(problem, u0)
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(trials):
         while True:
-            v1 = sample_ball(problem.grid, problem.n_components, rho, rng)
-            v2 = sample_ball(problem.grid, problem.n_components, rho, rng)
+            v1 = sample_ball(grid, problem.n_components, rho, rng)
+            v2 = sample_ball(grid, problem.n_components, rho, rng)
             gap = h2_distance(v1, v2)
             if gap > 0.0:
                 break
-        t1 = apply_tau(v1, problem, u0)
-        del v1
-        t2 = apply_tau(v2, problem, u0)
-        del v2
-        ratios.append(h2_distance(t1, t2) / gap)
+        z1, z2 = v1.values, v2.values
+        del v1, v2  # their spectra are not read again
+        z_box = [np.add(u0.values, z1, out=z1)]
+        del z1
+        t1 = _tau_spectrum(z_box, problem, radius)
+        z_box = [np.add(u0.values, z2, out=z2)]
+        del z2
+        t2 = _tau_spectrum(z_box, problem, radius)
+        if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
+            raise ValueError("image of the solution map is not finite")
+        ratios.append(_h2_gap(t1, t2, grid) / gap)
         del t1, t2
     return ratios
 

@@ -3,11 +3,12 @@
 All operations are pure functions; fields and spectra are immutable, so
 concurrent calls on distinct data are safe.
 
-Every 3-D transform runs through :func:`_rfft`/:func:`_irfft`: plain
+Every full 3-D transform runs through :func:`_rfft`/:func:`_irfft`: plain
 ``rfftn`` coefficients on the half lattice, batched over the components of
 a :class:`VectorField`; the public :class:`Spectrum` transforms only add
 the continuum normalization and the mirrored upper half of the ``fftn``
-layout.  :class:`HalfLattice` holds the per-grid wavenumbers and norm
+layout.  The ball sampler's band limit runs the same passes pruned to the
+modes it keeps (:func:`_band_limit`).  :class:`HalfLattice` holds the per-grid wavenumbers and norm
 weights, and :class:`SpectralPlan` holds the per-problem symbols, kernel
 transfer multipliers and the linear response u0.  The influx and kernel
 spectra come from the Gaussians' separability, as outer products of 1-D
@@ -220,6 +221,45 @@ def _irfft(coeff: np.ndarray, grid: Grid3) -> np.ndarray:
         np.fft.ifft(work, axis=-2, out=work)
         np.fft.irfft(work, n=grid.shape[-1], axis=-1, out=out[i])
     return out
+
+
+def _band_limit(values: np.ndarray, grid: Grid3) -> np.ndarray:
+    """Drop every mode of ``values`` with |p| above half the axis Nyquist frequency.
+
+    Returns bitwise ``_rfft(values)`` with those coefficients set to zero,
+    and overwrites ``values`` (batched like :func:`_rfft`) with bitwise
+    ``_irfft`` of it.  Every kept mode lies in the cube |k_i| <= n//4, so
+    the passes are pruned to it (Markel, "FFT pruning", 1971): the z
+    ``rfft`` runs in full and keeps n//4 + 1 planes, the y pass runs on
+    those planes and the x pass on the kept rows; the drop mask is applied
+    to the cube only, and the inverse mirrors the forward passes.  The
+    z ``rfft``'s half spectrum serves as the work buffer of the y passes
+    and the z ``irfft``, and then as the returned spectrum, zero outside
+    the cube.
+    """
+    n = grid.points_per_axis
+    q = n // 4
+    kept = np.r_[0 : q + 1, n - q : n]
+    cube = (Ellipsis,) + np.ix_(kept, kept, np.arange(q + 1))
+    drop = half_lattice(grid).wavenumbers[cube[1:]] > 0.5 * grid.nyquist
+    coeff = np.fft.rfft(values, axis=-1)
+    planes = coeff[..., : q + 1]
+    np.fft.fft(planes, axis=-2, out=planes)
+    rows = planes[..., kept, :]
+    np.fft.fft(rows, axis=-3, out=rows)
+    block = rows[..., kept, :, :]
+    block[..., drop] = 0.0
+    # inverse: the x pass on the kept rows, the y pass on the kept planes
+    rows[...] = 0.0
+    rows[..., kept, :, :] = block
+    np.fft.ifft(rows, axis=-3, out=rows)
+    coeff[...] = 0.0
+    planes[..., kept, :] = rows
+    np.fft.ifft(planes, axis=-2, out=planes)
+    np.fft.irfft(coeff, n=n, axis=-1, out=values)
+    planes[...] = 0.0
+    coeff[cube] = block
+    return coeff
 
 
 def _gaussian_axis_spectra(specs, grid: Grid3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

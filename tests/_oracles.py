@@ -1,11 +1,17 @@
 """Independent oracle computations used by the test suite.
 
-Everything here deliberately avoids the package's own FFT path: transforms
-are done with dense DFT matrices, convolutions by direct summation, and
-radial integrals by trapezoid quadrature on a fine 1-D grid.
+Everything here but :func:`full_lattice_sample_ball` deliberately avoids
+the package's own FFT path: transforms are done with dense DFT matrices,
+convolutions by direct summation, and radial integrals by trapezoid
+quadrature on a fine 1-D grid.  :func:`full_lattice_sample_ball` is the
+ball sampler before its transforms were pruned, kept as the bitwise
+reference of the pruned one.
 """
 
 import numpy as np
+
+from dualfrac import VectorField
+from dualfrac.spectral import _irfft, _rfft, half_lattice, vector_norms
 
 
 def radial_integral(fn, lo, hi, n=200_001):
@@ -77,3 +83,17 @@ def brute_force_phi_minimum(alpha, s, coarse=4001, fine=4001):
     vf = alpha * Rf ** (3 - 4 * s) + Rf ** (-4 * s)
     j = int(np.argmin(vf))
     return float(Rf[j]), float(vf[j])
+
+
+def full_lattice_sample_ball(grid, n_components, rho, rng):
+    """``sample_ball`` with full-lattice transforms: mask, invert, take the norms, rescale."""
+    cutoff = 0.5 * grid.nyquist
+    coeff = _rfft(rng.standard_normal((n_components,) + grid.shape))
+    coeff[:, half_lattice(grid).wavenumbers > cutoff] = 0.0
+    values = _irfft(coeff, grid)
+    draw = VectorField(grid, values, coeff)
+    norm = vector_norms(draw).h2
+    if norm == 0.0:
+        return full_lattice_sample_ball(grid, n_components, rho, rng)
+    target = rho * (1.0 - rng.random())  # uniform in (0, rho]
+    return draw * (target / norm)

@@ -1,0 +1,92 @@
+"""Fault injection: each check of a subcommand fails when what it guards is wrong.
+
+Every case injects one named defect by monkeypatch, runs the subcommand on
+the demo at ``--grid 16`` and asserts exit code 1 with exactly the named
+checks failing.  A check that no defect fails on its own is listed in
+``CANNOT_FAIL_ALONE`` with its reason (README, "Checks that can fail"),
+and the list is asserted: a subcommand's checks are exactly those some
+injection fails alone plus those listed.
+"""
+
+import json
+from dataclasses import replace
+
+import pytest
+
+from dualfrac import cli, fixed_point
+from dualfrac.cli import run_command
+
+
+def sigma_divided_by(factor):
+    """The contraction-factor constant sigma, too small by ``factor``."""
+
+    def inject(monkeypatch):
+        build = cli.build_bounds_context
+
+        def wrong(*args, **kwargs):
+            ctx = build(*args, **kwargs)
+            return replace(ctx, sigma=ctx.sigma / factor)
+
+        monkeypatch.setattr(cli, "build_bounds_context", wrong)
+
+    return inject
+
+
+def tau_scaled_by(factor):
+    """The solution map's image spectrum, too large by ``factor``."""
+
+    def inject(monkeypatch):
+        step = fixed_point._tau_spectrum
+
+        def wrong(z_box, problem, radius):
+            coeff = step(z_box, problem, radius)
+            coeff *= factor
+            return coeff
+
+        monkeypatch.setattr(fixed_point, "_tau_spectrum", wrong)
+
+    return inject
+
+
+# (subcommand, defect, injection, the checks that must fail)
+INJECTIONS = [
+    ("contraction", "sigma / 1e6", sigma_divided_by(1e6), {"max_ratio_below_certified"}),
+    ("contraction", "tau * 1e6", tau_scaled_by(1e6), {"max_ratio_below_certified", "max_ratio_strict"}),
+]
+
+CANNOT_FAIL_ALONE = {
+    ("contraction", "max_ratio_strict"): (
+        "for eps <= eps_max, eps*sigma <= rho/(||u0||+1) < 1, so a ratio of 1 or more "
+        "also fails max_ratio_below_certified"
+    ),
+}
+
+SUBCOMMANDS = sorted({sub for sub, *_ in INJECTIONS})
+
+
+def run(sub, tmp_path):
+    out = tmp_path / sub
+    code = run_command([sub, "--config", "demo", "--grid", "16", "--out", str(out)])
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    return code, {c["name"] for c in checks}, {c["name"] for c in checks if not c["passed"]}
+
+
+@pytest.mark.parametrize("sub, defect, inject, failing", INJECTIONS, ids=[f"{s}: {d}" for s, d, *_ in INJECTIONS])
+def test_injected_defect_fails_exactly_its_checks(sub, defect, inject, failing, tmp_path, monkeypatch):
+    inject(monkeypatch)
+    code, _, failed = run(sub, tmp_path)
+    assert code == 1
+    assert failed == failing
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_every_check_fails_alone_or_is_listed(sub, tmp_path):
+    code, names, failed = run(sub, tmp_path)
+    assert code == 0 and not failed
+    alone = {next(iter(f)) for s, _, _, f in INJECTIONS if s == sub and len(f) == 1}
+    listed = {name for s, name in CANNOT_FAIL_ALONE if s == sub}
+    assert not alone & listed
+    assert names == alone | listed
+    # a listed check still fails, together with others
+    for name in listed:
+        assert any(name in f for s, _, _, f in INJECTIONS if s == sub)

@@ -14,6 +14,7 @@ from dualfrac import (
     VectorField,
     apply_tau,
     continuity_experiment,
+    fixed_point,
     measure_contraction,
     sample_ball,
     solve_fixed_point,
@@ -226,21 +227,106 @@ def test_measured_ratios_deterministic_under_seed(demo32):
 
 def test_measured_ratios_use_carried_spectra_without_difference_fields(demo32, monkeypatch):
     u0 = solve_linear_system(demo32)
-    # the same draws and taus, with the gaps taken from real-space differences
+    # the same draws and taus: the reference spectral gaps, and the gaps
+    # taken from real-space differences
     rng = np.random.default_rng(9)
-    expected = []
+    expected, differenced = [], []
     for _ in range(3):
         v1 = sample_ball(demo32.grid, 2, 1.0, rng)
         v2 = sample_ball(demo32.grid, 2, 1.0, rng)
         t1, t2 = apply_tau(v1, demo32, u0), apply_tau(v2, demo32, u0)
-        expected.append(vector_norms(t1 - t2).h2 / vector_norms(v1 - v2).h2)
+        expected.append(h2_distance(t1, t2) / h2_distance(v1, v2))
+        differenced.append(vector_norms(t1 - t2).h2 / vector_norms(v1 - v2).h2)
 
     def no_difference(self, other):
         raise AssertionError("measure_contraction built a difference field")
 
     monkeypatch.setattr(VectorField, "__sub__", no_difference)
     ratios = measure_contraction(demo32, u0, rho=1.0, trials=3, seed=9)
-    assert ratios == pytest.approx(expected, rel=1e-12)
+    assert ratios == expected
+    assert ratios == pytest.approx(differenced, rel=1e-12)
+
+
+def test_measured_ratios_make_no_full_lattice_inverse(demo32, monkeypatch):
+    u0 = solve_linear_system(demo32)
+    expected = measure_contraction(demo32, u0, rho=1.0, trials=2, seed=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure_contraction inverted a full lattice")
+
+    monkeypatch.setattr(fixed_point, "_irfft", refuse)
+    assert measure_contraction(demo32, u0, rho=1.0, trials=2, seed=4) == expected
+
+
+def test_measured_ratios_reject_a_non_finite_image(demo32, monkeypatch):
+    u0 = solve_linear_system(demo32)
+    step = fixed_point._tau_spectrum
+
+    def overflowing(z_box, problem, radius):
+        coeff = step(z_box, problem, radius)
+        coeff[0, 1, 1, 1] = np.inf
+        return coeff
+
+    monkeypatch.setattr(fixed_point, "_tau_spectrum", overflowing)
+    with pytest.raises(ValueError, match="not finite"):
+        measure_contraction(demo32, u0, rho=1.0, trials=1, seed=4)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.5, 1.5, float("nan")])
+def test_measured_ratios_reject_rho_outside_unit_interval(demo32, rho):
+    # rho = 0 used to draw the zero field forever, waiting for a nonzero gap
+    u0 = solve_linear_system(demo32)
+    with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\]"):
+        measure_contraction(demo32, u0, rho=rho, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.5, 1.5, float("nan")])
+def test_sample_ball_rejects_rho_outside_unit_interval(demo32, rho):
+    with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\]"):
+        sample_ball(demo32.grid, 2, rho, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 18, 32])
+@pytest.mark.parametrize("n_components", [1, 2])
+def test_sample_ball_is_bitwise_the_full_lattice_reference(n, n_components):
+    grid = Grid3(20.0, n)
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    for rho in (1.0, 0.3):
+        draw = sample_ball(grid, n_components, rho, rng)
+        expected = _oracles.full_lattice_sample_ball(grid, n_components, rho, ref_rng)
+        # bytes, not values: the signs of zeros must agree too
+        assert draw.values.tobytes() == expected.values.tobytes()
+        assert draw.spectrum.tobytes() == expected.spectrum.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _ZeroFirstDraw:
+    """A generator whose first ``standard_normal`` draw is all zeros."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.zeroed = False
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        if not self.zeroed:
+            self.zeroed = True
+            out[...] = 0.0
+        return out
+
+    def random(self):
+        return self.rng.random()
+
+
+def test_sample_ball_redraws_a_zero_field_like_the_reference():
+    grid = Grid3(20.0, 8)
+    rng, ref_rng = _ZeroFirstDraw(3), _ZeroFirstDraw(3)
+    draw = sample_ball(grid, 2, 1.0, rng)
+    expected = _oracles.full_lattice_sample_ball(grid, 2, 1.0, ref_rng)
+    assert np.array_equal(draw.values, expected.values)
+    assert np.array_equal(draw.spectrum, expected.spectrum)
+    assert vector_norms(draw).h2 > 0.0
+    assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
 
 
 def test_sample_ball_stays_inside(demo32, rng):

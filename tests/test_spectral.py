@@ -22,6 +22,7 @@ from dualfrac import (
 )
 from dualfrac.problems import realize_gaussian_sum, solvability_sweep_cases
 from dualfrac.spectral import (
+    _band_limit,
     _gaussian_half_spectra,
     _irfft,
     _rfft,
@@ -407,6 +408,20 @@ def test_transform_helpers_are_bitwise_rfftn_and_irfftn(n, lead):
     assert np.array_equal(coeff, np.fft.rfftn(values, axes=(-3, -2, -1)))
     expected = np.fft.irfftn(coeff, s=grid.shape, axes=(-3, -2, -1))
     assert np.array_equal(_irfft(coeff, grid), expected)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 18, 32])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "batched"])
+def test_band_limit_is_bitwise_the_masked_full_lattice_transforms(n, lead):
+    # n = 2 keeps only the zero mode (n // 4 = 0); 6 and 18 are not multiples of 4
+    grid = Grid3(20.0, n)
+    values = np.random.default_rng(n).standard_normal(lead + grid.shape)
+    expected = _rfft(values)
+    expected[..., half_lattice(grid).wavenumbers > 0.5 * grid.nyquist] = 0.0
+    coeff = _band_limit(values, grid)
+    # bytes, not values: the signs of zeros must agree too
+    assert coeff.shape == expected.shape and coeff.tobytes() == expected.tobytes()
+    assert values.tobytes() == _irfft(expected, grid).tobytes()
 
 
 def test_transform_helpers_leave_read_only_input_unchanged(grid16, rng):
