@@ -5,6 +5,10 @@ coupling threshold and the contraction-factor constant share one bracket
 B*; it is evaluated under all four pairings of the extreme first orders
 and maximized, which can only strengthen the sufficient condition.  By
 construction ``epsilon_max * sigma == rho / (u0_h2 + 1)`` exactly.
+
+rho and u0 are the problem's: rho is ``ProblemSpec.rho`` and u0 the linear
+response that the problem's :class:`~dualfrac.spectral.SpectralPlan`
+holds, so no function here takes either as a parameter.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .grid import VectorField
 from .problems import Nonlinearity, ProblemSpec
 from .spectral import spectral_plan
 
@@ -163,12 +166,12 @@ def _bracket(ctx: BoundsContext) -> float:
     return value
 
 
-def epsilon_threshold(ctx: BoundsContext, rho: float) -> float:
-    """Largest coupling for which the solution map is a certified contraction."""
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+def epsilon_threshold(ctx: BoundsContext) -> float:
+    """Largest coupling for which the solution map is a certified contraction on the ``ctx.rho`` ball."""
+    if not 0.0 < ctx.rho <= 1.0:
+        raise ValueError(f"rho must lie in (0, 1], got {ctx.rho}")
     u1 = ctx.u0_h2 + 1.0
-    return rho / (ctx.M * u1**2 * math.sqrt(_bracket(ctx)))
+    return ctx.rho / (ctx.M * u1**2 * math.sqrt(_bracket(ctx)))
 
 
 def sigma_value(ctx: BoundsContext) -> float:
@@ -189,39 +192,36 @@ def continuity_rhs(ctx: BoundsContext, g_diff_c2: float) -> float:
     return es / (ctx.M * (1.0 - es)) * (ctx.u0_h2 + 1.0) * g_diff_c2
 
 
-def build_bounds_context(
-    problem: ProblemSpec,
-    u0: VectorField,
-    rho: float | None = None,
-    M: float | None = None,
-) -> BoundsContext:
-    """Assemble the full constant set for a problem and its linear baseline u0.
+def _ball_radius(problem: ProblemSpec) -> float:
+    """Radius ``c_e (||u0||_H2 + 1)`` of the pointwise ball the coupling bound M is sized on."""
+    return embedding_constant() * (spectral_plan(problem).u0_norms.h2 + 1.0)
+
+
+def build_bounds_context(problem: ProblemSpec, M: float | None = None) -> BoundsContext:
+    """Assemble the full constant set for a problem, on its rho ball around its u0.
 
     The coupling ball radius M defaults to the coefficient-rule bound of the
     problem's own coupling on the ball the solutions live in; pass M to
     share a radius across couplings.
     """
-    rho = problem.rho if rho is None else rho
-    u0_h2 = spectral_plan(problem).norms_of(u0).h2
-    c_e = embedding_constant()
-    i_radius = c_e * (u0_h2 + 1.0)
+    i_radius = _ball_radius(problem)
     if M is None:
         if problem.nonlinearity.is_trivial:
             raise ValueError("cannot size the coupling ball for a trivial nonlinearity; pass M")
         M = c2_ball_norm(problem.nonlinearity, i_radius)
     h_const, q_const = kernel_constants(problem)
     ctx = BoundsContext(
-        u0_h2=u0_h2,
+        u0_h2=spectral_plan(problem).u0_norms.h2,
         M=M,
         H=h_const,
         Q=q_const,
         s1_min=problem.orders.s1_min,
         S1_max=problem.orders.s1_max,
-        rho=rho,
-        c_e=c_e,
+        rho=problem.rho,
+        c_e=embedding_constant(),
         I_radius=i_radius,
         epsilon_max=0.0,
         sigma=0.0,
         epsilon=problem.coupling,
     )
-    return replace(ctx, epsilon_max=epsilon_threshold(ctx, rho), sigma=sigma_value(ctx))
+    return replace(ctx, epsilon_max=epsilon_threshold(ctx), sigma=sigma_value(ctx))

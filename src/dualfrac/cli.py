@@ -237,7 +237,7 @@ def _cmd_solve_linear(problem, args, dump):
         checks.append(Check(f"regularity_residual_{m}", reg_residual, "<=", 1e-10))
     results = {
         "components": components,
-        "u0_norms": plan.norms_of(u0).as_dict(),
+        "u0_norms": plan.u0_norms.as_dict(),
     }
     if dump:
         for m, comp in enumerate(u0.components):
@@ -246,9 +246,7 @@ def _cmd_solve_linear(problem, args, dump):
 
 
 def _cmd_solve(problem, args, dump):
-    result = solve_fixed_point(
-        problem, rho=problem.rho, tol=args.tol, max_iter=args.max_iter
-    )
+    result = solve_fixed_point(problem, tol=args.tol, max_iter=args.max_iter)
     up_norms = result.u_p_norms
     results = {
         "iterations": result.iterations,
@@ -256,7 +254,7 @@ def _cmd_solve(problem, args, dump):
         "contraction_estimates": list(result.contraction_estimates),
         "final_residual": result.final_residual,
         "converged": result.converged,
-        "u0_norms": spectral_plan(problem).norms_of(result.u0).as_dict(),
+        "u0_norms": spectral_plan(problem).u0_norms.as_dict(),
         "u_p_norms": up_norms.as_dict(),
         "u_norms": vector_norms(result.u).as_dict(),
     }
@@ -275,8 +273,7 @@ def _cmd_solve(problem, args, dump):
 
 
 def _cmd_verify_bounds(problem, args, dump):
-    u0 = solve_linear_system(problem)
-    ctx = build_bounds_context(problem, u0, rho=problem.rho)
+    ctx = build_bounds_context(problem)
     lhs = ctx.epsilon_max * ctx.sigma
     rhs = ctx.rho / (ctx.u0_h2 + 1.0)
     results = {
@@ -293,9 +290,8 @@ def _cmd_verify_bounds(problem, args, dump):
 
 
 def _cmd_contraction(problem, args, dump):
-    u0 = solve_linear_system(problem)
-    ctx = build_bounds_context(problem, u0, rho=problem.rho)
-    ratios = measure_contraction(problem, u0, problem.rho, args.trials, args.seed)
+    ctx = build_bounds_context(problem)
+    ratios = measure_contraction(problem, args.trials, args.seed)
     results = {"ratios": ratios, "max_ratio": max(ratios)}
     checks = [
         Check("max_ratio_below_certified", max(ratios), "<=", ctx.epsilon * ctx.sigma),
@@ -305,14 +301,11 @@ def _cmd_contraction(problem, args, dump):
 
 
 def _cmd_sweep_epsilon(problem, args, dump):
-    u0 = solve_linear_system(problem)
-    ctx = build_bounds_context(problem, u0, rho=problem.rho)
+    ctx = build_bounds_context(problem)
     eps_values = [ctx.epsilon_max * f for f in (0.125, 0.25, 0.5, 1.0)]
 
     def solve_at(eps):
-        res = solve_fixed_point(
-            problem.with_epsilon(eps), rho=problem.rho, tol=args.tol, max_iter=args.max_iter
-        )
+        res = solve_fixed_point(problem.with_epsilon(eps), tol=args.tol, max_iter=args.max_iter)
         return res.u_p_norms.h2
 
     norms = _parallel_map(solve_at, eps_values)
@@ -330,9 +323,7 @@ def _cmd_continuity(problem, args, dump):
     checks = []
     for label, g1, g2 in continuity_pairs(problem.nonlinearity):
         # each pair runs at 0.9 of its shared-ball threshold
-        eps, lhs, rhs = _continuity_run(
-            problem, g1, g2, problem.rho, args.max_iter, threshold_fraction=0.9
-        )
+        eps, lhs, rhs = _continuity_run(problem, g1, g2, args.max_iter, threshold_fraction=0.9)
         entries.append({"pair": label, "epsilon": eps, "lhs": lhs, "rhs": rhs})
         checks.append(Check(f"continuity_{label}", lhs, "<=", rhs))
     return {"pairs": entries}, checks, None, None

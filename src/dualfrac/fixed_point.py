@@ -6,6 +6,9 @@ point of the map that feeds ``u0 + v`` through the coupling, convolves
 with the kernels and inverts the linear operator.  For couplings below
 the certified threshold the map contracts on the radius-rho ball in the
 product H2 norm and plain Picard iteration converges geometrically.
+Both rho and u0 come from the problem: rho is ``ProblemSpec.rho``, whose
+constructor rejects values outside (0, 1], and u0 is the problem's plan
+u0 (:func:`~dualfrac.poisson.solve_linear_system`).
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import numpy as np
 
 from .bounds import (
     BoundsContext,
+    _ball_radius,
     build_bounds_context,
     c2_ball_norm,
     continuity_rhs,
-    embedding_constant,
 )
 from .grid import NormReport, VectorField
 from .poisson import solve_linear_system
@@ -95,38 +98,26 @@ def _check_nonlinear_orders(problem: ProblemSpec) -> None:
         )
 
 
-def _check_rho(rho: float) -> None:
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
-
-
-def _check_tau_inputs(problem: ProblemSpec, *fields: VectorField) -> None:
-    _check_nonlinear_orders(problem)
-    if any(f.grid != problem.grid for f in fields):
-        raise ValueError("fields do not live on the problem grid")
-    if any(f.n_components != problem.n_components for f in fields):
-        raise ValueError("component count mismatch with the problem")
-
-
-def apply_tau(v: VectorField, problem: ProblemSpec, u0: VectorField) -> VectorField:
+def apply_tau(v: VectorField, problem: ProblemSpec) -> VectorField:
     """One application of the solution map: v -> solve(eps_m * H_m * g_m(u0 + v)).
 
-    The coupling is evaluated pointwise on ``u0 + v``; convolution with each
-    kernel and inversion of the linear operator (drop zero-mode policy) are
-    one multiplication by the plan's transfer on the half lattice, between
-    one batched ``rfftn`` and one ``irfftn`` per component.  The result carries
-    its half spectrum.  Logs a warning when the pointwise values leave the
-    ball the coupling bound was sized on.  Each full-size intermediate is
-    released as soon as it is consumed.
+    u0 is the problem's plan u0.  The coupling is evaluated pointwise on
+    ``u0 + v``; convolution with each kernel and inversion of the linear
+    operator (drop zero-mode policy) are one multiplication by the plan's
+    transfer on the half lattice, between one batched ``rfftn`` and one
+    ``irfftn`` per component.  The result carries its half spectrum.  Logs
+    a warning when the pointwise values leave the ball the coupling bound
+    was sized on.  Each full-size intermediate is released as soon as it is
+    consumed.
     """
-    _check_tau_inputs(problem, v, u0)
-    coeff = _tau_spectrum([u0.values + v.values], problem, _ball_radius(problem, u0))
+    _check_nonlinear_orders(problem)
+    if v.grid != problem.grid:
+        raise ValueError("field does not live on the problem grid")
+    if v.n_components != problem.n_components:
+        raise ValueError("component count mismatch with the problem")
+    u0 = solve_linear_system(problem)
+    coeff = _tau_spectrum([u0.values + v.values], problem, _ball_radius(problem))
     return VectorField(problem.grid, _irfft(coeff, problem.grid), coeff)
-
-
-def _ball_radius(problem: ProblemSpec, u0: VectorField) -> float:
-    # radius of the pointwise ball the coupling bound M is sized on
-    return embedding_constant() * (spectral_plan(problem).norms_of(u0).h2 + 1.0)
 
 
 def _tau_spectrum(z_box: list[np.ndarray], problem: ProblemSpec, ball_radius: float) -> np.ndarray:
@@ -160,15 +151,8 @@ def _tau_spectrum(z_box: list[np.ndarray], problem: ProblemSpec, ball_radius: fl
     return coeff
 
 
-def _context_for(problem: ProblemSpec, u0: VectorField, rho: float) -> BoundsContext:
-    # A trivial coupling leaves nothing to bound; size the ball nominally.
-    M = 1.0 if problem.nonlinearity.is_trivial else None
-    return build_bounds_context(problem, u0, rho=rho, M=M)
-
-
 def solve_fixed_point(
     problem: ProblemSpec,
-    rho: float = 1.0,
     tol: float = 1e-10,
     max_iter: int = 200,
     v0: VectorField | None = None,
@@ -176,14 +160,16 @@ def solve_fixed_point(
     """Iterate the solution map from v0 (default 0) until the H2 step stalls.
 
     Stops when the step norm drops to ``tol`` or after ``max_iter`` steps;
-    raises if the step norms grow for five consecutive iterations.  A
-    coupling above the certified threshold only logs a warning: the
-    threshold is sufficient, not necessary.
+    raises if the step norms grow for five consecutive iterations.  The
+    ball is the problem's: the bounds are ``build_bounds_context(problem)``
+    and u_p must end inside radius ``problem.rho``.  A coupling above the
+    certified threshold only logs a warning: the threshold is sufficient,
+    not necessary.
     """
-    _check_rho(rho)
     _check_nonlinear_orders(problem)
     u0 = solve_linear_system(problem)
-    ctx = _context_for(problem, u0, rho)
+    # a trivial coupling leaves nothing to bound; size the ball nominally
+    ctx = build_bounds_context(problem, M=1.0 if problem.nonlinearity.is_trivial else None)
     if ctx.epsilon > ctx.epsilon_max:
         logger.warning(
             "coupling %.6e exceeds the certified threshold %.6e; "
@@ -200,16 +186,15 @@ def solve_fixed_point(
         if v.spectrum is None:
             v = VectorField(v0.grid, v0.values, _rfft(v0.values))
         start_norm = vector_norms(v).h2
-        if start_norm > rho:
+        if start_norm > problem.rho:
             logger.warning(
                 "starting point has H2 norm %.6f outside the radius-%s ball; "
                 "behavior out there is uncharacterized",
                 start_norm,
-                rho,
+                problem.rho,
             )
 
     grid = problem.grid
-    radius = _ball_radius(problem, u0)
     # The caller's v0 is only read; every later iterate is the loop's own,
     # so its z = u0 + v is formed in its values' buffer and handed to the
     # step as its only reference.  The step norm is taken, and the previous
@@ -220,7 +205,7 @@ def solve_fixed_point(
         z_box = [np.add(u0.values, v.values, out=v.values if owned else None)]
         spectrum = v.spectrum
         del v
-        coeff = _tau_spectrum(z_box, problem, radius)
+        coeff = _tau_spectrum(z_box, problem, ctx.I_radius)
         step = _h2_gap(coeff, spectrum, grid)
         del spectrum
         v = VectorField(grid, _irfft(coeff, grid), coeff)
@@ -246,7 +231,7 @@ def solve_fixed_point(
     residual = system_residual(VectorField(grid, u_values), problem)
     u = VectorField(grid, u_values, u0.spectrum + v.spectrum)
     converged = bool(
-        step_norms and step_norms[-1] <= tol and residual <= tol and u_p_norms.h2 <= rho * (1 + 1e-12)
+        step_norms and step_norms[-1] <= tol and residual <= tol and u_p_norms.h2 <= problem.rho * (1 + 1e-12)
     )
     return FixedPointResult(
         u0=u0,
@@ -274,7 +259,8 @@ def sample_ball(
     becomes the draw's values, and the norm is ``vector_norms(draw).h2``'s
     own expression, without the pointwise length.
     """
-    _check_rho(rho)
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must lie in (0, 1], got {rho}")
     lap_weights = half_lattice(grid).h2_weights
     while True:
         values = rng.standard_normal((n_components,) + grid.shape)
@@ -290,14 +276,8 @@ def sample_ball(
     return VectorField(grid, values, coeff)
 
 
-def measure_contraction(
-    problem: ProblemSpec,
-    u0: VectorField,
-    rho: float,
-    trials: int,
-    seed: int,
-) -> list[float]:
-    """Lipschitz ratios of the solution map on random pairs from the rho ball.
+def measure_contraction(problem: ProblemSpec, trials: int, seed: int) -> list[float]:
+    """Lipschitz ratios of the solution map on random pairs from the problem's rho ball.
 
     Both gaps are Plancherel sums on half spectra: the draws' carried ones,
     and the images' from :func:`_tau_spectrum`, so no difference field and
@@ -308,16 +288,16 @@ def measure_contraction(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    _check_rho(rho)
-    _check_tau_inputs(problem, u0)
+    _check_nonlinear_orders(problem)
+    u0 = solve_linear_system(problem)
     grid = problem.grid
-    radius = _ball_radius(problem, u0)
+    radius = _ball_radius(problem)
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(trials):
         while True:
-            v1 = sample_ball(grid, problem.n_components, rho, rng)
-            v2 = sample_ball(grid, problem.n_components, rho, rng)
+            v1 = sample_ball(grid, problem.n_components, problem.rho, rng)
+            v2 = sample_ball(grid, problem.n_components, problem.rho, rng)
             gap = h2_distance(v1, v2)
             if gap > 0.0:
                 break
@@ -376,7 +356,6 @@ def continuity_experiment(
     problem: ProblemSpec,
     g1: Nonlinearity,
     g2: Nonlinearity,
-    rho: float = 1.0,
     tol: float = CONTINUITY_TOL,
     max_iter: int = 200,
 ) -> tuple[float, float]:
@@ -385,10 +364,10 @@ def continuity_experiment(
     Returns ``(lhs, rhs)`` where lhs is the measured H2 distance between the
     two assembled solutions (they share u0, so it is taken by Plancherel from
     the two perturbations' carried spectra) and rhs is the continuity bound
-    computed with the shared coupling-ball radius.  lhs <= rhs must hold
-    whenever the coupling sits inside the certified regime.
+    computed with the shared coupling-ball radius on the problem's rho ball.
+    lhs <= rhs must hold whenever the coupling sits inside the certified regime.
     """
-    _, lhs, rhs = _continuity_run(problem, g1, g2, rho, max_iter, tol)
+    _, lhs, rhs = _continuity_run(problem, g1, g2, max_iter, tol)
     return lhs, rhs
 
 
@@ -396,7 +375,6 @@ def _continuity_run(
     problem: ProblemSpec,
     g1: Nonlinearity,
     g2: Nonlinearity,
-    rho: float,
     max_iter: int,
     tol: float = CONTINUITY_TOL,
     threshold_fraction: float | None = None,
@@ -407,8 +385,7 @@ def _continuity_run(
     of the shared-ball threshold; the threshold does not depend on the
     coupling, so the bounds are built once.
     """
-    u0 = solve_linear_system(problem)
-    i_radius = embedding_constant() * (spectral_plan(problem).norms_of(u0).h2 + 1.0)
+    i_radius = _ball_radius(problem)
     m_shared = max(
         c2_ball_norm(g1, i_radius) if not g1.is_trivial else 0.0,
         c2_ball_norm(g2, i_radius) if not g2.is_trivial else 0.0,
@@ -418,7 +395,7 @@ def _continuity_run(
     if m_shared == 0.0:
         return problem.coupling, 0.0, 0.0
 
-    ctx = build_bounds_context(problem, u0, rho=rho, M=m_shared)
+    ctx = build_bounds_context(problem, M=m_shared)
     if threshold_fraction is not None:
         problem = problem.with_epsilon(threshold_fraction * ctx.epsilon_max)
         ctx = replace(ctx, epsilon=problem.coupling)
@@ -432,7 +409,7 @@ def _continuity_run(
 
     perturbations = []  # the solutions share u0: keep only each solve's u_p
     for g_j in (g1, g2):
-        res = solve_fixed_point(problem.with_nonlinearity(g_j), rho=rho, tol=tol, max_iter=max_iter)
+        res = solve_fixed_point(problem.with_nonlinearity(g_j), tol=tol, max_iter=max_iter)
         if not res.converged:
             raise RuntimeError("fixed point failed to converge during the continuity experiment")
         perturbations.append(res.u_p)

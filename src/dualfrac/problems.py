@@ -351,6 +351,10 @@ class ProblemSpec:
 
     Every diffusion coefficient is one, so the spec has no field for them;
     couplings scale the kernels through the per-component factors ``epsilon``.
+    ``rho`` is the radius of the H2 ball the solutions are certified on.  A
+    bad ``epsilon``, ``rho``, all-zero ``influxes`` or an ``orders.s1``
+    outside the nonlinear window raises :class:`ConfigError` naming the
+    field, as it is named in the JSON configuration.
     """
 
     n_components: int
@@ -378,15 +382,16 @@ class ProblemSpec:
         if self.nonlinearity.n_components != n:
             raise ValueError("nonlinearity width does not match the number of components")
         if any(e < 0 for e in eps):
-            raise ValueError("coupling factors epsilon must be nonnegative")
+            raise ConfigError("epsilon", "coupling factors must be nonnegative")
         if not 0.0 < self.rho <= 1.0:
-            raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
+            raise ConfigError("rho", f"must lie in (0, 1], got {self.rho}")
         if all(g.amplitude == 0.0 for fs in self.influxes for g in fs) or all(
             not fs for fs in self.influxes
         ):
-            raise ValueError("at least one influx must be nontrivial")
+            raise ConfigError("influxes", "at least one influx must be nontrivial")
         if self.is_nonlinear and not self.orders.in_nonlinear_window():
-            raise ValueError(
+            raise ConfigError(
+                "orders.s1",
                 "nonlinear solving requires every first order in the open window "
                 f"({NONLINEAR_S1_LOW}, {NONLINEAR_S1_HIGH}); got s1={self.orders.s1}"
             )
@@ -399,12 +404,6 @@ class ProblemSpec:
     def coupling(self) -> float:
         """Largest per-component coupling factor."""
         return max(self.epsilon)
-
-    def influx_fields(self) -> list[ScalarField]:
-        """The influxes on the grid, shared with the problem's plan; their values are read-only."""
-        from .spectral import spectral_plan  # spectral imports this module
-
-        return list(spectral_plan(self).influx_fields)
 
     def with_epsilon(self, value) -> "ProblemSpec":
         if np.isscalar(value):
@@ -577,6 +576,8 @@ def load_problem(config_text: str) -> ProblemSpec:
             grid=grid,
             rho=rho,
         )
+    except ConfigError:
+        raise  # the spec's own field checks name their field
     except ValueError as exc:
         raise ConfigError("$", str(exc)) from exc
 
@@ -634,9 +635,6 @@ class SweepCase:
     s2: float
     influx: tuple[GaussianSpec, ...]
     expected_growth: float  # exponent of ||u||_L2^2 in L; 0 means bounded
-
-    def realize(self, grid: Grid3) -> ScalarField:
-        return realize_gaussian_sum(self.influx, grid)
 
 
 # Influx mixtures for the box sweep.  The two concentric Gaussians nearly

@@ -496,9 +496,8 @@ class SpectralPlan:
     :meth:`influx_spectrum` rebuilds one component's f_hat on request.
     Couplings and nonlinearities are not part of the plan, so
     ``with_epsilon``/``with_nonlinearity`` variants of a problem share one.
-    Pieces are built on first use: a linear solve realizes nothing, and the
-    real-space influxes are realized only when
-    :meth:`ProblemSpec.influx_fields` asks for them.
+    Pieces are built on first use: a linear solve realizes nothing, and no
+    piece realizes the influxes in real space.
     """
 
     def __init__(
@@ -520,14 +519,6 @@ class SpectralPlan:
         """Two-exponent symbol of each component."""
         pm = self.lattice.wavenumbers
         return _frozen(np.stack([two_exponent_symbol(pm, a, b) for a, b in zip(self.orders.s1, self.orders.s2)]))
-
-    @_once
-    def influx_fields(self) -> tuple[ScalarField, ...]:
-        """The influxes realized on the grid; no other plan piece reads them."""
-        fields = tuple(realize_gaussian_sum(f, self.grid) for f in self.influxes)
-        for f in fields:
-            _frozen(f.values)
-        return fields
 
     @_once
     def _influx_axis_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -575,10 +566,6 @@ class SpectralPlan:
     def u0_norms(self) -> NormReport:
         """:func:`vector_norms` of u0."""
         return vector_norms(self.u0)
-
-    def norms_of(self, u0: VectorField) -> NormReport:
-        """``vector_norms(u0)``, read from the plan when u0 is the plan's own."""
-        return self.u0_norms if u0 is self.u0 else vector_norms(u0)
 
     @_once
     def _kernel_pieces(self) -> tuple[tuple[float, float], np.ndarray]:

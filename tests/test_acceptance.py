@@ -38,7 +38,7 @@ from dualfrac import (
 )
 from dualfrac.bounds import BoundsContext, epsilon_threshold, sigma_value
 from dualfrac.cli import run_command
-from dualfrac.problems import continuity_pairs, solvability_sweep_cases
+from dualfrac.problems import continuity_pairs, realize_gaussian_sum, solvability_sweep_cases
 
 
 class Criterion:
@@ -72,7 +72,7 @@ def demo64():
 
 @pytest.fixture(scope="module")
 def demo64_solution(demo64):
-    return solve_fixed_point(demo64, rho=demo64.rho, tol=1e-10, max_iter=200)
+    return solve_fixed_point(demo64, tol=1e-10, max_iter=200)
 
 
 def gaussian_field(grid, a=1.0):
@@ -162,14 +162,12 @@ def test_criterion_03_linear_solver_exactness():
 def test_criterion_04_regularity_identity(demo64, demo64_solution):
     with Criterion(4, "derived regularity identity on the demo baseline", 10.0) as c:
         u0 = demo64_solution.u0
-        influxes = demo64.influx_fields()
         worst = 0.0
         for m in range(demo64.n_components):
+            influx = realize_gaussian_sum(demo64.influxes[m], demo64.grid)
             worst = max(
                 worst,
-                regularity_check(
-                    u0.components[m], influxes[m], demo64.orders.s1[m], demo64.orders.s2[m]
-                ),
+                regularity_check(u0.components[m], influx, demo64.orders.s1[m], demo64.orders.s2[m]),
             )
         c.conclude(worst <= 1e-10, f"max relative residual {worst:.3e} <= 1e-10")
 
@@ -177,18 +175,17 @@ def test_criterion_04_regularity_identity(demo64, demo64_solution):
 def test_criterion_05_contraction_certificate(demo64):
     with Criterion(5, "measured contraction on the 48-cube demo", 180.0) as c:
         problem = demo64.with_grid(Grid3(20.0, 48))
-        u0 = solve_linear_system(problem)
-        ctx = build_bounds_context(problem, u0, rho=problem.rho)
+        ctx = build_bounds_context(problem)
         problem = problem.with_epsilon(0.9 * ctx.epsilon_max)
-        ctx = build_bounds_context(problem, u0, rho=problem.rho)
+        ctx = build_bounds_context(problem)
         certified = ctx.epsilon * ctx.sigma
-        ratios = measure_contraction(problem, u0, rho=problem.rho, trials=20, seed=11)
+        ratios = measure_contraction(problem, trials=20, seed=11)
         rng = np.random.default_rng(12)
         self_map_ok = True
         worst_image = 0.0
         for _ in range(20):
             v = sample_ball(problem.grid, problem.n_components, problem.rho, rng)
-            image_norm = vector_norms(apply_tau(v, problem, u0)).h2
+            image_norm = vector_norms(apply_tau(v, problem)).h2
             worst_image = max(worst_image, image_norm)
             self_map_ok = self_map_ok and image_norm <= problem.rho
         ok = max(ratios) <= certified and max(ratios) < 1.0 and self_map_ok
@@ -204,7 +201,7 @@ def test_criterion_06_fixed_point_convergence(demo64, demo64_solution):
         res = demo64_solution
         geometric = all(r < 1.0 for r in res.contraction_estimates)
         v0 = sample_ball(demo64.grid, demo64.n_components, demo64.rho, np.random.default_rng(21))
-        res2 = solve_fixed_point(demo64, rho=demo64.rho, tol=1e-10, max_iter=200, v0=v0)
+        res2 = solve_fixed_point(demo64, tol=1e-10, max_iter=200, v0=v0)
         gap = vector_norms(res.u_p - res2.u_p).h2
         ok = (
             res.converged
@@ -221,12 +218,11 @@ def test_criterion_06_fixed_point_convergence(demo64, demo64_solution):
 
 def test_criterion_07_coupling_scaling_slope(demo64):
     with Criterion(7, "solution-size slope in the coupling", 600.0) as c:
-        u0 = solve_linear_system(demo64)
-        ctx = build_bounds_context(demo64, u0, rho=demo64.rho)
+        ctx = build_bounds_context(demo64)
         eps_values = [ctx.epsilon_max * f for f in (0.125, 0.25, 0.5, 1.0)]
         norms = []
         for eps in eps_values:
-            res = solve_fixed_point(demo64.with_epsilon(eps), rho=demo64.rho, tol=1e-12)
+            res = solve_fixed_point(demo64.with_epsilon(eps), tol=1e-12)
             norms.append(vector_norms(res.u_p).h2)
         slope = float(np.polyfit(np.log(eps_values), np.log(norms), 1)[0])
         c.conclude(abs(slope - 1.0) <= 0.05, f"slope {slope:.4f} within 1.00 +/- 0.05")
@@ -240,11 +236,9 @@ def test_criterion_08_continuity_bound(demo64):
         ok = True
         for label, g1, g2 in continuity_pairs(demo64.nonlinearity):
             m_shared = max(c2_ball_norm(g1, i_radius), c2_ball_norm(g2, i_radius))
-            ctx = build_bounds_context(demo64, u0, rho=demo64.rho, M=m_shared)
+            ctx = build_bounds_context(demo64, M=m_shared)
             eps = 0.9 * ctx.epsilon_max
-            lhs, rhs = continuity_experiment(
-                demo64.with_epsilon(eps), g1, g2, rho=demo64.rho
-            )
+            lhs, rhs = continuity_experiment(demo64.with_epsilon(eps), g1, g2)
             ok = ok and lhs <= rhs
             entries.append(f"{label}: {lhs:.2e} <= {rhs:.2e}")
         c.conclude(ok, "; ".join(entries))
@@ -296,7 +290,7 @@ def test_criterion_10_threshold_duality():
                 sigma=0.0,
                 epsilon=0.0,
             )
-            eps_max = epsilon_threshold(ctx, ctx.rho)
+            eps_max = epsilon_threshold(ctx)
             sigma = sigma_value(ctx)
             target = ctx.rho / (ctx.u0_h2 + 1.0)
             worst = max(worst, abs(eps_max * sigma - target) / target)

@@ -25,6 +25,7 @@ from dualfrac import (
     phi_minimum,
     sigma_value,
     solve_linear_system,
+    vector_norms,
 )
 
 
@@ -37,7 +38,7 @@ def make_context(u0_h2=0.0, M=1.0, H=1.0, Q=1.0, s1=0.5, S1=0.5, rho=1.0, epsilo
     )
     from dataclasses import replace
 
-    return replace(ctx, epsilon_max=epsilon_threshold(ctx, rho), sigma=sigma_value(ctx))
+    return replace(ctx, epsilon_max=epsilon_threshold(ctx), sigma=sigma_value(ctx))
 
 
 # --- profile minimum -------------------------------------------------------
@@ -246,9 +247,17 @@ def test_threshold_worked_example():
 
 
 def test_threshold_linear_in_rho():
+    from dataclasses import replace
+
     ctx = make_context()
-    half = epsilon_threshold(ctx, 0.5)
+    half = epsilon_threshold(replace(ctx, rho=0.5))
     assert half == pytest.approx(0.5 * ctx.epsilon_max, rel=1e-13)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.5, float("nan")])
+def test_threshold_rejects_a_hand_built_rho_outside_unit_interval(rho):
+    with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\]"):
+        make_context(rho=rho)
 
 
 def test_threshold_scales_inverse_q_when_h_negligible():
@@ -328,9 +337,9 @@ def test_continuity_rhs_void_outside_contraction():
 
 
 def test_build_bounds_context_for_demo(demo32):
-    u0 = solve_linear_system(demo32)
-    ctx = build_bounds_context(demo32, u0)
-    assert ctx.u0_h2 > 0
+    ctx = build_bounds_context(demo32)
+    assert ctx.u0_h2 == vector_norms(solve_linear_system(demo32)).h2 > 0
+    assert ctx.rho == demo32.rho
     assert ctx.H > 0 and ctx.Q > 0
     assert 0.25 < ctx.s1_min <= ctx.S1_max < 0.75
     assert ctx.I_radius == pytest.approx(ctx.c_e * (ctx.u0_h2 + 1.0), rel=1e-14)
@@ -340,8 +349,7 @@ def test_build_bounds_context_for_demo(demo32):
 
 
 def test_context_serialization_keys(demo32):
-    u0 = solve_linear_system(demo32)
-    ctx = build_bounds_context(demo32, u0)
+    ctx = build_bounds_context(demo32)
     assert list(ctx.as_dict().keys()) == [
         "u0_h2", "M", "H", "Q", "s1_min", "S1_max", "rho", "c_e",
         "I_radius", "epsilon_max", "sigma", "epsilon",

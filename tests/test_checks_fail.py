@@ -48,16 +48,60 @@ def tau_scaled_by(factor):
     return inject
 
 
+def step_norm_raised_by(offset):
+    """The Picard step norm, too large by ``offset``: the loop never meets its tolerance."""
+
+    def inject(monkeypatch):
+        gap = fixed_point._h2_gap
+
+        def wrong(sa, sb, grid):
+            return gap(sa, sb, grid) + offset
+
+        monkeypatch.setattr(fixed_point, "_h2_gap", wrong)
+
+    return inject
+
+
+def rho_divided_by(factor):
+    """The loaded problem's ball radius rho, too small by ``factor``.
+
+    Only the problem is changed, so the solve sees the smaller ball only if
+    it reads rho from the problem.
+    """
+
+    def inject(monkeypatch):
+        load = cli.load_problem
+
+        def wrong(text):
+            problem = load(text)
+            return replace(problem, rho=problem.rho / factor)
+
+        monkeypatch.setattr(cli, "load_problem", wrong)
+
+    return inject
+
+
 # (subcommand, defect, injection, the checks that must fail)
 INJECTIONS = [
     ("contraction", "sigma / 1e6", sigma_divided_by(1e6), {"max_ratio_below_certified"}),
     ("contraction", "tau * 1e6", tau_scaled_by(1e6), {"max_ratio_below_certified", "max_ratio_strict"}),
+    ("solve", "step norm + 1e-9", step_norm_raised_by(1e-9), {"converged"}),
+    ("solve", "tau * 1.01", tau_scaled_by(1.01), {"converged", "final_residual"}),
+    ("solve", "rho / 1e6", rho_divided_by(1e6), {"converged", "u_p_inside_ball"}),
 ]
 
 CANNOT_FAIL_ALONE = {
     ("contraction", "max_ratio_strict"): (
         "for eps <= eps_max, eps*sigma <= rho/(||u0||+1) < 1, so a ratio of 1 or more "
         "also fails max_ratio_below_certified"
+    ),
+    ("solve", "final_residual"): (
+        "converged requires the residual at or below --tol (1e-10 by default), so a "
+        "residual above 1e-8 also fails converged"
+    ),
+    ("solve", "u_p_inside_ball"): (
+        "converged tests the same norm against rho (1 + 1e-12), so u_p outside the ball "
+        "also fails converged, but for a norm within 1e-12 of rho relative"
     ),
 }
 

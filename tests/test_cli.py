@@ -149,10 +149,10 @@ def test_continuity_sizes_each_shared_ball_once_per_pair(tmp_path, monkeypatch):
     shared = []
     for module in (cli, fixed_point):
 
-        def counting(problem, u0, rho=None, M=None, _original=module.build_bounds_context):
-            if M is not None:
-                shared.append(M)
-            return _original(problem, u0, rho=rho, M=M)
+        def counting(*args, _original=module.build_bounds_context, **kwargs):
+            if kwargs.get("M") is not None:
+                shared.append(kwargs["M"])
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, "build_bounds_context", counting)
     assert run_command(small(["continuity", "--config", "demo"], tmp_path, n=16)) == 0
@@ -229,6 +229,21 @@ def test_non_number_config_leaf_exits_2_naming_it(mutate, leaf, tmp_path, capsys
     path.write_text(json.dumps(raw))
     assert run_command(small(["solve-linear", "--config", str(path)], tmp_path, n=16)) == 2
     assert f"{leaf}: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value,expected",
+    [("rho", 0, "rho: must lie in (0, 1], got 0.0"), ("epsilon", [0.01, -0.01], "epsilon: coupling factors")],
+    ids=["rho", "epsilon"],
+)
+def test_config_range_error_exits_2_naming_the_field(key, value, expected, tmp_path, capsys):
+    raw = json.loads(demo_config_text())
+    raw[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert run_command(small(["verify-bounds", "--config", str(path)], tmp_path, n=16)) == 2
+    assert f"error: {expected}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -13,6 +14,7 @@ from dualfrac import (
     ProblemSpec,
     VectorField,
     apply_tau,
+    build_bounds_context,
     continuity_experiment,
     fixed_point,
     measure_contraction,
@@ -23,6 +25,7 @@ from dualfrac import (
     vector_norms,
 )
 from dualfrac.fixed_point import CONTINUITY_TOL
+from dualfrac.problems import ConfigError
 from dualfrac.spectral import h2_distance
 
 
@@ -41,17 +44,15 @@ def single_component_problem(grid=None, eps=0.01):
 
 def test_tau_zero_coupling_gives_zero(demo32):
     p = demo32.with_epsilon(0.0)
-    u0 = solve_linear_system(p)
     v = sample_ball(p.grid, p.n_components, 1.0, np.random.default_rng(3))
-    out = apply_tau(v, p, u0)
+    out = apply_tau(v, p)
     assert all(np.all(c.values == 0.0) for c in out.components)
 
 
 def test_tau_trivial_coupling_gives_zero(demo32):
     p = demo32.with_nonlinearity(Nonlinearity(((), ())))
-    u0 = solve_linear_system(p)
     v = sample_ball(p.grid, p.n_components, 1.0, np.random.default_rng(4))
-    out = apply_tau(v, p, u0)
+    out = apply_tau(v, p)
     assert all(np.all(c.values == 0.0) for c in out.components)
 
 
@@ -61,7 +62,7 @@ def test_tau_matches_direct_quadrature_oracle():
     problem = single_component_problem()
     grid = problem.grid
     u0 = solve_linear_system(problem)
-    out = apply_tau(VectorField.zeros(grid, 1), problem, u0)
+    out = apply_tau(VectorField.zeros(grid, 1), problem)
 
     g_vals = u0.components[0].values ** 2
     conv = _oracles.direct_convolution(lambda d2: np.exp(-d2), g_vals, grid)
@@ -80,20 +81,16 @@ def test_tau_matches_direct_quadrature_oracle():
 
 
 def test_tau_rejects_orders_outside_window(demo32):
-    import dataclasses
-
     bad_orders = FractionalOrders((0.8, 0.5), (0.9, 0.9))
     p = dataclasses.replace(demo32.with_epsilon(0.0), orders=bad_orders)
-    u0 = solve_linear_system(p)
     with pytest.raises(ValueError, match="first order"):
-        apply_tau(VectorField.zeros(p.grid, 2), p, u0)
+        apply_tau(VectorField.zeros(p.grid, 2), p)
 
 
 def test_tau_grid_mismatch(demo32):
-    u0 = solve_linear_system(demo32)
     wrong = VectorField.zeros(Grid3(10.0, 16), 2)
     with pytest.raises(ValueError, match="grid"):
-        apply_tau(wrong, demo32, u0)
+        apply_tau(wrong, demo32)
 
 
 # --- fixed point ------------------------------------------------------------
@@ -134,10 +131,9 @@ def test_restart_reaches_same_fixed_point(demo32):
 
 def reference_picard(problem, v, tol, max_iter):
     """Picard iteration from v spelled out with the public apply_tau and h2_distance."""
-    u0 = solve_linear_system(problem)
     steps = []
     for _ in range(max_iter):
-        v_next = apply_tau(v, problem, u0)
+        v_next = apply_tau(v, problem)
         steps.append(h2_distance(v_next, v))
         v = v_next
         if steps[-1] <= tol:
@@ -192,10 +188,18 @@ def test_divergence_detected(demo32):
 
 
 def test_rho_validation(demo32):
-    with pytest.raises(ValueError, match="rho"):
-        solve_fixed_point(demo32, rho=0.0)
-    with pytest.raises(ValueError, match="rho"):
-        solve_fixed_point(demo32, rho=1.5)
+    # the solve reads rho from the problem alone, which cannot hold one outside (0, 1]
+    for rho in (0.0, 1.5):
+        with pytest.raises(ConfigError, match=r"rho: must lie in \(0, 1\]"):
+            solve_fixed_point(dataclasses.replace(demo32, rho=rho))
+
+
+def test_solve_certifies_the_problem_rho(demo):
+    # rho = 0.25 once read as the default 1.0 here, and as 0.25 in build_bounds_context
+    p = dataclasses.replace(demo.with_grid(Grid3(20.0, 16)), rho=0.25)
+    res = solve_fixed_point(p)
+    assert res.bounds == build_bounds_context(p)
+    assert res.bounds.rho == 0.25
 
 
 # --- contraction measurement ---------------------------------------------------
@@ -203,30 +207,24 @@ def test_rho_validation(demo32):
 
 def test_measured_ratios_zero_at_zero_coupling(demo32):
     p = demo32.with_epsilon(0.0)
-    u0 = solve_linear_system(p)
-    ratios = measure_contraction(p, u0, rho=1.0, trials=3, seed=5)
+    ratios = measure_contraction(p, trials=3, seed=5)
     assert ratios == [0.0, 0.0, 0.0]
 
 
 def test_measured_ratios_below_certified_factor(demo32):
-    u0 = solve_linear_system(demo32)
-    from dualfrac import build_bounds_context
-
-    ctx = build_bounds_context(demo32, u0)
-    ratios = measure_contraction(demo32, u0, rho=1.0, trials=10, seed=5)
+    ctx = build_bounds_context(demo32)
+    ratios = measure_contraction(demo32, trials=10, seed=5)
     assert max(ratios) < 1.0
     assert max(ratios) <= ctx.epsilon * ctx.sigma
 
 
 def test_measured_ratios_deterministic_under_seed(demo32):
-    u0 = solve_linear_system(demo32)
-    a = measure_contraction(demo32, u0, rho=1.0, trials=4, seed=9)
-    b = measure_contraction(demo32, u0, rho=1.0, trials=4, seed=9)
+    a = measure_contraction(demo32, trials=4, seed=9)
+    b = measure_contraction(demo32, trials=4, seed=9)
     assert a == b
 
 
 def test_measured_ratios_use_carried_spectra_without_difference_fields(demo32, monkeypatch):
-    u0 = solve_linear_system(demo32)
     # the same draws and taus: the reference spectral gaps, and the gaps
     # taken from real-space differences
     rng = np.random.default_rng(9)
@@ -234,7 +232,7 @@ def test_measured_ratios_use_carried_spectra_without_difference_fields(demo32, m
     for _ in range(3):
         v1 = sample_ball(demo32.grid, 2, 1.0, rng)
         v2 = sample_ball(demo32.grid, 2, 1.0, rng)
-        t1, t2 = apply_tau(v1, demo32, u0), apply_tau(v2, demo32, u0)
+        t1, t2 = apply_tau(v1, demo32), apply_tau(v2, demo32)
         expected.append(h2_distance(t1, t2) / h2_distance(v1, v2))
         differenced.append(vector_norms(t1 - t2).h2 / vector_norms(v1 - v2).h2)
 
@@ -242,24 +240,22 @@ def test_measured_ratios_use_carried_spectra_without_difference_fields(demo32, m
         raise AssertionError("measure_contraction built a difference field")
 
     monkeypatch.setattr(VectorField, "__sub__", no_difference)
-    ratios = measure_contraction(demo32, u0, rho=1.0, trials=3, seed=9)
+    ratios = measure_contraction(demo32, trials=3, seed=9)
     assert ratios == expected
     assert ratios == pytest.approx(differenced, rel=1e-12)
 
 
 def test_measured_ratios_make_no_full_lattice_inverse(demo32, monkeypatch):
-    u0 = solve_linear_system(demo32)
-    expected = measure_contraction(demo32, u0, rho=1.0, trials=2, seed=4)
+    expected = measure_contraction(demo32, trials=2, seed=4)
 
     def refuse(*args, **kwargs):
         raise AssertionError("measure_contraction inverted a full lattice")
 
     monkeypatch.setattr(fixed_point, "_irfft", refuse)
-    assert measure_contraction(demo32, u0, rho=1.0, trials=2, seed=4) == expected
+    assert measure_contraction(demo32, trials=2, seed=4) == expected
 
 
 def test_measured_ratios_reject_a_non_finite_image(demo32, monkeypatch):
-    u0 = solve_linear_system(demo32)
     step = fixed_point._tau_spectrum
 
     def overflowing(z_box, problem, radius):
@@ -269,15 +265,15 @@ def test_measured_ratios_reject_a_non_finite_image(demo32, monkeypatch):
 
     monkeypatch.setattr(fixed_point, "_tau_spectrum", overflowing)
     with pytest.raises(ValueError, match="not finite"):
-        measure_contraction(demo32, u0, rho=1.0, trials=1, seed=4)
+        measure_contraction(demo32, trials=1, seed=4)
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5, float("nan")])
 def test_measured_ratios_reject_rho_outside_unit_interval(demo32, rho):
-    # rho = 0 used to draw the zero field forever, waiting for a nonzero gap
-    u0 = solve_linear_system(demo32)
-    with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\]"):
-        measure_contraction(demo32, u0, rho=rho, trials=1, seed=0)
+    # rho = 0 used to draw the zero field forever, waiting for a nonzero gap;
+    # the ratios read rho from the problem alone, which cannot hold it
+    with pytest.raises(ConfigError, match=r"rho: must lie in \(0, 1\]"):
+        measure_contraction(dataclasses.replace(demo32, rho=rho), trials=1, seed=0)
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5, float("nan")])
@@ -336,10 +332,9 @@ def test_sample_ball_stays_inside(demo32, rng):
 
 
 def test_self_mapping_on_sampled_points(demo32, rng):
-    u0 = solve_linear_system(demo32)
     for _ in range(5):
         v = sample_ball(demo32.grid, 2, demo32.rho, rng)
-        image = apply_tau(v, demo32, u0)
+        image = apply_tau(v, demo32)
         assert vector_norms(image).h2 <= demo32.rho
 
 
@@ -429,8 +424,6 @@ def test_assembled_solution_is_nontrivial(demo32):
 
 
 def test_diffusion_coefficients_pinned_to_one(demo32):
-    import dataclasses
-
     # the coefficients are one by construction: there is no field to set
     with pytest.raises(TypeError, match="diffusion"):
         dataclasses.replace(demo32, diffusion=(1.0, 1.0))

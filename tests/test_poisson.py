@@ -311,7 +311,7 @@ def test_box_sweep_matches_full_layout_reference(case):
     pts = box_length_sweep(case.influx, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
     for p, L in zip(pts, SWEEP_BOXES):
         grid = Grid3(L, int(round(L / SWEEP_SPACING)))
-        f = case.realize(grid)
+        f = realize_gaussian_sum(case.influx, grid)
         u = solve_double_fractional(f, case.s1, case.s2, "drop")
         ref = grid.cell_volume * float(np.sum(u.values**2))
         assert abs(p.u_l2_sq - ref) <= 1e-12 * ref

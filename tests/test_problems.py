@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_supercritical_order_rejected_in_nonlinear_mode():
     doc = demo_dict()
     doc["orders"]["s1"][0] = 0.8
     doc["orders"]["s2"][0] = 0.9
-    with pytest.raises(ConfigError, match="window"):
+    with pytest.raises(ConfigError, match="^orders.s1: .*window"):
         load_problem(json.dumps(doc))
 
 
@@ -83,8 +84,40 @@ def test_all_zero_influx_rejected():
     for fs in doc["influxes"]:
         for g in fs:
             g["A"] = 0.0
-    with pytest.raises(ConfigError, match="influx"):
+    with pytest.raises(ConfigError, match="^influxes: .*influx"):
         load_problem(json.dumps(doc))
+
+
+def _set_rho(doc, value):
+    doc["rho"] = value
+
+
+def _set_epsilon(doc, value):
+    doc["epsilon"][1] = value
+
+
+def _set_s1(doc, value):
+    doc["orders"]["s1"][0] = value
+    doc["orders"]["s2"][0] = 0.9
+
+
+@pytest.mark.parametrize(
+    "mutate, value, path, message",
+    [
+        (_set_rho, 0, "rho", r"must lie in \(0, 1\], got 0\.0"),
+        (_set_rho, 1.5, "rho", r"must lie in \(0, 1\], got 1\.5"),
+        (_set_rho, -1, "rho", r"must lie in \(0, 1\], got -1\.0"),
+        (_set_epsilon, -0.001, "epsilon", "coupling factors must be nonnegative"),
+        (_set_s1, 0.2, "orders.s1", "nonlinear solving requires every first order in the open window"),
+    ],
+    ids=["rho-0", "rho-1.5", "rho-negative", "epsilon-negative", "s1-below-window"],
+)
+def test_range_error_names_its_field(mutate, value, path, message):
+    doc = demo_dict()
+    mutate(doc, value)
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: {message}") as excinfo:
+        load_problem(json.dumps(doc))
+    assert excinfo.value.path == path
 
 
 def test_malformed_json_rejected():
@@ -395,7 +428,7 @@ def test_demo_fields_satisfy_integrability(demo32):
     for m in range(demo32.n_components):
         s1 = demo32.orders.s1[m]
         kernel = realize_gaussian_sum(demo32.kernels[m], demo32.grid)
-        for field in (demo32.influx_fields()[m], kernel):
+        for field in (realize_gaussian_sum(demo32.influxes[m], demo32.grid), kernel):
             rep = field_norms(field)
             assert np.isfinite(rep.l1) and rep.l1 > 0
             filtered = apply_fractional_symbol(forward_transform(field), 1.0 - s1)
