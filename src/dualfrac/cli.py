@@ -256,7 +256,7 @@ def _cmd_solve(problem, args, dump):
         "converged": result.converged,
         "u0_norms": spectral_plan(problem).u0_norms.as_dict(),
         "u_p_norms": up_norms.as_dict(),
-        "u_norms": vector_norms(result.u).as_dict(),
+        "u_norms": result.u_norms.as_dict(),
     }
     checks = [
         Check("converged", 1.0 if result.converged else 0.0, "==", 1.0),

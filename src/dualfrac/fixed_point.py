@@ -71,22 +71,28 @@ CONTINUITY_TOL = 1e-11
 class FixedPointResult:
     """Converged state of the Picard iteration.
 
-    ``u`` is exactly ``u0 + u_p`` componentwise, and ``u_p_norms`` is
-    ``vector_norms(u_p)``.  ``converged`` implies the final step norm and
-    the relative system residual are both at or below the configured
-    tolerance and that u_p stayed inside the radius-rho ball.
+    ``u_p_norms`` is ``vector_norms(u_p)`` and ``u_norms`` is
+    ``vector_norms(u)``; u itself is not stored, and :attr:`u` forms it on
+    request.  ``converged`` implies the final step norm and the relative
+    system residual are both at or below the configured tolerance and that
+    u_p stayed inside the radius-rho ball.
     """
 
     u0: VectorField
     u_p: VectorField
-    u: VectorField
     u_p_norms: NormReport
+    u_norms: NormReport
     iterations: int
     step_norms: list[float]
     contraction_estimates: list[float]
     final_residual: float
     converged: bool
     bounds: BoundsContext
+
+    @property
+    def u(self) -> VectorField:
+        """The assembled solution ``u0 + u_p``, values and half spectrum."""
+        return self.u0 + self.u_p
 
 
 def _check_nonlinear_orders(problem: ProblemSpec) -> None:
@@ -123,15 +129,17 @@ def apply_tau(v: VectorField, problem: ProblemSpec) -> VectorField:
 def _tau_spectrum(z_box: list[np.ndarray], problem: ProblemSpec, ball_radius: float) -> np.ndarray:
     """Half spectrum of tau(v), from the pointwise argument ``z = u0 + v``.
 
-    The one Picard step of :func:`apply_tau` and :func:`solve_fixed_point`:
-    warns when |z| leaves the coupling ball, raises when g(z) is not finite,
-    and multiplies g's spectrum by the couplings and the plan's transfer.
-    z comes in a one-item list and is popped from it, so when the caller
-    keeps no other reference, z is freed once g(z) is evaluated, before
-    the transform.
+    The one Picard step of :func:`apply_tau`, :func:`solve_fixed_point` and
+    :func:`measure_contraction`: warns when |z| leaves the coupling ball,
+    raises when g(z) is not finite, and multiplies g's spectrum by the
+    couplings and the plan's transfer.  z comes in a one-item list and is
+    popped from it; the caller hands over a buffer it owns, which
+    :func:`_coupling_in_place` overwrites with g(z) and which is then
+    transformed.
     """
     z = z_box.pop()
-    max_len = math.sqrt(float(np.max(np.einsum("i...,i...->...", z, z))))
+    max_sq, not_finite = _coupling_in_place(z, problem.nonlinearity)
+    max_len = math.sqrt(max_sq)
     if max_len > ball_radius:
         logger.warning(
             "pointwise argument length %.6f left the coupling ball of radius %.6f; "
@@ -139,16 +147,38 @@ def _tau_spectrum(z_box: list[np.ndarray], problem: ProblemSpec, ball_radius: fl
             max_len,
             ball_radius,
         )
-    g_values = problem.nonlinearity.eval_components(z)
+    if not_finite:
+        raise ValueError(f"coupling output for component {min(not_finite)} is not finite")
+    coeff = _rfft(z)
     del z
-    for m in range(problem.n_components):
-        if not np.isfinite(g_values[m]).all():
-            raise ValueError(f"coupling output for component {m} is not finite")
-    coeff = _rfft(g_values)
-    del g_values
     coeff *= np.asarray(problem.epsilon)[:, None, None, None]
     coeff *= spectral_plan(problem).transfer
     return coeff
+
+
+def _coupling_in_place(z: np.ndarray, nonlinearity: Nonlinearity) -> tuple[float, set[int]]:
+    """Overwrite the stacked ``z`` with g(z), slab by slab over x rows.
+
+    Per slab (:func:`~dualfrac.spectral._row_slabs`) it takes |z|^2 and its
+    maximum, evaluates every g_m into a slab buffer with the |z|^2 buffer
+    as the monomial buffer (:meth:`Nonlinearity.eval_component`), notes the
+    components that are not finite, and writes g back over that slab of z:
+    bitwise ``eval_components(z)``, with no stacked g(z) beside z.  Returns
+    the largest |z|^2 (NaN if any is, as ``np.max`` over the whole array
+    gives) and the components whose g is not finite somewhere.
+    """
+    max_sq = 0.0
+    not_finite = set()
+    for rows in _row_slabs(z.shape[1]):
+        z_rows = z[:, rows]
+        term = np.einsum("i...,i...->...", z_rows, z_rows)
+        max_sq = np.maximum(max_sq, np.max(term))
+        g_rows = np.empty(z_rows.shape)
+        for m, acc in enumerate(g_rows):
+            if not np.isfinite(nonlinearity.eval_component(z_rows, m, acc, term)).all():
+                not_finite.add(m)
+        z_rows[...] = g_rows
+    return float(max_sq), not_finite
 
 
 def solve_fixed_point(
@@ -226,18 +256,24 @@ def solve_fixed_point(
 
     ratios = [b / a for a, b in zip(step_norms, step_norms[1:]) if a > 0.0]
     u_p_norms = vector_norms(v)
-    # the residual reads values only; u's spectrum is summed once it is done
-    u_values = u0.values + v.values
+    # u is formed in the owned iterate's values buffer and dropped once its
+    # residual and norms are taken; u_p's values are then rebuilt from its
+    # carried spectrum, as the loop made them
+    spectrum = v.spectrum
+    u_values = np.add(u0.values, v.values, out=v.values if owned else None)
     residual = system_residual(VectorField(grid, u_values), problem)
-    u = VectorField(grid, u_values, u0.spectrum + v.spectrum)
+    u_norms = vector_norms(VectorField(grid, u_values, u0.spectrum + spectrum))
+    if owned:
+        del v, u_values
+        v = VectorField(grid, _irfft(spectrum, grid), spectrum)
     converged = bool(
         step_norms and step_norms[-1] <= tol and residual <= tol and u_p_norms.h2 <= problem.rho * (1 + 1e-12)
     )
     return FixedPointResult(
         u0=u0,
         u_p=v,
-        u=u,
         u_p_norms=u_p_norms,
+        u_norms=u_norms,
         iterations=len(step_norms),
         step_norms=step_norms,
         contraction_estimates=ratios,
@@ -325,11 +361,13 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     of the influx vector.  u and g(u) are transformed afresh from their
     real-space values, whatever spectrum u carries, so the residual checks
     the values a report is written from.  It works one component at a
-    time: g_m(u) is evaluated (:meth:`Nonlinearity.eval_component`) and
-    transformed, and its values freed; the rest of the right side is formed
-    in place on its coefficients, the multipliers slab by slab, with f_hat
-    rebuilt by :meth:`SpectralPlan.influx_spectrum`; then u_m is
-    transformed and the defect formed in place on its coefficients.
+    time: g_m(u) is evaluated slab by slab over x rows, as in
+    :func:`_tau_spectrum`, so its monomial buffer is slab-sized
+    (:meth:`Nonlinearity.eval_component`), then transformed, and its values
+    freed; the rest of the right side is formed in place on its
+    coefficients, the multipliers slab by slab, with f_hat rebuilt by
+    :meth:`SpectralPlan.influx_spectrum`; then u_m is transformed and the
+    defect formed in place on its coefficients.
     """
     if u.grid != problem.grid:
         raise ValueError("field does not live on the problem grid")
@@ -338,7 +376,11 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     defect_sq = 0.0
     for m, eps in enumerate(problem.epsilon):
         # symbol * u_hat - (eps * symbol * transfer * g_hat + f_hat)
-        coeff_g = _rfft(problem.nonlinearity.eval_component(u.values, m))
+        g_m = np.empty(problem.grid.shape)
+        for rows in slabs:
+            problem.nonlinearity.eval_component(u.values[:, rows], m, out=g_m[rows])
+        coeff_g = _rfft(g_m)
+        del g_m
         for rows in slabs:
             coeff_g[rows] *= plan.transfer[m][rows] * (eps * plan.symbols[m][rows])
         coeff_g += plan.influx_spectrum(m)
@@ -407,13 +449,13 @@ def _continuity_run(
             ctx.epsilon_max,
         )
 
-    perturbations = []  # the solutions share u0: keep only each solve's u_p
+    spectra = []  # the solutions share u0: keep only each solve's u_p spectrum
     for g_j in (g1, g2):
         res = solve_fixed_point(problem.with_nonlinearity(g_j), tol=tol, max_iter=max_iter)
         if not res.converged:
             raise RuntimeError("fixed point failed to converge during the continuity experiment")
-        perturbations.append(res.u_p)
+        spectra.append(res.u_p.spectrum)
         del res
-    lhs = h2_distance(*perturbations)
+    lhs = _h2_gap(*spectra, problem.grid)
     rhs = continuity_rhs(ctx, diff_c2)
     return problem.coupling, lhs, rhs

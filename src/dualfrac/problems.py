@@ -217,15 +217,17 @@ class Nonlinearity:
             self._accumulate(z_fields, m, acc, term)
         return out
 
-    def eval_component(self, z_fields, m: int) -> np.ndarray:
+    def eval_component(self, z_fields, m: int, out=None, term=None) -> np.ndarray:
         """g_m alone over arrays of z samples: bitwise ``eval_components(z_fields)[m]``.
 
         Holds one component's output and one monomial buffer, where the
-        stacked evaluation holds every component's output.
+        stacked evaluation holds every component's output.  ``out`` and
+        ``term``, when given, are those buffers (the samples' shape), so a
+        caller that evaluates slab by slab reuses them; ``out`` is returned.
         """
         shape = z_fields[0].shape
-        out = np.empty(shape)
-        self._accumulate(z_fields, m, out, np.empty(shape))
+        out = np.empty(shape) if out is None else out
+        self._accumulate(z_fields, m, out, np.empty(shape) if term is None else term)
         return out
 
     def _accumulate(self, z_fields, m: int, acc: np.ndarray, term: np.ndarray) -> None:

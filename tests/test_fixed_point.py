@@ -24,9 +24,10 @@ from dualfrac import (
     system_residual,
     vector_norms,
 )
+from dualfrac.bounds import _ball_radius
 from dualfrac.fixed_point import CONTINUITY_TOL
 from dualfrac.problems import ConfigError
-from dualfrac.spectral import h2_distance
+from dualfrac.spectral import _irfft, _rfft, _row_slabs, h2_distance, spectral_plan
 
 
 def single_component_problem(grid=None, eps=0.01):
@@ -160,6 +161,82 @@ def test_loop_is_bitwise_the_apply_tau_reference(demo32, start, max_iter):
     if v0 is not None:
         # the caller's starting point is read, never written
         assert np.array_equal(v0.values, start_values)
+
+
+# --- slab boundaries: at n = 64 the pointwise stages run in three slabs of x rows
+
+
+@pytest.fixture()
+def demo64(demo):
+    assert demo.grid.points_per_axis == 64 and len(_row_slabs(64)) == 3
+    return demo
+
+
+def bits(a):
+    return a.view(np.uint64)
+
+
+def tau_argument(problem, seed):
+    """z = u0 + v for a draw v from the problem's ball, in a buffer of its own."""
+    v = sample_ball(problem.grid, problem.n_components, problem.rho, np.random.default_rng(seed))
+    return solve_linear_system(problem).values + v.values
+
+
+def test_tau_step_is_bitwise_the_whole_array_composition(demo64):
+    z = tau_argument(demo64, 31)
+    g_values = demo64.nonlinearity.eval_components(z)
+    ref = _rfft(g_values)
+    ref *= np.asarray(demo64.epsilon)[:, None, None, None]
+    ref *= spectral_plan(demo64).transfer
+    z_box = [z]
+    coeff = fixed_point._tau_spectrum(z_box, demo64, _ball_radius(demo64))
+    assert z_box == []
+    assert np.array_equal(bits(coeff), bits(ref))
+    # the caller's buffer now holds g(z)
+    assert np.array_equal(bits(z), bits(g_values))
+
+
+def test_tau_step_warns_when_only_the_last_slab_leaves_the_ball(demo64, caplog):
+    radius = _ball_radius(demo64)
+    z = tau_argument(demo64, 32)
+    outside = z.copy()
+    outside[:, _row_slabs(64)[-1].start, 0, 0] = (1.5 * radius, 0.0)
+    with caplog.at_level(logging.WARNING, logger="dualfrac.fixed_point"):
+        fixed_point._tau_spectrum([z], demo64, radius)
+        assert not caplog.records
+        fixed_point._tau_spectrum([outside], demo64, radius)
+    assert len(caplog.records) == 1
+    assert f"length {1.5 * radius:.6f} left the coupling ball" in caplog.records[0].message
+
+
+def test_tau_step_reports_the_first_non_finite_component_over_all_slabs(demo64):
+    z = tau_argument(demo64, 33)
+    first, last = _row_slabs(64)[0], _row_slabs(64)[-1]
+    z[1, first.start, 0, 0] = 1e200  # g_1 = 0.4 z_2^2 overflows in the first slab
+    z[0, last.start, 0, 0] = 1e200  # g_0 = 0.5 z_1^2 overflows in the last
+    with np.errstate(over="ignore"):
+        whole = demo64.nonlinearity.eval_components(z)
+        assert np.isfinite(whole[:, first]).all(axis=(1, 2, 3)).tolist() == [True, False]
+        assert np.isfinite(whole).all(axis=(1, 2, 3)).tolist() == [False, False]
+        with pytest.raises(ValueError, match="coupling output for component 0 is not finite"):
+            fixed_point._tau_spectrum([z], demo64, _ball_radius(demo64))
+
+
+def test_residual_in_slabs_is_bitwise_the_whole_array_residual(demo64, monkeypatch):
+    u = VectorField(demo64.grid, tau_argument(demo64, 34))
+    slabbed = system_residual(u, demo64)
+    monkeypatch.setattr(fixed_point, "_row_slabs", lambda n: [slice(0, n)])
+    assert slabbed == system_residual(u, demo64)
+
+
+def test_solution_is_u0_plus_u_p_bitwise(demo64):
+    res = solve_fixed_point(demo64)
+    u = res.u
+    assert np.array_equal(bits(u.values), bits(res.u0.values + res.u_p.values))
+    assert np.array_equal(bits(u.spectrum), bits(res.u0.spectrum + res.u_p.spectrum))
+    assert res.u_norms == vector_norms(u)
+    # u_p's values were overwritten with u, then rebuilt from u_p's spectrum
+    assert np.array_equal(bits(res.u_p.values), bits(_irfft(res.u_p.spectrum, demo64.grid)))
 
 
 def test_out_of_certificate_coupling_warns(demo32, caplog):

@@ -187,19 +187,23 @@ def test_continuity_holds_little_beyond_one_solve(demo32):
     continuity_experiment(demo32, g1, g2)  # build the plan pieces first
     field_bytes = solve_linear_system(demo32).values.nbytes
     one_solve = traced_peak(lambda: solve_fixed_point(demo32, tol=CONTINUITY_TOL))
-    # the first solve's u_p (values plus half spectrum) is all that outlives it
-    assert traced_peak(lambda: continuity_experiment(demo32, g1, g2)) <= one_solve + 2.5 * field_bytes
+    # the first solve's u_p half spectrum (1.03 fields) is all that outlives
+    # it: 1.07 measured, against 2.07 while u_p's values were kept too
+    assert traced_peak(lambda: continuity_experiment(demo32, g1, g2)) <= one_solve + 1.25 * field_bytes
 
 
 # Peak numpy memory of one demo solve at n = 64, in n^3 float64 arrays, plan
 # build included.  The live data are the plan (about 8.2) and u_p with its
-# half spectrum (4.1).  A Picard step adds z = u0 + v, g(z) and one monomial
-# buffer (15.3 in all), and the residual stage, the peak at 16.6, adds u's
-# values and one component's g_m(u) and monomial buffer.  Holding each
-# iterate's values beside z and g(z), and the whole g(u) with its spectrum in
-# the residual, reached 18.3 here; a plan that also kept the stacked influx
-# spectra (2.1) reached 20.5.
-SOLVE_PEAK_ARRAYS = 17.8
+# half spectrum (4.1).  A Picard step adds z = u0 + v, over which g(z) is
+# written slab by slab, and the previous spectrum; the residual stage adds
+# one component's g_m(u) and its transforms, with u formed in u_p's values
+# buffer; u's norms, the peak at 15.4, add u's summed spectrum and its
+# pointwise length.  A whole-array pointwise stage (g(z) stacked beside z, a
+# full-size monomial buffer) and u's values beside u_p's read 16.6; holding
+# each iterate's values beside z and g(z), and the whole g(u) with its
+# spectrum in the residual, reached 18.3; a plan that also kept the stacked
+# influx spectra (2.1) reached 20.5.
+SOLVE_PEAK_ARRAYS = 15.8
 
 
 def test_solve_peak_stays_under_the_memory_ceiling(monkeypatch):
@@ -287,6 +291,11 @@ def test_solve_leaves_no_influx_spectra_in_the_plan(demo32):
 # snapshot into bytes reached 14.5.
 SOLVE_LINEAR_PEAK_ARRAYS = 11.0
 
+# The same for the `solve` subcommand, which reports the norms the solve
+# took and stores no u: 15.4 measured.  Keeping u's values and spectrum
+# beside u_p and taking its norms after the solve read 17.4.
+SOLVE_COMMAND_PEAK_ARRAYS = 15.9
+
 # The same for `verify-bounds`, whose peak is the plan's kernel build on top
 # of u0: 9.6 measured.  Taking |kernel| into a second array, the filtered
 # spectrum and the centre phase as whole-lattice temporaries reached 9.8.
@@ -315,3 +324,7 @@ def test_solve_linear_peak_stays_under_the_memory_ceiling(tmp_path):
 
 def test_verify_bounds_peak_stays_under_the_memory_ceiling(tmp_path):
     assert command_peak_arrays(["verify-bounds"], tmp_path) <= VERIFY_BOUNDS_PEAK_ARRAYS
+
+
+def test_solve_command_peak_stays_under_the_memory_ceiling(tmp_path):
+    assert command_peak_arrays(["solve"], tmp_path) <= SOLVE_COMMAND_PEAK_ARRAYS
