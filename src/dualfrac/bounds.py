@@ -14,7 +14,7 @@ holds, so no function here takes either as a parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .problems import Nonlinearity, ProblemSpec
 from .spectral import spectral_plan
@@ -58,20 +58,7 @@ class BoundsContext:
     epsilon: float
 
     def as_dict(self) -> dict:
-        return {
-            "u0_h2": self.u0_h2,
-            "M": self.M,
-            "H": self.H,
-            "Q": self.Q,
-            "s1_min": self.s1_min,
-            "S1_max": self.S1_max,
-            "rho": self.rho,
-            "c_e": self.c_e,
-            "I_radius": self.I_radius,
-            "epsilon_max": self.epsilon_max,
-            "sigma": self.sigma,
-            "epsilon": self.epsilon,
-        }
+        return asdict(self)
 
 
 def phi_minimum(alpha: float, s: float) -> tuple[float, float]:

@@ -31,11 +31,7 @@ except ImportError:
 
 from .bounds import build_bounds_context
 from .fieldio import write_snapshot
-from .fixed_point import (
-    _continuity_run,
-    measure_contraction,
-    solve_fixed_point,
-)
+from .fixed_point import continuity_experiment, measure_contraction, solve_fixed_point
 from .grid import Grid3, VectorField
 from .poisson import (
     _regularity_defect,
@@ -323,7 +319,7 @@ def _cmd_continuity(problem, args, dump):
     checks = []
     for label, g1, g2 in continuity_pairs(problem.nonlinearity):
         # each pair runs at 0.9 of its shared-ball threshold
-        eps, lhs, rhs = _continuity_run(problem, g1, g2, args.max_iter, threshold_fraction=0.9)
+        eps, lhs, rhs = continuity_experiment(problem, g1, g2, max_iter=args.max_iter, threshold_fraction=0.9)
         entries.append({"pair": label, "epsilon": eps, "lhs": lhs, "rhs": rhs})
         checks.append(Check(f"continuity_{label}", lhs, "<=", rhs))
     return {"pairs": entries}, checks, None, None

@@ -104,6 +104,13 @@ def _check_nonlinear_orders(problem: ProblemSpec) -> None:
         )
 
 
+def _check_field(v: VectorField, problem: ProblemSpec) -> None:
+    if v.grid != problem.grid:
+        raise ValueError("field does not live on the problem grid")
+    if v.n_components != problem.n_components:
+        raise ValueError("component count mismatch with the problem")
+
+
 def apply_tau(v: VectorField, problem: ProblemSpec) -> VectorField:
     """One application of the solution map: v -> solve(eps_m * H_m * g_m(u0 + v)).
 
@@ -117,27 +124,22 @@ def apply_tau(v: VectorField, problem: ProblemSpec) -> VectorField:
     consumed.
     """
     _check_nonlinear_orders(problem)
-    if v.grid != problem.grid:
-        raise ValueError("field does not live on the problem grid")
-    if v.n_components != problem.n_components:
-        raise ValueError("component count mismatch with the problem")
+    _check_field(v, problem)
     u0 = solve_linear_system(problem)
-    coeff = _tau_spectrum([u0.values + v.values], problem, _ball_radius(problem))
+    coeff = _tau_spectrum(u0.values + v.values, problem, _ball_radius(problem))
     return VectorField(problem.grid, _irfft(coeff, problem.grid), coeff)
 
 
-def _tau_spectrum(z_box: list[np.ndarray], problem: ProblemSpec, ball_radius: float) -> np.ndarray:
+def _tau_spectrum(z: np.ndarray, problem: ProblemSpec, ball_radius: float) -> np.ndarray:
     """Half spectrum of tau(v), from the pointwise argument ``z = u0 + v``.
 
     The one Picard step of :func:`apply_tau`, :func:`solve_fixed_point` and
     :func:`measure_contraction`: warns when |z| leaves the coupling ball,
     raises when g(z) is not finite, and multiplies g's spectrum by the
-    couplings and the plan's transfer.  z comes in a one-item list and is
-    popped from it; the caller hands over a buffer it owns, which
-    :func:`_coupling_in_place` overwrites with g(z) and which is then
-    transformed.
+    couplings and the plan's transfer.  z is overwritten with g(z)
+    (:func:`_coupling_in_place`), which is transformed from that buffer;
+    the caller drops z when the step returns.
     """
-    z = z_box.pop()
     max_sq, not_finite = _coupling_in_place(z, problem.nonlinearity)
     max_len = math.sqrt(max_sq)
     if max_len > ball_radius:
@@ -150,7 +152,6 @@ def _tau_spectrum(z_box: list[np.ndarray], problem: ProblemSpec, ball_radius: fl
     if not_finite:
         raise ValueError(f"coupling output for component {min(not_finite)} is not finite")
     coeff = _rfft(z)
-    del z
     coeff *= np.asarray(problem.epsilon)[:, None, None, None]
     coeff *= spectral_plan(problem).transfer
     return coeff
@@ -208,13 +209,15 @@ def solve_fixed_point(
             ctx.epsilon_max,
         )
 
+    grid = problem.grid
     if v0 is None:
-        v = VectorField.zeros(problem.grid, problem.n_components)
+        v = VectorField.zeros(grid, problem.n_components)
     else:
+        _check_field(v0, problem)
+        # the iterates are the loop's own, so the caller's values are copied;
         # the step norms are taken from carried half spectra
-        v = v0
-        if v.spectrum is None:
-            v = VectorField(v0.grid, v0.values, _rfft(v0.values))
+        values = v0.values.copy()
+        v = VectorField(grid, values, _rfft(values) if v0.spectrum is None else v0.spectrum)
         start_norm = vector_norms(v).h2
         if start_norm > problem.rho:
             logger.warning(
@@ -224,22 +227,19 @@ def solve_fixed_point(
                 problem.rho,
             )
 
-    grid = problem.grid
-    # The caller's v0 is only read; every later iterate is the loop's own,
-    # so its z = u0 + v is formed in its values' buffer and handed to the
-    # step as its only reference.  The step norm is taken, and the previous
-    # spectrum dropped, before the inverse transform.
-    owned = v0 is None
+    # Each z = u0 + v is formed in the iterate's values buffer, which the
+    # step overwrites and the loop drops on return.  The step norm is taken,
+    # and the previous spectrum dropped, before the inverse transform.
     step_norms: list[float] = []
     for _ in range(max_iter):
-        z_box = [np.add(u0.values, v.values, out=v.values if owned else None)]
+        z = np.add(u0.values, v.values, out=v.values)
         spectrum = v.spectrum
         del v
-        coeff = _tau_spectrum(z_box, problem, ctx.I_radius)
+        coeff = _tau_spectrum(z, problem, ctx.I_radius)
+        del z
         step = _h2_gap(coeff, spectrum, grid)
         del spectrum
         v = VectorField(grid, _irfft(coeff, grid), coeff)
-        owned = True
         step_norms.append(step)
         if step <= tol:
             break
@@ -256,16 +256,15 @@ def solve_fixed_point(
 
     ratios = [b / a for a, b in zip(step_norms, step_norms[1:]) if a > 0.0]
     u_p_norms = vector_norms(v)
-    # u is formed in the owned iterate's values buffer and dropped once its
+    # u is formed in the iterate's values buffer and dropped once its
     # residual and norms are taken; u_p's values are then rebuilt from its
     # carried spectrum, as the loop made them
     spectrum = v.spectrum
-    u_values = np.add(u0.values, v.values, out=v.values if owned else None)
+    u_values = np.add(u0.values, v.values, out=v.values)
     residual = system_residual(VectorField(grid, u_values), problem)
     u_norms = vector_norms(VectorField(grid, u_values, u0.spectrum + spectrum))
-    if owned:
-        del v, u_values
-        v = VectorField(grid, _irfft(spectrum, grid), spectrum)
+    del v, u_values
+    v = VectorField(grid, _irfft(spectrum, grid), spectrum)
     converged = bool(
         step_norms and step_norms[-1] <= tol and residual <= tol and u_p_norms.h2 <= problem.rho * (1 + 1e-12)
     )
@@ -319,8 +318,8 @@ def measure_contraction(problem: ProblemSpec, trials: int, seed: int) -> list[fl
     and the images' from :func:`_tau_spectrum`, so no difference field and
     no image field is built, and no image is transformed back.  Once the
     draws' gap is taken their spectra are dropped, and each z = u0 + v is
-    formed in its draw's own values buffer and handed to the step as its
-    only reference.
+    formed in its draw's own values buffer, which the step overwrites and
+    the loop drops on return.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -339,12 +338,10 @@ def measure_contraction(problem: ProblemSpec, trials: int, seed: int) -> list[fl
                 break
         z1, z2 = v1.values, v2.values
         del v1, v2  # their spectra are not read again
-        z_box = [np.add(u0.values, z1, out=z1)]
+        t1 = _tau_spectrum(np.add(u0.values, z1, out=z1), problem, radius)
         del z1
-        t1 = _tau_spectrum(z_box, problem, radius)
-        z_box = [np.add(u0.values, z2, out=z2)]
+        t2 = _tau_spectrum(np.add(u0.values, z2, out=z2), problem, radius)
         del z2
-        t2 = _tau_spectrum(z_box, problem, radius)
         if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
             raise ValueError("image of the solution map is not finite")
         ratios.append(_h2_gap(t1, t2, grid) / gap)
@@ -369,8 +366,7 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     :meth:`SpectralPlan.influx_spectrum`; then u_m is transformed and the
     defect formed in place on its coefficients.
     """
-    if u.grid != problem.grid:
-        raise ValueError("field does not live on the problem grid")
+    _check_field(u, problem)
     plan = spectral_plan(problem)
     slabs = _row_slabs(problem.grid.points_per_axis)
     defect_sq = 0.0
@@ -400,32 +396,18 @@ def continuity_experiment(
     g2: Nonlinearity,
     tol: float = CONTINUITY_TOL,
     max_iter: int = 200,
-) -> tuple[float, float]:
-    """Solve the system under two couplings and compare the solution gap to its bound.
-
-    Returns ``(lhs, rhs)`` where lhs is the measured H2 distance between the
-    two assembled solutions (they share u0, so it is taken by Plancherel from
-    the two perturbations' carried spectra) and rhs is the continuity bound
-    computed with the shared coupling-ball radius on the problem's rho ball.
-    lhs <= rhs must hold whenever the coupling sits inside the certified regime.
-    """
-    _, lhs, rhs = _continuity_run(problem, g1, g2, max_iter, tol)
-    return lhs, rhs
-
-
-def _continuity_run(
-    problem: ProblemSpec,
-    g1: Nonlinearity,
-    g2: Nonlinearity,
-    max_iter: int,
-    tol: float = CONTINUITY_TOL,
     threshold_fraction: float | None = None,
 ) -> tuple[float, float, float]:
-    """:func:`continuity_experiment`, returning ``(epsilon, lhs, rhs)``.
+    """Solve the system under two couplings and compare the solution gap to its bound.
 
-    With ``threshold_fraction`` the coupling is first set to that fraction
-    of the shared-ball threshold; the threshold does not depend on the
-    coupling, so the bounds are built once.
+    Returns ``(epsilon, lhs, rhs)``: the coupling solved at, the measured H2
+    distance between the two assembled solutions (they share u0, so it is
+    taken by Plancherel from the two perturbations' carried spectra) and the
+    continuity bound computed with the shared coupling-ball radius on the
+    problem's rho ball.  lhs <= rhs must hold whenever the coupling sits
+    inside the certified regime.  With ``threshold_fraction`` the coupling
+    is first set to that fraction of the shared-ball threshold; the
+    threshold does not depend on the coupling, so the bounds are built once.
     """
     i_radius = _ball_radius(problem)
     m_shared = max(

@@ -10,7 +10,7 @@ axes; its full ``fftn``-layout ``meshes`` and ``wavenumbers`` are built per acce
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -252,4 +252,4 @@ class NormReport:
     h2: float
 
     def as_dict(self) -> dict:
-        return {"l1": self.l1, "l2": self.l2, "linf": self.linf, "h2": self.h2}
+        return asdict(self)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ import numpy as np
 from .grid import Grid3, ScalarField, VectorField
 from .problems import GaussianSpec
 from .spectral import (
-    SLAB_BYTES,
     TWO_PI_32,
     _defect_ratio,
     _gaussian_axis_spectra,
@@ -78,12 +77,7 @@ class SolvabilityReport:
     predicted_low_freq_growth: float
 
     def as_dict(self) -> dict:
-        return {
-            "mean_integral": self.mean_integral,
-            "regime": self.regime,
-            "orthogonality_residual": self.orthogonality_residual,
-            "predicted_low_freq_growth": self.predicted_low_freq_growth,
-        }
+        return asdict(self)
 
 
 def _is_zero_mean(mean: float, f_l2: float) -> bool:
@@ -191,14 +185,14 @@ def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s
     """:func:`regularity_check` on plain ``rfftn`` coefficients of u0 and f; overwrites both.
 
     Each side is formed in its operand's buffer and the defect in cu's, one
-    slab of rows at a time (:data:`SLAB_BYTES`), so the symbols exist only
+    slab of rows at a time (:func:`~dualfrac.spectral._row_slabs`), so the symbols exist only
     slab by slab.
     """
     lattice = half_lattice(grid)
     pm = lattice.wavenumbers
     if not math.isfinite(_weighted_power(cu, lattice.h2_weights)):
         raise ValueError("Laplacian of u0 is not square integrable on the lattice")
-    for rows in _row_slabs(grid.points_per_axis, SLAB_BYTES):
+    for rows in _row_slabs(grid.points_per_axis):
         lhs = np.multiply(two_exponent_symbol(pm[rows], 1.0, 1.0 + s2 - s1), cu[rows], out=cu[rows])
         rhs = np.multiply(pm[rows] ** (2.0 * (1.0 - s1)), cf[rows], out=cf[rows])
         np.subtract(lhs, rhs, out=lhs)
@@ -224,12 +218,7 @@ class BoxSweepPoint:
     mean_integral: float
 
     def as_dict(self) -> dict:
-        return {
-            "box_length": self.box_length,
-            "points_per_axis": self.points_per_axis,
-            "u_l2_sq": self.u_l2_sq,
-            "mean_integral": self.mean_integral,
-        }
+        return asdict(self)
 
 
 def box_length_sweep(
@@ -247,7 +236,7 @@ def box_length_sweep(
     ``h^3 * Re f_hat(0)``, so u is never brought back to real space.
 
     Nothing of box size is held: each box is swept in slabs of
-    x-frequency rows of about :data:`SLAB_BYTES` of coefficients, built
+    x-frequency rows of about :data:`~dualfrac.spectral.SLAB_BYTES` of coefficients, built
     from the Gaussians' 1-D factor transforms (one ``fft`` and one ``rfft``
     call per box) together with the slab's |p| and symbol, so the sweep's
     memory is O(n^2) of the largest box and builds no
@@ -262,7 +251,7 @@ def box_length_sweep(
         grid = Grid3(float(L), n)
         xs, ys, zs = _gaussian_axis_spectra(influx, grid)
         weights = _plancherel_weights(grid)
-        slabs = _row_slabs(n, SLAB_BYTES)
+        slabs = _row_slabs(n)
         slab = np.empty((slabs[0].stop, n, n // 2 + 1), dtype=np.complex128)
         power = np.empty(n)
         for rows in slabs:

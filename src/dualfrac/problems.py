@@ -214,7 +214,7 @@ class Nonlinearity:
         out = np.empty((self.n_components,) + shape)
         term = np.empty(shape)
         for m, acc in enumerate(out):
-            self._accumulate(z_fields, m, acc, term)
+            self.eval_component(z_fields, m, acc, term)
         return out
 
     def eval_component(self, z_fields, m: int, out=None, term=None) -> np.ndarray:
@@ -226,11 +226,8 @@ class Nonlinearity:
         caller that evaluates slab by slab reuses them; ``out`` is returned.
         """
         shape = z_fields[0].shape
-        out = np.empty(shape) if out is None else out
-        self._accumulate(z_fields, m, out, np.empty(shape) if term is None else term)
-        return out
-
-    def _accumulate(self, z_fields, m: int, acc: np.ndarray, term: np.ndarray) -> None:
+        acc = np.empty(shape) if out is None else out
+        term = np.empty(shape) if term is None else term
         # Each monomial is built in the one ``term`` buffer: its first factor
         # is written there, then scaled by the coefficient, then the later
         # factors are multiplied in; a second buffer exists only for a later
@@ -256,6 +253,7 @@ class Nonlinearity:
                 else:
                     term *= z
             acc += term
+        return acc
 
     def scaled(self, factor: float) -> "Nonlinearity":
         return Nonlinearity(

@@ -378,16 +378,16 @@ class _once:
         return cache[self.name]
 
 
-def _row_slabs(n: int, slab_bytes: int = SLAB_BYTES) -> list[slice]:
+def _row_slabs(n: int) -> list[slice]:
     """Slabs of x-frequency rows covering the n-point half lattice in order.
 
     Each slab but the last holds the same number of rows, as many as fit in
-    ``slab_bytes`` of complex coefficients (at least one).  Elementwise work
+    :data:`SLAB_BYTES` of complex coefficients (at least one).  Elementwise work
     done slab by slab gives bitwise the whole-array result, with temporaries
     of slab size.
     """
     row_bytes = n * (n // 2 + 1) * np.dtype(np.complex128).itemsize
-    height = min(n, max(1, slab_bytes // row_bytes))
+    height = min(n, max(1, SLAB_BYTES // row_bytes))
     return [slice(r, min(r + height, n)) for r in range(0, n, height)]
 
 

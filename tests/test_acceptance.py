@@ -238,7 +238,7 @@ def test_criterion_08_continuity_bound(demo64):
             m_shared = max(c2_ball_norm(g1, i_radius), c2_ball_norm(g2, i_radius))
             ctx = build_bounds_context(demo64, M=m_shared)
             eps = 0.9 * ctx.epsilon_max
-            lhs, rhs = continuity_experiment(demo64.with_epsilon(eps), g1, g2)
+            _, lhs, rhs = continuity_experiment(demo64.with_epsilon(eps), g1, g2)
             ok = ok and lhs <= rhs
             entries.append(f"{label}: {lhs:.2e} <= {rhs:.2e}")
         c.conclude(ok, "; ".join(entries))

@@ -40,8 +40,8 @@ def tau_scaled_by(factor):
     def inject(monkeypatch):
         step = fixed_point._tau_spectrum
 
-        def wrong(z_box, problem, radius):
-            coeff = step(z_box, problem, radius)
+        def wrong(z, problem, radius):
+            coeff = step(z, problem, radius)
             coeff *= factor
             return coeff
 

@@ -120,6 +120,24 @@ def test_demo_fixed_point_converges(demo32):
         assert np.all(cu.values == c0.values + cp.values)
 
 
+@pytest.mark.parametrize(
+    "v, match",
+    [
+        (VectorField.zeros(Grid3(10.0, 32), 2), "grid"),
+        (VectorField.zeros(Grid3(20.0, 32), 1), "component count"),
+        (VectorField.zeros(Grid3(20.0, 32), 3), "component count"),
+    ],
+    ids=["grid", "one-component", "three-component"],
+)
+def test_fields_off_the_problem_are_rejected(demo32, v, match):
+    # a v0 off the problem once converged silently or broadcast with numpy's
+    # error, and a three-component u once gave a residual
+    assert demo32.grid == Grid3(20.0, 32)
+    for call in (apply_tau, system_residual, lambda v, p: solve_fixed_point(p, v0=v)):
+        with pytest.raises(ValueError, match=match):
+            call(v, demo32)
+
+
 def test_restart_reaches_same_fixed_point(demo32):
     tol = 1e-10
     res0 = solve_fixed_point(demo32, tol=tol)
@@ -188,9 +206,7 @@ def test_tau_step_is_bitwise_the_whole_array_composition(demo64):
     ref = _rfft(g_values)
     ref *= np.asarray(demo64.epsilon)[:, None, None, None]
     ref *= spectral_plan(demo64).transfer
-    z_box = [z]
-    coeff = fixed_point._tau_spectrum(z_box, demo64, _ball_radius(demo64))
-    assert z_box == []
+    coeff = fixed_point._tau_spectrum(z, demo64, _ball_radius(demo64))
     assert np.array_equal(bits(coeff), bits(ref))
     # the caller's buffer now holds g(z)
     assert np.array_equal(bits(z), bits(g_values))
@@ -202,9 +218,9 @@ def test_tau_step_warns_when_only_the_last_slab_leaves_the_ball(demo64, caplog):
     outside = z.copy()
     outside[:, _row_slabs(64)[-1].start, 0, 0] = (1.5 * radius, 0.0)
     with caplog.at_level(logging.WARNING, logger="dualfrac.fixed_point"):
-        fixed_point._tau_spectrum([z], demo64, radius)
+        fixed_point._tau_spectrum(z, demo64, radius)
         assert not caplog.records
-        fixed_point._tau_spectrum([outside], demo64, radius)
+        fixed_point._tau_spectrum(outside, demo64, radius)
     assert len(caplog.records) == 1
     assert f"length {1.5 * radius:.6f} left the coupling ball" in caplog.records[0].message
 
@@ -219,7 +235,7 @@ def test_tau_step_reports_the_first_non_finite_component_over_all_slabs(demo64):
         assert np.isfinite(whole[:, first]).all(axis=(1, 2, 3)).tolist() == [True, False]
         assert np.isfinite(whole).all(axis=(1, 2, 3)).tolist() == [False, False]
         with pytest.raises(ValueError, match="coupling output for component 0 is not finite"):
-            fixed_point._tau_spectrum([z], demo64, _ball_radius(demo64))
+            fixed_point._tau_spectrum(z, demo64, _ball_radius(demo64))
 
 
 def test_residual_in_slabs_is_bitwise_the_whole_array_residual(demo64, monkeypatch):
@@ -335,8 +351,8 @@ def test_measured_ratios_make_no_full_lattice_inverse(demo32, monkeypatch):
 def test_measured_ratios_reject_a_non_finite_image(demo32, monkeypatch):
     step = fixed_point._tau_spectrum
 
-    def overflowing(z_box, problem, radius):
-        coeff = step(z_box, problem, radius)
+    def overflowing(z, problem, radius):
+        coeff = step(z, problem, radius)
         coeff[0, 1, 1, 1] = np.inf
         return coeff
 
@@ -455,14 +471,14 @@ def test_residual_detects_small_noise_under_exact_spectrum(demo32):
 
 def test_continuity_identical_couplings(demo32):
     g = demo32.nonlinearity
-    lhs, rhs = continuity_experiment(demo32, g, g)
+    _, lhs, rhs = continuity_experiment(demo32, g, g)
     assert lhs == 0.0
     assert rhs == 0.0
 
 
 def test_continuity_bound_holds_for_scaled_coupling(demo32):
     g = demo32.nonlinearity
-    lhs, rhs = continuity_experiment(demo32, g, g.scaled(1.1))
+    _, lhs, rhs = continuity_experiment(demo32, g, g.scaled(1.1))
     assert lhs <= rhs
     assert lhs > 0.0
 
@@ -478,7 +494,7 @@ def test_continuity_gap_uses_carried_spectra_without_difference_fields(demo32, m
         raise AssertionError("continuity_experiment built a difference field")
 
     monkeypatch.setattr(VectorField, "__sub__", no_difference)
-    lhs, _ = continuity_experiment(demo32, g1, g2)
+    _, lhs, _ = continuity_experiment(demo32, g1, g2)
     assert lhs == pytest.approx(expected, rel=1e-12)
 
 
@@ -487,7 +503,7 @@ def test_continuity_gap_scales_linearly_in_perturbation(demo32):
     gaps = []
     for eta in (0.02, 0.04):
         g2 = g.with_monomial(0, (3, 0), eta)
-        lhs, rhs = continuity_experiment(demo32, g, g2)
+        _, lhs, rhs = continuity_experiment(demo32, g, g2)
         assert lhs <= rhs
         gaps.append(lhs)
     ratio = gaps[1] / gaps[0]

@@ -301,6 +301,14 @@ SOLVE_COMMAND_PEAK_ARRAYS = 15.9
 # spectrum and the centre phase as whole-lattice temporaries reached 9.8.
 VERIFY_BOUNDS_PEAK_ARRAYS = 10.5
 
+# The same for `contraction --trials 2`: 17.4 measured, 17.8 when it is the
+# process's first run and its peak also holds the numpy.random import.
+CONTRACTION_PEAK_ARRAYS = 18.3
+
+# The same for `continuity`: 17.4 measured.  Keeping a stacked g(z) beside
+# z in the Picard step read 20.7.
+CONTINUITY_PEAK_ARRAYS = 17.9
+
 
 def command_peak_arrays(argv, tmp_path):
     """Peak numpy memory of one CLI run on the demo, plan build included, in n^3 arrays."""
@@ -328,3 +336,11 @@ def test_verify_bounds_peak_stays_under_the_memory_ceiling(tmp_path):
 
 def test_solve_command_peak_stays_under_the_memory_ceiling(tmp_path):
     assert command_peak_arrays(["solve"], tmp_path) <= SOLVE_COMMAND_PEAK_ARRAYS
+
+
+def test_contraction_peak_stays_under_the_memory_ceiling(tmp_path):
+    assert command_peak_arrays(["contraction", "--trials", "2"], tmp_path) <= CONTRACTION_PEAK_ARRAYS
+
+
+def test_continuity_peak_stays_under_the_memory_ceiling(tmp_path):
+    assert command_peak_arrays(["continuity"], tmp_path) <= CONTINUITY_PEAK_ARRAYS

@@ -375,7 +375,7 @@ def test_box_sweep_is_slab_height_invariant(case, monkeypatch):
         for L in SWEEP_BOXES:
             n = int(round(L / SWEEP_SPACING))
             row_bytes = 16 * n * (n // 2 + 1)
-            monkeypatch.setattr(poisson, "SLAB_BYTES", row_bytes * (height or n))
+            monkeypatch.setattr(spectral, "SLAB_BYTES", row_bytes * (height or n))
             points += box_length_sweep(case.influx, case.s1, case.s2, SWEEP_SPACING, [L])
         return points
 
