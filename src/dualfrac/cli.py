@@ -204,9 +204,9 @@ def _cmd_solve_linear(problem, args, dump):
         s1, s2 = problem.orders.s1[m], problem.orders.s2[m]
         # One rfftn of the real-space u0_m feeds the norms and both residuals;
         # the influx side is the plan's spectrum, rebuilt from the Gaussians
-        # independently of u0's values.  u0's carried spectrum is not reused:
-        # it is the division that defines u0, so residuals taken from it would
-        # vanish whatever u0's values hold.  Two half-lattice buffers serve
+        # independently of u0's values.  The plan's division spectrum, which
+        # defines u0, is not kept: residuals taken from it would vanish
+        # whatever u0's values hold.  Two half-lattice buffers serve
         # the component: cu, and cf for f_hat, its forward defect and f_hat again.
         cu = _rfft(u0_m)
         norms = vector_norms(VectorField(grid, u0_m[None], cu[None])).as_dict()

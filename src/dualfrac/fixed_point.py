@@ -38,6 +38,7 @@ from .spectral import (  # noqa: F401  (forward_transform stays importable from 
     _band_limit,
     _h2_gap,
     _irfft,
+    _norms_with_h2_term,
     _rfft,
     _row_slabs,
     _weighted_power,
@@ -73,7 +74,8 @@ class FixedPointResult:
 
     ``u_p_norms`` is ``vector_norms(u_p)`` and ``u_norms`` is
     ``vector_norms(u)``; u itself is not stored, and :attr:`u` forms it on
-    request.  ``converged`` implies the final step norm and the relative
+    request.  u0 is the plan's, values only; u_p carries its half
+    spectrum.  ``converged`` implies the final step norm and the relative
     system residual are both at or below the configured tolerance and that
     u_p stayed inside the radius-rho ball.
     """
@@ -91,7 +93,7 @@ class FixedPointResult:
 
     @property
     def u(self) -> VectorField:
-        """The assembled solution ``u0 + u_p``, values and half spectrum."""
+        """The assembled solution ``u0 + u_p``: values only, as u0 carries no spectrum."""
         return self.u0 + self.u_p
 
 
@@ -257,13 +259,15 @@ def solve_fixed_point(
     ratios = [b / a for a, b in zip(step_norms, step_norms[1:]) if a > 0.0]
     u_p_norms = vector_norms(v)
     # u is formed in the iterate's values buffer and dropped once its
-    # residual and norms are taken; u_p's values are then rebuilt from its
-    # carried spectrum, as the loop made them
+    # residual and norms are taken, the H2 term of its norms from the
+    # residual's own transforms of u; u_p's values are then rebuilt from
+    # its carried spectrum, as the loop made them
     spectrum = v.spectrum
-    u_values = np.add(u0.values, v.values, out=v.values)
-    residual = system_residual(VectorField(grid, u_values), problem)
-    u_norms = vector_norms(VectorField(grid, u_values, u0.spectrum + spectrum))
-    del v, u_values
+    u = VectorField(grid, np.add(u0.values, v.values, out=v.values))
+    del v
+    residual, lap_sq = _residual_and_h2_term(u, problem)
+    u_norms = _norms_with_h2_term(u, lap_sq)
+    del u
     v = VectorField(grid, _irfft(spectrum, grid), spectrum)
     converged = bool(
         step_norms and step_norms[-1] <= tol and residual <= tol and u_p_norms.h2 <= problem.rho * (1 + 1e-12)
@@ -366,10 +370,23 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     :meth:`SpectralPlan.influx_spectrum`; then u_m is transformed and the
     defect formed in place on its coefficients.
     """
+    return _residual_and_h2_term(u, problem)[0]
+
+
+def _residual_and_h2_term(u: VectorField, problem: ProblemSpec) -> tuple[float, float]:
+    """:func:`system_residual` at u, and the H2 derivative term of ``vector_norms(u)``.
+
+    The term is summed over components, in order, from the transform of
+    u_m the residual makes anyway, before the symbol multiplies it: for a u
+    that carries no spectrum, ``vector_norms`` adds the same terms, so the
+    norms built on it are bitwise ``vector_norms(u)``'s.
+    """
     _check_field(u, problem)
     plan = spectral_plan(problem)
+    lap_weights = half_lattice(problem.grid).h2_weights
     slabs = _row_slabs(problem.grid.points_per_axis)
     defect_sq = 0.0
+    lap_sq = 0.0
     for m, eps in enumerate(problem.epsilon):
         # symbol * u_hat - (eps * symbol * transfer * g_hat + f_hat)
         g_m = np.empty(problem.grid.shape)
@@ -381,13 +398,14 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
             coeff_g[rows] *= plan.transfer[m][rows] * (eps * plan.symbols[m][rows])
         coeff_g += plan.influx_spectrum(m)
         coeff = _rfft(u.values[m])
+        lap_sq += _weighted_power(coeff, lap_weights)
         coeff *= plan.symbols[m]
         coeff -= coeff_g
         del coeff_g
         defect_sq += nonzero_mode_l2(coeff, problem.grid) ** 2
         del coeff
     defect = math.sqrt(defect_sq)
-    return defect / plan.influx_l2 if plan.influx_l2 else defect
+    return (defect / plan.influx_l2 if plan.influx_l2 else defect), lap_sq
 
 
 def continuity_experiment(

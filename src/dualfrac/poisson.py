@@ -203,9 +203,11 @@ def solve_linear_system(problem) -> VectorField:
     """Solve the uncoupled linear problems for every component influx.
 
     The drop zero-mode policy applies.  The result is the problem's shared
-    :class:`~dualfrac.spectral.SpectralPlan` u0: it carries its half
-    spectrum and its values are read-only (writing into them raises
-    ``ValueError``), so every caller sees the same u0; copy to edit.
+    :class:`~dualfrac.spectral.SpectralPlan` u0: it carries no spectrum
+    (its norms are the plan's ``u0_norms``, taken from the division
+    spectrum before the plan dropped it) and its values are read-only
+    (writing into them raises ``ValueError``), so every caller sees the
+    same u0; copy to edit.
     """
     return spectral_plan(problem).u0
 

@@ -8,15 +8,16 @@ Every full 3-D transform runs through :func:`_rfft`/:func:`_irfft`: plain
 a :class:`VectorField`; the public :class:`Spectrum` transforms only add
 the continuum normalization and the mirrored upper half of the ``fftn``
 layout.  The ball sampler's band limit runs the same passes pruned to the
-modes it keeps (:func:`_band_limit`).  :class:`HalfLattice` holds the per-grid wavenumbers and norm
-weights, and :class:`SpectralPlan` holds the per-problem symbols, kernel
-transfer multipliers and the linear response u0.  The influx and kernel
-spectra come from the Gaussians' separability, as outer products of 1-D
-transforms, never from a 3-D transform of sampled data; the plan keeps
-only the influxes' 1-D axis spectra and rebuilds one influx spectrum when
-asked for it.  Plans are immutable: every piece is computed
-once, on first use and under the plan's lock, and its arrays are read-only,
-so one plan is safe to share across the ``sweep-epsilon`` thread pool.
+modes it keeps (:func:`_band_limit`).  :class:`HalfLattice` holds the
+per-grid wavenumbers and norm weights, and :class:`SpectralPlan` holds the
+per-problem symbols, kernel transfer multipliers and the linear response
+u0, as values and norms.  The influx and kernel spectra come from the
+Gaussians' separability, as outer products of 1-D transforms, never from a
+3-D transform of sampled data; the plan keeps only the influxes' 1-D axis
+spectra and rebuilds one influx spectrum when asked for it.  Plans are
+immutable: every piece is computed once, on first use and under the
+plan's lock, and its arrays are read-only, so one plan is safe to share
+across the ``sweep-epsilon`` thread pool.
 """
 
 from __future__ import annotations
@@ -147,14 +148,25 @@ def vector_norms(u: VectorField) -> NormReport:
     L2 and H2 aggregate components as the root of the sum of squared
     component norms; L1 and Linf are taken on the pointwise Euclidean
     length |u(x)|.  The H2 derivative term comes from the half spectrum the
-    field carries, or from one batched ``rfftn`` when it carries none.
+    field carries or, when it carries none, from one ``rfftn`` per
+    component, whose terms are added in component order, as
+    :func:`~dualfrac.fixed_point.solve_fixed_point` adds them for u.
     """
+    weights = half_lattice(u.grid).h2_weights
+    if u.spectrum is not None:
+        return _norms_with_h2_term(u, _weighted_power(u.spectrum, weights))
+    lap_sq = 0.0
+    for values in u.values:
+        lap_sq += _weighted_power(_rfft(values), weights)
+    return _norms_with_h2_term(u, lap_sq)
+
+
+def _norms_with_h2_term(u: VectorField, lap_sq: float) -> NormReport:
+    """:func:`vector_norms` of u given its H2 derivative term ``lap_sq``, a weighted half-spectrum sum."""
     g = u.grid
-    spectrum = u.spectrum if u.spectrum is not None else _rfft(u.values)
     length = u.euclidean_length()
     flat = u.values.ravel()
     l2_sq = g.cell_volume * float(np.vdot(flat, flat))
-    lap_sq = _weighted_power(spectrum, half_lattice(g).h2_weights)
     return NormReport(
         l1=float(g.cell_volume * np.sum(length)),
         l2=float(np.sqrt(l2_sq)),
@@ -490,9 +502,11 @@ class SpectralPlan:
     """Spectral data of one ``(orders, kernels, influxes, grid)`` on the half lattice.
 
     Every lattice-size array holds plain ``rfftn`` coefficients stacked over
-    components, shape ``(N, n, n, n/2 + 1)``: the symbols, the transfer and
-    u0's spectrum.  The influx spectra are not kept; the plan caches only
-    the influx Gaussians' 1-D axis spectra, from which u0 is built and
+    components, shape ``(N, n, n, n/2 + 1)``: the symbols and the transfer.
+    u0 is kept as values alone, with its norms; its spectrum, the influx
+    spectra divided by the symbols, lives only while u0 is built.  The
+    influx spectra are not kept either; the plan caches only the influx
+    Gaussians' 1-D axis spectra, from which u0 is built and
     :meth:`influx_spectrum` rebuilds one component's f_hat on request.
     Couplings and nonlinearities are not part of the plan, so
     ``with_epsilon``/``with_nonlinearity`` variants of a problem share one.
@@ -541,16 +555,18 @@ class SpectralPlan:
         return _outer_rows(xs[rows], ys[rows], zs[rows], out)
 
     @_once
-    def _linear_pieces(self) -> tuple[float, VectorField]:
+    def _linear_pieces(self) -> tuple[float, VectorField, NormReport]:
         # One stack of influx spectra gives the influx norm, then is divided
-        # by the symbols in place to become u0's carried spectrum.
+        # by the symbols in place to become u0's spectrum, which gives u0's
+        # values and norms and is then dropped.
         coeff = np.empty((len(self.influxes),) + self.lattice.wavenumbers.shape, dtype=np.complex128)
         for m, acc in enumerate(coeff):
             self.influx_spectrum(m, out=acc)
         influx_l2 = math.sqrt(_weighted_power(coeff, self.lattice.weights))
-        coeff = _frozen(_without_zero_mode(coeff, self.symbols, out=coeff))
+        coeff = _without_zero_mode(coeff, self.symbols, out=coeff)
         values = _frozen(_irfft(coeff, self.grid))
-        return influx_l2, VectorField(self.grid, values, coeff)
+        norms = vector_norms(VectorField(self.grid, values, coeff))
+        return influx_l2, VectorField(self.grid, values), norms
 
     @property
     def influx_l2(self) -> float:
@@ -559,13 +575,13 @@ class SpectralPlan:
 
     @property
     def u0(self) -> VectorField:
-        """Linear response to the influxes, zero mode dropped; carries its spectrum."""
+        """Linear response to the influxes, zero mode dropped; values only, read-only."""
         return self._linear_pieces[1]
 
-    @_once
+    @property
     def u0_norms(self) -> NormReport:
-        """:func:`vector_norms` of u0."""
-        return vector_norms(self.u0)
+        """:func:`vector_norms` of u0, taken on its division spectrum before that is dropped."""
+        return self._linear_pieces[2]
 
     @_once
     def _kernel_pieces(self) -> tuple[tuple[float, float], np.ndarray]:

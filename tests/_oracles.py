@@ -1,17 +1,19 @@
 """Independent oracle computations used by the test suite.
 
-Everything here but :func:`full_lattice_sample_ball` deliberately avoids
-the package's own FFT path: transforms are done with dense DFT matrices,
-convolutions by direct summation, and radial integrals by trapezoid
-quadrature on a fine 1-D grid.  :func:`full_lattice_sample_ball` is the
-ball sampler before its transforms were pruned, kept as the bitwise
-reference of the pruned one.
+Everything here but the references of replaced code paths at the end
+deliberately avoids the package's own FFT path: transforms are done with
+dense DFT matrices, convolutions by direct summation, and radial integrals
+by trapezoid quadrature on a fine 1-D grid.  :func:`full_lattice_sample_ball`
+is the ball sampler before its transforms were pruned, kept as the bitwise
+reference of the pruned one, and :func:`summed_spectrum_u_norms` is the
+solver's norms of u before they were taken from the residual's transforms,
+with u0's spectrum rebuilt by :func:`u0_division_spectrum`.
 """
 
 import numpy as np
 
 from dualfrac import VectorField
-from dualfrac.spectral import _irfft, _rfft, half_lattice, vector_norms
+from dualfrac.spectral import _irfft, _rfft, _without_zero_mode, half_lattice, vector_norms
 
 
 def radial_integral(fn, lo, hi, n=200_001):
@@ -97,3 +99,15 @@ def full_lattice_sample_ball(grid, n_components, rho, rng):
         return full_lattice_sample_ball(grid, n_components, rho, rng)
     target = rho * (1.0 - rng.random())  # uniform in (0, rho]
     return draw * (target / norm)
+
+
+def u0_division_spectrum(plan):
+    """u0's half spectrum as the plan divides it: stacked f_hat / symbol, zero at p = 0."""
+    influx = np.stack([plan.influx_spectrum(m) for m in range(len(plan.influxes))])
+    return _without_zero_mode(influx, plan.symbols, out=influx)
+
+
+def summed_spectrum_u_norms(result, plan):
+    """``vector_norms(u)`` from u's values and the sum of u0's division spectrum and u_p's carried one."""
+    spectrum = u0_division_spectrum(plan) + result.u_p.spectrum
+    return vector_norms(VectorField(result.u_p.grid, result.u.values, spectrum))

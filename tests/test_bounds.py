@@ -27,6 +27,7 @@ from dualfrac import (
     solve_linear_system,
     vector_norms,
 )
+from dualfrac.spectral import spectral_plan
 
 
 def make_context(u0_h2=0.0, M=1.0, H=1.0, Q=1.0, s1=0.5, S1=0.5, rho=1.0, epsilon=0.0):
@@ -338,7 +339,10 @@ def test_continuity_rhs_void_outside_contraction():
 
 def test_build_bounds_context_for_demo(demo32):
     ctx = build_bounds_context(demo32)
-    assert ctx.u0_h2 == vector_norms(solve_linear_system(demo32)).h2 > 0
+    # the plan's u0 norms, taken on u0's division spectrum; a fresh
+    # transform of u0's values gives them to rounding
+    assert ctx.u0_h2 == spectral_plan(demo32).u0_norms.h2 > 0
+    assert abs(ctx.u0_h2 - vector_norms(solve_linear_system(demo32)).h2) <= 1e-15 * ctx.u0_h2
     assert ctx.rho == demo32.rho
     assert ctx.H > 0 and ctx.Q > 0
     assert 0.25 < ctx.s1_min <= ctx.S1_max < 0.75

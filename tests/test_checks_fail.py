@@ -12,10 +12,12 @@ exactly those some injection fails alone plus those listed.
 
 import json
 from dataclasses import replace
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
-from dualfrac import cli, fixed_point
+from dualfrac import VectorField, cli, fixed_point, spectral
 from dualfrac.cli import run_command
 
 
@@ -83,6 +85,46 @@ def rho_divided_by(factor):
     return inject
 
 
+def u0_scaled_by(m, factor):
+    """u0's values for component m, too large by ``factor``, as the linear checks receive them.
+
+    The plan's u0 is left as it is: the checks see the defect only if they
+    read u0's values.
+    """
+
+    def inject(monkeypatch):
+        solve = cli.solve_linear_system
+
+        def wrong(problem):
+            values = solve(problem).values.copy()
+            values[m] *= factor
+            return VectorField(problem.grid, values)
+
+        monkeypatch.setattr(cli, "solve_linear_system", wrong)
+
+    return inject
+
+
+def division_s2_raised_by(m, offset):
+    """The plan's symbol for component m, hence u0's division, built with s2 + ``offset``.
+
+    The problem's orders stay right.  The plan is built in a cache of the
+    injection's own, so no plan with the wrong symbol outlives the case.
+    """
+
+    def inject(monkeypatch):
+        def symbols(plan):
+            s2 = list(plan.orders.s2)
+            s2[m] += offset
+            pm = plan.lattice.wavenumbers
+            return np.stack([spectral.two_exponent_symbol(pm, a, b) for a, b in zip(plan.orders.s1, s2)])
+
+        monkeypatch.setattr(spectral.SpectralPlan, "symbols", spectral._once(symbols))
+        monkeypatch.setattr(spectral, "_cached_plan", lru_cache(maxsize=1)(spectral.SpectralPlan))
+
+    return inject
+
+
 # (subcommand, defect, injection, the checks that must fail)
 INJECTIONS = [
     ("contraction", "sigma / 1e6", sigma_divided_by(1e6), {"max_ratio_below_certified"}),
@@ -90,6 +132,12 @@ INJECTIONS = [
     ("solve", "step norm + 1e-9", step_norm_raised_by(1e-9), {"converged"}),
     ("solve", "tau * 1.01", tau_scaled_by(1.01), {"converged", "final_residual"}),
     ("solve", "rho / 1e6", rho_divided_by(1e6), {"converged", "u_p_inside_ball"}),
+    ("solve-linear", "u0_0 * (1 + 1e-11)", u0_scaled_by(0, 1 + 1e-11), {"forward_residual_0"}),
+    ("solve-linear", "u0_1 * (1 + 1e-11)", u0_scaled_by(1, 1 + 1e-11), {"forward_residual_1"}),
+    ("solve-linear", "u0_0 * (1 + 1e-9)", u0_scaled_by(0, 1 + 1e-9), {"forward_residual_0", "regularity_residual_0"}),
+    ("solve-linear", "u0_1 * (1 + 1e-9)", u0_scaled_by(1, 1 + 1e-9), {"forward_residual_1", "regularity_residual_1"}),
+    ("solve-linear", "symbol s2_0 + 1e-6", division_s2_raised_by(0, 1e-6), {"regularity_residual_0"}),
+    ("solve-linear", "symbol s2_1 + 1e-6", division_s2_raised_by(1, 1e-6), {"regularity_residual_1"}),
 ]
 
 CANNOT_FAIL_ALONE = {

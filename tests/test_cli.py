@@ -67,10 +67,11 @@ def test_solve_linear_residuals_detect_perturbed_u0(demo_config, tmp_path, monke
 
     def perturbed(problem):
         # 1e-8 relative noise on the values; the carried spectrum stays exact
+        # (the plan's u0 carries none, so the clean values' transform is attached)
         u0 = original(problem)
         noise = np.random.default_rng(5).standard_normal(u0.values.shape)
         values = u0.values + 1e-8 * np.max(np.abs(u0.values)) * noise
-        return VectorField(u0.grid, values, u0.spectrum)
+        return VectorField(u0.grid, values, spectral._rfft(u0.values))
 
     monkeypatch.setattr(cli, "solve_linear_system", perturbed)
     code = run_command(small(["solve-linear", "--config", str(demo_config)], tmp_path))

@@ -27,6 +27,7 @@ from dualfrac import (
 from dualfrac.bounds import _ball_radius
 from dualfrac.fixed_point import CONTINUITY_TOL
 from dualfrac.problems import ConfigError
+from dualfrac import poisson, spectral
 from dualfrac.spectral import _irfft, _rfft, _row_slabs, h2_distance, spectral_plan
 
 
@@ -249,10 +250,47 @@ def test_solution_is_u0_plus_u_p_bitwise(demo64):
     res = solve_fixed_point(demo64)
     u = res.u
     assert np.array_equal(bits(u.values), bits(res.u0.values + res.u_p.values))
-    assert np.array_equal(bits(u.spectrum), bits(res.u0.spectrum + res.u_p.spectrum))
+    # u0 is values only, so u carries no spectrum, and its norms transform
+    # it one component at a time, as the solve's residual did
+    assert res.u0.spectrum is None and u.spectrum is None
     assert res.u_norms == vector_norms(u)
     # u_p's values were overwritten with u, then rebuilt from u_p's spectrum
     assert np.array_equal(bits(res.u_p.values), bits(_irfft(res.u_p.spectrum, demo64.grid)))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_u_norms_agree_with_the_summed_spectrum_formula(demo, n):
+    problem = demo.with_grid(Grid3(20.0, n))
+    res = solve_fixed_point(problem)
+    old = _oracles.summed_spectrum_u_norms(res, spectral_plan(problem))
+    new = res.u_norms
+    # L1, L2 and Linf come from u's values either way; only the H2 term's
+    # summation order differs
+    assert (new.l1, new.l2, new.linf) == (old.l1, old.l2, old.linf)
+    assert abs(new.h2 - old.h2) <= 1e-14 * old.h2
+
+
+def test_solve_makes_one_transform_per_step_and_residual_operand(demo32, monkeypatch):
+    counts = {"_rfft": 0, "_irfft": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {name: counting(name, getattr(spectral, name)) for name in counts}
+    for module in (spectral, fixed_point, poisson):
+        for name, wrapper in wrappers.items():
+            monkeypatch.setattr(module, name, wrapper)
+    spectral._cached_plan.cache_clear()
+    res = solve_fixed_point(demo32)
+    assert res.converged and res.iterations == 4
+    # forward: one per Picard step and, in the residual, one of g_m(u) and
+    # one of u_m per component, which also give u's H2 term; inverse: u0's
+    # in the plan, one per step and u_p's values rebuilt at the end
+    assert counts == {"_rfft": 4 + 2 * 2, "_irfft": 1 + 4 + 1}
 
 
 def test_out_of_certificate_coupling_warns(demo32, caplog):
@@ -460,9 +498,10 @@ def test_residual_detects_small_noise_under_exact_spectrum(demo32):
     res = solve_fixed_point(demo32, tol=tol)
     assert system_residual(res.u, demo32) <= tol
     # 1e-8 relative noise on the values; the carried spectrum stays exact
+    # (u carries none, so the clean values' transform is attached)
     noise = np.random.default_rng(16).standard_normal(res.u.values.shape)
     values = res.u.values + 1e-8 * np.max(np.abs(res.u.values)) * noise
-    noisy = VectorField(demo32.grid, values, res.u.spectrum)
+    noisy = VectorField(demo32.grid, values, _rfft(res.u.values))
     assert system_residual(noisy, demo32) > tol
 
 

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import _oracles
 from dualfrac import (
     Grid3,
     ScalarField,
@@ -182,6 +183,16 @@ def test_tau_and_residual_work_on_a_bounded_working_set(demo32):
     assert traced_peak(lambda: system_residual(u, demo32)) <= WORKING_SET_FIELDS * field_bytes
 
 
+@pytest.mark.parametrize("n_components", [1, 2, 3])
+def test_norms_of_a_field_without_spectrum_transform_one_component_at_a_time(grid32, n_components):
+    u = VectorField(grid32, np.random.default_rng(16).standard_normal((n_components,) + grid32.shape))
+    vector_norms(u)  # build the lattice's H2 weights first
+    # one component's half spectrum (1.03 arrays), dropped before the
+    # pointwise length (1.0) is taken, whatever N is; the stacked spectrum
+    # beside the length read 3.1 at N = 2
+    assert traced_peak(lambda: vector_norms(u)) <= 1.1 * u.values[0].nbytes
+
+
 def test_continuity_holds_little_beyond_one_solve(demo32):
     _, g1, g2 = problems.continuity_pairs(demo32.nonlinearity)[0]
     continuity_experiment(demo32, g1, g2)  # build the plan pieces first
@@ -193,17 +204,20 @@ def test_continuity_holds_little_beyond_one_solve(demo32):
 
 
 # Peak numpy memory of one demo solve at n = 64, in n^3 float64 arrays, plan
-# build included.  The live data are the plan (about 8.2) and u_p with its
-# half spectrum (4.1).  A Picard step adds z = u0 + v, over which g(z) is
-# written slab by slab, and the previous spectrum; the residual stage adds
-# one component's g_m(u) and its transforms, with u formed in u_p's values
-# buffer; u's norms, the peak at 15.4, add u's summed spectrum and its
-# pointwise length.  A whole-array pointwise stage (g(z) stacked beside z, a
-# full-size monomial buffer) and u's values beside u_p's read 16.6; holding
-# each iterate's values beside z and g(z), and the whole g(u) with its
-# spectrum in the residual, reached 18.3; a plan that also kept the stacked
-# influx spectra (2.1) reached 20.5.
-SOLVE_PEAK_ARRAYS = 15.8
+# build included.  The live data are the plan (about 6.2: u0 is values
+# only) and u_p with its half spectrum (4.1).  A Picard step, the peak at
+# 12.7, holds z = u0 + v, over which g(z) is written slab by slab, the
+# previous spectrum and the new one beside the plan.  The residual stage
+# (12.4) adds one component's g_m(u) and its transforms, with u formed in
+# u_p's values buffer, and sums u's H2 term from its transforms of u; u's
+# norms then add only its pointwise length.  A plan that kept u0's
+# spectrum (2.1), with u's norms taken on that plus u_p's spectrum, read
+# 15.4, at u's norms; a whole-array pointwise stage (g(z) stacked beside z,
+# a full-size monomial buffer) and u's values beside u_p's read 16.6;
+# holding each iterate's values beside z and g(z), and the whole g(u) with
+# its spectrum in the residual, reached 18.3; a plan that also kept the
+# stacked influx spectra (2.1) reached 20.5.
+SOLVE_PEAK_ARRAYS = 13.1
 
 
 def test_solve_peak_stays_under_the_memory_ceiling(monkeypatch):
@@ -212,7 +226,7 @@ def test_solve_peak_stays_under_the_memory_ceiling(monkeypatch):
     spectral._cached_plan.cache_clear()
     spectral.half_lattice.cache_clear()
     residual_peaks, earlier_peaks = [], []
-    residual = fixed_point.system_residual
+    residual = fixed_point._residual_and_h2_term
 
     def traced_residual(u, problem):
         earlier_peaks.append(tracemalloc.get_traced_memory()[1])
@@ -221,7 +235,7 @@ def test_solve_peak_stays_under_the_memory_ceiling(monkeypatch):
         residual_peaks.append(tracemalloc.get_traced_memory()[1])
         return value
 
-    monkeypatch.setattr(fixed_point, "system_residual", traced_residual)
+    monkeypatch.setattr(fixed_point, "_residual_and_h2_term", traced_residual)
     tracemalloc.start()
     try:
         result = solve_fixed_point(problem)
@@ -255,7 +269,12 @@ def test_residual_matches_batched_formula(demo32):
 def test_plan_u0_norms_are_computed_once_and_only_for_its_own_u0(demo32):
     plan = spectral_plan(demo32)
     assert plan.u0_norms is plan.u0_norms
-    assert plan.u0_norms == vector_norms(plan.u0)
+    # the plan keeps u0's values alone; its norms were taken on its division
+    # spectrum f_hat / symbol, whose inverse transform the values are
+    assert plan.u0.spectrum is None
+    division = _oracles.u0_division_spectrum(plan)
+    assert np.array_equal(plan.u0.values, spectral._irfft(division, demo32.grid))
+    assert plan.u0_norms == vector_norms(VectorField(demo32.grid, plan.u0.values, division))
 
 
 def test_solve_leaves_no_influx_spectra_in_the_plan(demo32):
@@ -277,37 +296,47 @@ def test_solve_leaves_no_influx_spectra_in_the_plan(demo32):
         collect(value)
     stack_shape = (demo32.n_components,) + half_lattice(demo32.grid).wavenumbers.shape
     complex_stacks = [a for a in stacks if a.shape == stack_shape and np.iscomplexobj(a)]
-    # u0's carried spectrum and the transfer; f_hat is rebuilt when it is asked for
-    assert sorted(map(id, complex_stacks)) == sorted(map(id, (result.u0.spectrum, plan.transfer)))
+    # the transfer alone: u0 keeps no spectrum, and f_hat is rebuilt when it is asked for
+    assert result.u0.spectrum is None
+    assert [id(a) for a in complex_stacks] == [id(plan.transfer)]
 
 
 # Peak numpy memory of `solve-linear --dump-fields` on the demo at n = 64, in
-# n^3 float64 arrays, plan build included: the plan (wavenumbers, symbols,
-# u0's values and spectrum, H2 weights, about 6.1) plus one component's two
-# half-lattice buffers, u_hat and f_hat (which also holds the forward defect),
-# and slab-sized symbol temporaries; 9.5 measured.  A third buffer for the
-# defect and whole-lattice symbol temporaries reached 10.5; sampling the
-# influxes, keeping their stacked spectra in the plan and copying each
-# snapshot into bytes reached 14.5.
-SOLVE_LINEAR_PEAK_ARRAYS = 11.0
+# n^3 float64 arrays, plan build included: the plan's u0 build, u0's
+# division spectrum inverted into its values beside the wavenumbers, the
+# symbols and the H2 weights; 7.3 measured.  The checks that follow hold
+# the plan (wavenumbers, symbols, u0's values, H2 weights, about 4.1) plus
+# one component's two half-lattice buffers, u_hat and f_hat (which also
+# holds the forward defect), and slab-sized symbol temporaries.  A plan
+# that kept u0's spectrum read 9.5; a third buffer for the defect and
+# whole-lattice symbol temporaries reached 10.5; sampling the influxes,
+# keeping their stacked spectra in the plan and copying each snapshot into
+# bytes reached 14.5.
+SOLVE_LINEAR_PEAK_ARRAYS = 8.8
 
 # The same for the `solve` subcommand, which reports the norms the solve
-# took and stores no u: 15.4 measured.  Keeping u's values and spectrum
-# beside u_p and taking its norms after the solve read 17.4.
-SOLVE_COMMAND_PEAK_ARRAYS = 15.9
+# took and stores no u: its peak is a Picard step's, 12.6 measured.  A plan
+# that kept u0's spectrum, with u's norms taken on that plus u_p's, read
+# 15.4; keeping u's values and spectrum beside u_p and taking its norms
+# after the solve read 17.4.
+SOLVE_COMMAND_PEAK_ARRAYS = 13.1
 
 # The same for `verify-bounds`, whose peak is the plan's kernel build on top
-# of u0: 9.6 measured.  Taking |kernel| into a second array, the filtered
-# spectrum and the centre phase as whole-lattice temporaries reached 9.8.
-VERIFY_BOUNDS_PEAK_ARRAYS = 10.5
+# of u0: 7.5 measured, 9.6 while the plan kept u0's spectrum.  Taking
+# |kernel| into a second array, the filtered spectrum and the centre phase
+# as whole-lattice temporaries reached 9.8.
+VERIFY_BOUNDS_PEAK_ARRAYS = 8.4
 
-# The same for `contraction --trials 2`: 17.4 measured, 17.8 when it is the
-# process's first run and its peak also holds the numpy.random import.
-CONTRACTION_PEAK_ARRAYS = 18.3
+# The same for `contraction --trials 2`: 15.4 measured, 15.7 when it is the
+# process's first run and its peak also holds the numpy.random import;
+# 17.4 and 17.8 while the plan kept u0's spectrum.
+CONTRACTION_PEAK_ARRAYS = 16.3
 
-# The same for `continuity`: 17.4 measured.  Keeping a stacked g(z) beside
-# z in the Picard step read 20.7.
-CONTINUITY_PEAK_ARRAYS = 17.9
+# The same for `continuity`: 14.7 measured, a Picard step of the second
+# solve beside the first solve's u_p spectrum; 17.4 while the plan kept
+# u0's spectrum.  Keeping a stacked g(z) beside z in the Picard step read
+# 20.7.
+CONTINUITY_PEAK_ARRAYS = 15.2
 
 
 def command_peak_arrays(argv, tmp_path):
