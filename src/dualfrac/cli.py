@@ -4,12 +4,15 @@ Exit codes: 0 when every assertion in the run passes, 1 on an assertion or
 runtime failure, 2 on a usage error.  Reports are deterministic under a
 fixed seed except for the wall-clock field.  The environment variable
 ``FRAC_THREADS`` caps the worker count used for independent sub-runs.
+While a subcommand runs, the package's logged warnings go to stderr with
+the subcommand's name in front.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import os
 import sys
 import time
@@ -215,7 +218,7 @@ def _cmd_solve_linear(problem, args, dump):
         # f_hat - S u_hat, formed slab by slab in f_hat's buffer, is
         # -(S u_hat - f_hat) bit for bit, so its norm is the forward defect's
         for rows in slabs:
-            cf[rows] -= plan.symbols[m][rows] * cu[rows]
+            cf[rows] -= plan.symbol_rows(m, rows) * cu[rows]
         defect = nonzero_mode_l2(cf, grid)
         forward_residual = defect / f_l2 if f_l2 else defect
         plan.influx_spectrum(m, out=cf)
@@ -440,10 +443,14 @@ def _load_config(args) -> tuple[str, object]:
         text = path.read_text()
     problem = load_problem(text)
     if args.grid is not None or args.box is not None:
-        grid = Grid3(
-            args.box if args.box is not None else problem.grid.box_length,
-            args.grid if args.grid is not None else problem.grid.points_per_axis,
-        )
+        try:
+            grid = Grid3(
+                args.box if args.box is not None else problem.grid.box_length,
+                args.grid if args.grid is not None else problem.grid.points_per_axis,
+            )
+        except ValueError as exc:
+            flags = [flag for flag, value in (("--box", args.box), ("--grid", args.grid)) if value is not None]
+            raise ConfigError("/".join(flags), str(exc)) from exc
         problem = problem.with_grid(grid)
     n = problem.grid.points_per_axis
     if args.command == "solvability" and n % 4:
@@ -454,12 +461,25 @@ def _load_config(args) -> tuple[str, object]:
 
 
 def run_command(argv) -> int:
+    """Run one subcommand; while it runs, the package's warnings go to stderr prefixed with its name."""
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter(f"{args.command}: %(levelname)s: %(message)s"))
+    logger = logging.getLogger("dualfrac")
+    logger.addHandler(handler)
+    try:
+        return _run(args)
+    finally:
+        logger.removeHandler(handler)
+
+
+def _run(args) -> int:
     try:
         _worker_count()
         config_text, problem = _load_config(args)

@@ -365,10 +365,10 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     time: g_m(u) is evaluated slab by slab over x rows, as in
     :func:`_tau_spectrum`, so its monomial buffer is slab-sized
     (:meth:`Nonlinearity.eval_component`), then transformed, and its values
-    freed; the rest of the right side is formed in place on its
-    coefficients, the multipliers slab by slab, with f_hat rebuilt by
-    :meth:`SpectralPlan.influx_spectrum`; then u_m is transformed and the
-    defect formed in place on its coefficients.
+    freed; then u_m is transformed, and the rest of the right side and the
+    defect are formed in place on the two coefficient buffers, slab by
+    slab, with the slab's symbol formed once (:meth:`SpectralPlan.symbol_rows`)
+    and its f_hat rows rebuilt by :meth:`SpectralPlan.influx_spectrum`.
     """
     return _residual_and_h2_term(u, problem)[0]
 
@@ -394,13 +394,16 @@ def _residual_and_h2_term(u: VectorField, problem: ProblemSpec) -> tuple[float, 
             problem.nonlinearity.eval_component(u.values[:, rows], m, out=g_m[rows])
         coeff_g = _rfft(g_m)
         del g_m
-        for rows in slabs:
-            coeff_g[rows] *= plan.transfer[m][rows] * (eps * plan.symbols[m][rows])
-        coeff_g += plan.influx_spectrum(m)
         coeff = _rfft(u.values[m])
         lap_sq += _weighted_power(coeff, lap_weights)
-        coeff *= plan.symbols[m]
-        coeff -= coeff_g
+        for rows in slabs:
+            symbol = plan.symbol_rows(m, rows)
+            coeff[rows] *= symbol
+            symbol *= eps
+            coeff_g[rows] *= plan.transfer[m][rows] * symbol
+            coeff_g[rows] += plan.influx_spectrum(m, rows=rows)
+            coeff[rows] -= coeff_g[rows]
+            del symbol  # before the next slab's is formed
         del coeff_g
         defect_sq += nonzero_mode_l2(coeff, problem.grid) ** 2
         del coeff

@@ -10,6 +10,7 @@ axes; its full ``fftn``-layout ``meshes`` and ``wavenumbers`` are built per acce
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -39,6 +40,17 @@ class Grid3:
         n = self.points_per_axis
         if n <= 0 or n % 2 != 0:
             raise ValueError(f"points_per_axis must be a positive even integer, got {n}")
+        # the quadrature weights and the H2 weight |p|^4 at the lattice's
+        # corner (|p| = sqrt(3) * nyquist) must be positive floats
+        try:
+            scales = (self.cell_volume, self.mode_volume, (3.0 * self.nyquist**2) ** 2)
+        except OverflowError:
+            scales = (math.inf,)
+        if not all(0.0 < s < math.inf for s in scales):
+            raise ValueError(
+                f"box_length {self.box_length} with {n} points per axis puts the cell volume, "
+                "the mode volume or the largest |p|^4 outside the floating-point range"
+            )
 
     @property
     def spacing(self) -> float:

@@ -127,7 +127,7 @@ def solve_double_fractional(
             )
     elif mean != 0.0:
         logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
-    symbol = two_exponent_symbol(lattice.wavenumbers, s1, s2)
+    symbol = two_exponent_symbol(_wavenumber_rows(g, slice(None)), s1, s2)
     return ScalarField(g, _irfft(_without_zero_mode(coeff, symbol, out=coeff), g))
 
 
@@ -136,7 +136,7 @@ def apply_double_fractional(u: ScalarField, s1: float, s2: float) -> ScalarField
     _validate_orders(s1, s2)
     g = u.grid
     coeff = _rfft(u.values)
-    coeff *= two_exponent_symbol(half_lattice(g).wavenumbers, s1, s2)
+    coeff *= two_exponent_symbol(_wavenumber_rows(g, slice(None)), s1, s2)
     return ScalarField(g, _irfft(coeff, g))
 
 
@@ -185,16 +185,15 @@ def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s
     """:func:`regularity_check` on plain ``rfftn`` coefficients of u0 and f; overwrites both.
 
     Each side is formed in its operand's buffer and the defect in cu's, one
-    slab of rows at a time (:func:`~dualfrac.spectral._row_slabs`), so the symbols exist only
-    slab by slab.
+    slab of rows at a time (:func:`~dualfrac.spectral._row_slabs`), so |p|
+    and the symbols exist only slab by slab.
     """
-    lattice = half_lattice(grid)
-    pm = lattice.wavenumbers
-    if not math.isfinite(_weighted_power(cu, lattice.h2_weights)):
+    if not math.isfinite(_weighted_power(cu, half_lattice(grid).h2_weights)):
         raise ValueError("Laplacian of u0 is not square integrable on the lattice")
     for rows in _row_slabs(grid.points_per_axis):
-        lhs = np.multiply(two_exponent_symbol(pm[rows], 1.0, 1.0 + s2 - s1), cu[rows], out=cu[rows])
-        rhs = np.multiply(pm[rows] ** (2.0 * (1.0 - s1)), cf[rows], out=cf[rows])
+        pm = _wavenumber_rows(grid, rows)
+        lhs = np.multiply(two_exponent_symbol(pm, 1.0, 1.0 + s2 - s1), cu[rows], out=cu[rows])
+        rhs = np.multiply(pm ** (2.0 * (1.0 - s1)), cf[rows], out=cf[rows])
         np.subtract(lhs, rhs, out=lhs)
     return _defect_ratio(cu, cf, grid)
 

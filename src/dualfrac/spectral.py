@@ -9,15 +9,19 @@ a :class:`VectorField`; the public :class:`Spectrum` transforms only add
 the continuum normalization and the mirrored upper half of the ``fftn``
 layout.  The ball sampler's band limit runs the same passes pruned to the
 modes it keeps (:func:`_band_limit`).  :class:`HalfLattice` holds the
-per-grid wavenumbers and norm weights, and :class:`SpectralPlan` holds the
-per-problem symbols, kernel transfer multipliers and the linear response
-u0, as values and norms.  The influx and kernel spectra come from the
-Gaussians' separability, as outer products of 1-D transforms, never from a
-3-D transform of sampled data; the plan keeps only the influxes' 1-D axis
-spectra and rebuilds one influx spectrum when asked for it.  Plans are
-immutable: every piece is computed once, on first use and under the
-plan's lock, and its arrays are read-only, so one plan is safe to share
-across the ``sweep-epsilon`` thread pool.
+per-grid norm weights, and :class:`SpectralPlan` holds the per-problem
+kernel transfer multipliers and the linear response u0, as values and
+norms.  Neither keeps |p| or a symbol, which depend on |p| alone:
+:func:`_wavenumber_rows` forms |p| from the 1-D frequency axes one slab
+of rows at a time (:func:`_row_slabs`) where it is used, and
+:meth:`SpectralPlan.symbol_rows` a symbol.  The influx and kernel spectra
+come from the Gaussians' separability, as outer products of 1-D
+transforms, never from a 3-D transform of sampled data; the plan keeps
+only the influxes' 1-D axis spectra and rebuilds one influx spectrum (or
+a slab of its rows) when asked for it.  Plans are immutable: every piece
+is computed once, on first use and under the plan's lock, and its arrays
+are read-only, so one plan is safe to share across the ``sweep-epsilon``
+thread pool.
 """
 
 from __future__ import annotations
@@ -111,8 +115,14 @@ def apply_fractional_symbol(spectrum: Spectrum, s: float) -> Spectrum:
 
 
 def two_exponent_symbol(wavenumbers: np.ndarray, s1: float, s2: float) -> np.ndarray:
-    """Symbol ``|p|^{2 s1} + |p|^{2 s2}`` of ``(-Lap)^{s1} + (-Lap)^{s2}`` at the given |p|."""
-    return wavenumbers ** (2.0 * s1) + wavenumbers ** (2.0 * s2)
+    """Symbol ``|p|^{2 s1} + |p|^{2 s2}`` of ``(-Lap)^{s1} + (-Lap)^{s2}`` at the given |p|.
+
+    The second power is added into the first's buffer, so the call holds
+    two temporaries of |p|'s size, not three.
+    """
+    symbol = wavenumbers ** (2.0 * s1)
+    symbol += wavenumbers ** (2.0 * s2)
+    return symbol
 
 
 def convolve(h: ScalarField, g: ScalarField) -> ScalarField:
@@ -243,17 +253,19 @@ def _band_limit(values: np.ndarray, grid: Grid3) -> np.ndarray:
     ``_irfft`` of it.  Every kept mode lies in the cube |k_i| <= n//4, so
     the passes are pruned to it (Markel, "FFT pruning", 1971): the z
     ``rfft`` runs in full and keeps n//4 + 1 planes, the y pass runs on
-    those planes and the x pass on the kept rows; the drop mask is applied
-    to the cube only, and the inverse mirrors the forward passes.  The
-    z ``rfft``'s half spectrum serves as the work buffer of the y passes
-    and the z ``irfft``, and then as the returned spectrum, zero outside
-    the cube.
+    those planes and the x pass on the kept rows; the drop mask is formed
+    from the 1-D axes on the cube only, and the inverse mirrors the forward
+    passes.  The z ``rfft``'s half spectrum serves as the work buffer of
+    the y passes and the z ``irfft``, and then as the returned spectrum,
+    zero outside the cube.
     """
     n = grid.points_per_axis
     q = n // 4
     kept = np.r_[0 : q + 1, n - q : n]
     cube = (Ellipsis,) + np.ix_(kept, kept, np.arange(q + 1))
-    drop = half_lattice(grid).wavenumbers[cube[1:]] > 0.5 * grid.nyquist
+    p_sq = grid.frequency_axis**2  # |p| as _wavenumber_rows forms it, on the cube
+    drop = np.sqrt(p_sq[kept, None, None] + p_sq[None, kept, None] + p_sq[None, None, : q + 1])
+    drop = drop > 0.5 * grid.nyquist
     coeff = np.fft.rfft(values, axis=-1)
     planes = coeff[..., : q + 1]
     np.fft.fft(planes, axis=-2, out=planes)
@@ -435,24 +447,29 @@ def _centre_phase(grid: Grid3, rows: slice = slice(None)) -> np.ndarray:
 
 
 class HalfLattice:
-    """Per-grid data on the ``rfftn`` half lattice ``n x n x (n/2 + 1)``.
+    """Per-grid norm weights on the ``rfftn`` half lattice ``n x n x (n/2 + 1)``.
 
-    Built from broadcast 1-D frequency axes.  The last axis holds
-    frequencies ``0..n/2``; every other plane stands for itself and its
-    mirror ``-p``, which ``multiplicity`` counts, so that sums over the full
-    lattice of functions of |p| and |c(p)| become weighted half sums.
+    The last axis holds frequencies ``0..n/2``; every other plane stands
+    for itself and its mirror ``-p``, which ``multiplicity`` counts, so that
+    sums over the full lattice of functions of |p| and |c(p)| become
+    weighted half sums.  |p| itself is not kept: :func:`_wavenumber_rows`
+    forms it slab by slab from the 1-D frequency axes where it is needed.
     """
 
     def __init__(self, grid: Grid3):
         self.grid = grid
-        self.wavenumbers = _frozen(_wavenumber_rows(grid, slice(None)))
+        n = grid.points_per_axis
+        self.shape = (n, n, n // 2 + 1)
         self.weights = _frozen(_plancherel_weights(grid))
         self._lock = threading.RLock()
 
     @_once
     def h2_weights(self) -> np.ndarray:
-        """Weights of the H2 derivative term, ``weights * |p|^4``; built on first use."""
-        return _frozen(self.weights * self.wavenumbers**4)
+        """Weights of the H2 derivative term, ``weights * |p|^4``; built on first use, slab by slab."""
+        out = np.empty(self.shape)
+        for rows in _row_slabs(self.grid.points_per_axis):
+            np.multiply(self.weights, _wavenumber_rows(self.grid, rows) ** 4, out=out[rows])
+        return _frozen(out)
 
 
 @lru_cache(maxsize=1)
@@ -501,8 +518,10 @@ def _defect_ratio(diff: np.ndarray, rhs: np.ndarray, grid: Grid3, reference: flo
 class SpectralPlan:
     """Spectral data of one ``(orders, kernels, influxes, grid)`` on the half lattice.
 
-    Every lattice-size array holds plain ``rfftn`` coefficients stacked over
-    components, shape ``(N, n, n, n/2 + 1)``: the symbols and the transfer.
+    The lattice-size arrays it keeps are the transfer, plain ``rfftn``
+    coefficients stacked over components, shape ``(N, n, n, n/2 + 1)``, and
+    u0's values.  No symbol is kept: :meth:`symbol_rows` forms one
+    component's on a slab of rows, and every reader takes it slab by slab.
     u0 is kept as values alone, with its norms; its spectrum, the influx
     spectra divided by the symbols, lives only while u0 is built.  The
     influx spectra are not kept either; the plan caches only the influx
@@ -528,11 +547,9 @@ class SpectralPlan:
         self.lattice = half_lattice(grid)
         self._lock = threading.RLock()
 
-    @_once
-    def symbols(self) -> np.ndarray:
-        """Two-exponent symbol of each component."""
-        pm = self.lattice.wavenumbers
-        return _frozen(np.stack([two_exponent_symbol(pm, a, b) for a, b in zip(self.orders.s1, self.orders.s2)]))
+    def symbol_rows(self, m: int, rows: slice) -> np.ndarray:
+        """Two-exponent symbol of component ``m`` on the given x-frequency rows of the half lattice."""
+        return two_exponent_symbol(_wavenumber_rows(self.grid, rows), self.orders.s1[m], self.orders.s2[m])
 
     @_once
     def _influx_axis_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -540,30 +557,33 @@ class SpectralPlan:
         specs = [spec for terms in self.influxes for spec in terms]
         return tuple(_frozen(a) for a in _gaussian_axis_spectra(specs, self.grid))
 
-    def influx_spectrum(self, m: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Plain ``rfftn`` coefficients of influx ``m``, shape ``(n, n, n/2 + 1)``.
+    def influx_spectrum(self, m: int, out: np.ndarray | None = None, rows: slice = slice(None)) -> np.ndarray:
+        """Plain ``rfftn`` coefficients of influx ``m`` on the given x-frequency rows (default all).
 
-        Rebuilt on every call, into ``out`` or a new array, as an outer
-        product of the cached 1-D axis spectra: the plan keeps no influx
-        spectrum of lattice size.
+        Shape ``(len(rows), n, n/2 + 1)``.  Rebuilt on every call, into
+        ``out`` or a new array, as an outer product of the cached 1-D axis
+        spectra: the plan keeps no influx spectrum of lattice size.
         """
         xs, ys, zs = self._influx_axis_spectra
         start = sum(len(terms) for terms in self.influxes[:m])
-        rows = slice(start, start + len(self.influxes[m]))
+        terms = slice(start, start + len(self.influxes[m]))
+        xs = xs[terms, rows]
         if out is None:
-            out = np.empty(self.lattice.wavenumbers.shape, dtype=np.complex128)
-        return _outer_rows(xs[rows], ys[rows], zs[rows], out)
+            out = np.empty((xs.shape[1],) + self.lattice.shape[1:], dtype=np.complex128)
+        return _outer_rows(xs, ys[terms], zs[terms], out)
 
     @_once
     def _linear_pieces(self) -> tuple[float, VectorField, NormReport]:
         # One stack of influx spectra gives the influx norm, then is divided
-        # by the symbols in place to become u0's spectrum, which gives u0's
-        # values and norms and is then dropped.
-        coeff = np.empty((len(self.influxes),) + self.lattice.wavenumbers.shape, dtype=np.complex128)
+        # by the symbols in place, slab by slab, to become u0's spectrum,
+        # which gives u0's values and norms and is then dropped.
+        coeff = np.empty((len(self.influxes),) + self.lattice.shape, dtype=np.complex128)
         for m, acc in enumerate(coeff):
             self.influx_spectrum(m, out=acc)
         influx_l2 = math.sqrt(_weighted_power(coeff, self.lattice.weights))
-        coeff = _without_zero_mode(coeff, self.symbols, out=coeff)
+        for m, acc in enumerate(coeff):
+            for rows in _row_slabs(self.grid.points_per_axis):
+                _without_zero_mode(acc[rows], self.symbol_rows(m, rows), out=acc[rows])
         values = _frozen(_irfft(coeff, self.grid))
         norms = vector_norms(VectorField(self.grid, values, coeff))
         return influx_l2, VectorField(self.grid, values), norms
@@ -588,9 +608,9 @@ class SpectralPlan:
         # H is a real-space L1 norm: each kernel is realized, one at a time,
         # for it alone, and its |values| taken in place.  Q and the transfer
         # multiplier read the separable spectra: each filtered spectrum is
-        # formed in one reused buffer, and the filter and the centre phase
-        # run slab by slab, so besides the kernel stack the build holds one
-        # component's buffer and slab-sized temporaries.
+        # formed in one reused buffer, and the filter, the centre phase and
+        # the symbol division run slab by slab, so besides the kernel stack
+        # the build holds one component's buffer and slab-sized temporaries.
         g = self.grid
         h_sq = 0.0
         for k in self.kernels:
@@ -598,21 +618,21 @@ class SpectralPlan:
             h_sq += float(g.cell_volume * np.sum(np.abs(values, out=values))) ** 2
             del values
         coeff = _gaussian_half_spectra(self.kernels, g)
-        pm = self.lattice.wavenumbers
         slabs = _row_slabs(g.points_per_axis)
         filtered = np.empty_like(coeff[0])
         q_sq = 0.0
         for s1, c in zip(self.orders.s1, coeff):
             for rows in slabs:
-                np.multiply(pm[rows] ** (2.0 * (1.0 - s1)), c[rows], out=filtered[rows])
+                np.multiply(_wavenumber_rows(g, rows) ** (2.0 * (1.0 - s1)), c[rows], out=filtered[rows])
             q_sq += nonzero_mode_l2(filtered, g) ** 2
         del filtered
         # continuum convolution theorem on plain coefficients: the centred
         # kernel contributes h^3 * phase * c_h
         for rows in slabs:
             coeff[:, rows] *= g.cell_volume * _centre_phase(g, rows)
-        transfer = _frozen(_without_zero_mode(coeff, self.symbols, out=coeff))
-        return (math.sqrt(h_sq), math.sqrt(q_sq)), transfer
+            for m, c in enumerate(coeff):
+                _without_zero_mode(c[rows], self.symbol_rows(m, rows), out=c[rows])
+        return (math.sqrt(h_sq), math.sqrt(q_sq)), _frozen(coeff)
 
     @property
     def kernel_constants(self) -> tuple[float, float]:

@@ -13,7 +13,7 @@ with u0's spectrum rebuilt by :func:`u0_division_spectrum`.
 import numpy as np
 
 from dualfrac import VectorField
-from dualfrac.spectral import _irfft, _rfft, _without_zero_mode, half_lattice, vector_norms
+from dualfrac.spectral import _irfft, _rfft, _wavenumber_rows, _without_zero_mode, vector_norms
 
 
 def radial_integral(fn, lo, hi, n=200_001):
@@ -91,7 +91,7 @@ def full_lattice_sample_ball(grid, n_components, rho, rng):
     """``sample_ball`` with full-lattice transforms: mask, invert, take the norms, rescale."""
     cutoff = 0.5 * grid.nyquist
     coeff = _rfft(rng.standard_normal((n_components,) + grid.shape))
-    coeff[:, half_lattice(grid).wavenumbers > cutoff] = 0.0
+    coeff[:, _wavenumber_rows(grid, slice(None)) > cutoff] = 0.0
     values = _irfft(coeff, grid)
     draw = VectorField(grid, values, coeff)
     norm = vector_norms(draw).h2
@@ -103,8 +103,10 @@ def full_lattice_sample_ball(grid, n_components, rho, rng):
 
 def u0_division_spectrum(plan):
     """u0's half spectrum as the plan divides it: stacked f_hat / symbol, zero at p = 0."""
-    influx = np.stack([plan.influx_spectrum(m) for m in range(len(plan.influxes))])
-    return _without_zero_mode(influx, plan.symbols, out=influx)
+    components = range(len(plan.influxes))
+    influx = np.stack([plan.influx_spectrum(m) for m in components])
+    symbols = np.stack([plan.symbol_rows(m, slice(None)) for m in components])
+    return _without_zero_mode(influx, symbols, out=influx)
 
 
 def summed_spectrum_u_norms(result, plan):

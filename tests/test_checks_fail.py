@@ -14,7 +14,6 @@ import json
 from dataclasses import replace
 from functools import lru_cache
 
-import numpy as np
 import pytest
 
 from dualfrac import VectorField, cli, fixed_point, spectral
@@ -106,20 +105,19 @@ def u0_scaled_by(m, factor):
 
 
 def division_s2_raised_by(m, offset):
-    """The plan's symbol for component m, hence u0's division, built with s2 + ``offset``.
+    """The plan's symbol for component m, hence u0's division, formed with s2 + ``offset``.
 
     The problem's orders stay right.  The plan is built in a cache of the
     injection's own, so no plan with the wrong symbol outlives the case.
     """
 
     def inject(monkeypatch):
-        def symbols(plan):
-            s2 = list(plan.orders.s2)
-            s2[m] += offset
-            pm = plan.lattice.wavenumbers
-            return np.stack([spectral.two_exponent_symbol(pm, a, b) for a, b in zip(plan.orders.s1, s2)])
+        def symbol_rows(plan, k, rows):
+            s2 = plan.orders.s2[k] + (offset if k == m else 0.0)
+            pm = spectral._wavenumber_rows(plan.grid, rows)
+            return spectral.two_exponent_symbol(pm, plan.orders.s1[k], s2)
 
-        monkeypatch.setattr(spectral.SpectralPlan, "symbols", spectral._once(symbols))
+        monkeypatch.setattr(spectral.SpectralPlan, "symbol_rows", symbol_rows)
         monkeypatch.setattr(spectral, "_cached_plan", lru_cache(maxsize=1)(spectral.SpectralPlan))
 
     return inject

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import logging
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +292,38 @@ def test_solvability_config_grid_not_a_multiple_of_4_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
     # other subcommands do not halve the box
     assert run_command(["solve-linear", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("sub, box", [("solve", "1e300"), ("verify-bounds", "1e-300")])
+def test_box_outside_the_float_range_exits_2_naming_the_flag(sub, box, tmp_path, capsys):
+    # the cell volume or the mode volume would overflow or vanish
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_command([sub, "--config", "demo", "--box", box, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: --box: box_length" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_config_box_outside_the_float_range_exits_2_naming_the_grid(tmp_path, capsys):
+    raw = json.loads(demo_config_text())
+    raw["grid"]["L"] = 1e300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    code = run_command(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: grid: box_length" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_warnings_name_the_subcommand_and_leave_no_handler(tmp_path, capsys):
+    # at n = 16 the demo's coupling is above its certified threshold
+    for run in range(2):
+        assert run_command(["solve", "--config", "demo", "--grid", "16", "--out", str(tmp_path / str(run))]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if "certified threshold" in line]
+        assert len(lines) == 1
+        assert lines[0].startswith("solve: WARNING: coupling ")
+    assert not logging.getLogger("dualfrac").handlers
 
 
 def test_assertion_failure_exits_1(demo_config, tmp_path, capsys):

@@ -204,20 +204,23 @@ def test_continuity_holds_little_beyond_one_solve(demo32):
 
 
 # Peak numpy memory of one demo solve at n = 64, in n^3 float64 arrays, plan
-# build included.  The live data are the plan (about 6.2: u0 is values
-# only) and u_p with its half spectrum (4.1).  A Picard step, the peak at
-# 12.7, holds z = u0 + v, over which g(z) is written slab by slab, the
-# previous spectrum and the new one beside the plan.  The residual stage
-# (12.4) adds one component's g_m(u) and its transforms, with u formed in
-# u_p's values buffer, and sums u's H2 term from its transforms of u; u's
-# norms then add only its pointwise length.  A plan that kept u0's
-# spectrum (2.1), with u's norms taken on that plus u_p's spectrum, read
-# 15.4, at u's norms; a whole-array pointwise stage (g(z) stacked beside z,
+# build included.  The live data are the plan (about 4.6: the transfer,
+# u0's values and the H2 weights) and u_p with its half spectrum (4.1).  A
+# Picard step (11.1) holds z = u0 + v, over which g(z) is written slab by
+# slab, the previous spectrum and the new one beside the plan.  The
+# residual stage, the peak at 11.5, adds one component's g_m(u) and its
+# transforms, with u formed in u_p's values buffer, and sums u's H2 term
+# from its transforms of u; it forms the defect in the two transforms slab
+# by slab, each slab's symbol and f_hat rows beside them (at n = 64 a slab
+# is 31 of the 64 rows).  u's norms then add only its pointwise length.
+# A plan that kept |p| and the symbols (1.55) read 12.7, at a Picard step;
+# one that also kept u0's spectrum (2.1), with u's norms taken on that
+# plus u_p's spectrum, read 15.4, at u's norms; a whole-array pointwise stage (g(z) stacked beside z,
 # a full-size monomial buffer) and u's values beside u_p's read 16.6;
 # holding each iterate's values beside z and g(z), and the whole g(u) with
 # its spectrum in the residual, reached 18.3; a plan that also kept the
 # stacked influx spectra (2.1) reached 20.5.
-SOLVE_PEAK_ARRAYS = 13.1
+SOLVE_PEAK_ARRAYS = 11.9
 
 
 def test_solve_peak_stays_under_the_memory_ceiling(monkeypatch):
@@ -260,8 +263,9 @@ def test_residual_matches_batched_formula(demo32):
         g_values = np.stack(demo32.nonlinearity.eval_components(list(u.values)))
         coeff_u, coeff_g = np.fft.rfftn(np.stack([u.values, g_values]), axes=(-3, -2, -1))
         eps = np.asarray(demo32.epsilon)[:, None, None, None]
-        lhs = plan.symbols * coeff_u
-        rhs = eps * plan.symbols * plan.transfer * coeff_g + influx_spectra
+        symbols = np.stack([plan.symbol_rows(m, slice(None)) for m in range(demo32.n_components)])
+        lhs = symbols * coeff_u
+        rhs = eps * symbols * plan.transfer * coeff_g + influx_spectra
         batched = relative_defect(lhs, rhs, demo32.grid, reference=plan.influx_l2)
         assert abs(system_residual(u, demo32) - batched) <= 1e-12 * batched
 
@@ -280,11 +284,11 @@ def test_plan_u0_norms_are_computed_once_and_only_for_its_own_u0(demo32):
 def test_solve_leaves_no_influx_spectra_in_the_plan(demo32):
     result = solve_fixed_point(demo32)
     plan = spectral_plan(demo32)
-    stacks = []
+    arrays = []
 
     def collect(value):
         if isinstance(value, np.ndarray):
-            stacks.append(value)
+            arrays.append(value)
         elif isinstance(value, VectorField):
             collect(value.values)
             collect(value.spectrum)
@@ -292,51 +296,83 @@ def test_solve_leaves_no_influx_spectra_in_the_plan(demo32):
             for v in value:
                 collect(v)
 
-    for value in vars(plan).values():
-        collect(value)
-    stack_shape = (demo32.n_components,) + half_lattice(demo32.grid).wavenumbers.shape
-    complex_stacks = [a for a in stacks if a.shape == stack_shape and np.iscomplexobj(a)]
-    # the transfer alone: u0 keeps no spectrum, and f_hat is rebuilt when it is asked for
+    for owner in (plan, plan.lattice):
+        for value in vars(owner).values():
+            collect(value)
+    large = [a for a in arrays if a.size >= np.prod(plan.lattice.shape)]
+    # the transfer, u0's values and the H2 weights alone: u0 keeps no
+    # spectrum, f_hat is rebuilt when it is asked for, and neither |p| nor
+    # a symbol is kept
     assert result.u0.spectrum is None
-    assert [id(a) for a in complex_stacks] == [id(plan.transfer)]
+    kept = (plan.transfer, plan.u0.values, plan.lattice.h2_weights)
+    assert sorted(map(id, large)) == sorted(map(id, kept))
+
+
+def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
+    n = demo32.grid.points_per_axis
+
+    def pieces():
+        half_lattice.cache_clear()
+        spectral._cached_plan.cache_clear()
+        plan = spectral_plan(demo32)
+        symbols = [
+            np.concatenate([plan.symbol_rows(m, rows) for rows in spectral._row_slabs(n)])
+            for m in range(demo32.n_components)
+        ]
+        results = cli._cmd_solve_linear(demo32, None, None)[0]
+        residuals = [(c["forward_residual"], c["regularity_residual"]) for c in results["components"]]
+        arrays = symbols + [plan.u0.values, plan.transfer, plan.lattice.h2_weights]
+        return [a.tobytes() for a in arrays], plan.kernel_constants, residuals
+
+    try:
+        default = pieces()
+        monkeypatch.setattr(spectral, "SLAB_BYTES", 1)
+        assert len(spectral._row_slabs(n)) == n
+        assert pieces() == default
+    finally:
+        half_lattice.cache_clear()
+        spectral._cached_plan.cache_clear()
 
 
 # Peak numpy memory of `solve-linear --dump-fields` on the demo at n = 64, in
 # n^3 float64 arrays, plan build included: the plan's u0 build, u0's
-# division spectrum inverted into its values beside the wavenumbers, the
-# symbols and the H2 weights; 7.3 measured.  The checks that follow hold
-# the plan (wavenumbers, symbols, u0's values, H2 weights, about 4.1) plus
-# one component's two half-lattice buffers, u_hat and f_hat (which also
-# holds the forward defect), and slab-sized symbol temporaries.  A plan
-# that kept u0's spectrum read 9.5; a third buffer for the defect and
+# division spectrum inverted into its values beside the H2 weights; 5.7
+# measured.  The checks that follow hold the plan (u0's values and the H2
+# weights, about 2.5) plus one component's two half-lattice buffers, u_hat
+# and f_hat (which also holds the forward defect), and slab-sized |p| and
+# symbol temporaries.  A plan that kept |p| and the symbols read 7.3; one
+# that also kept u0's spectrum read 9.5; a third buffer for the defect and
 # whole-lattice symbol temporaries reached 10.5; sampling the influxes,
 # keeping their stacked spectra in the plan and copying each snapshot into
 # bytes reached 14.5.
-SOLVE_LINEAR_PEAK_ARRAYS = 8.8
+SOLVE_LINEAR_PEAK_ARRAYS = 7.2
 
 # The same for the `solve` subcommand, which reports the norms the solve
-# took and stores no u: its peak is a Picard step's, 12.6 measured.  A plan
-# that kept u0's spectrum, with u's norms taken on that plus u_p's, read
-# 15.4; keeping u's values and spectrum beside u_p and taking its norms
+# took and stores no u: its peak is the residual stage's, 11.6 measured.
+# A plan that kept |p| and the symbols read 12.6, at a Picard step; one
+# that also kept u0's spectrum, with u's norms taken on that plus u_p's,
+# read 15.4; keeping u's values and spectrum beside u_p and taking its norms
 # after the solve read 17.4.
-SOLVE_COMMAND_PEAK_ARRAYS = 13.1
+SOLVE_COMMAND_PEAK_ARRAYS = 12.0
 
 # The same for `verify-bounds`, whose peak is the plan's kernel build on top
-# of u0: 7.5 measured, 9.6 while the plan kept u0's spectrum.  Taking
+# of u0: 6.2 measured, 7.5 while the plan kept |p| and the symbols and 9.6
+# while it also kept u0's spectrum.  Taking
 # |kernel| into a second array, the filtered spectrum and the centre phase
 # as whole-lattice temporaries reached 9.8.
-VERIFY_BOUNDS_PEAK_ARRAYS = 8.4
+VERIFY_BOUNDS_PEAK_ARRAYS = 7.0
 
-# The same for `contraction --trials 2`: 15.4 measured, 15.7 when it is the
+# The same for `contraction --trials 2`: 13.8 measured, 14.3 when it is the
 # process's first run and its peak also holds the numpy.random import;
-# 17.4 and 17.8 while the plan kept u0's spectrum.
-CONTRACTION_PEAK_ARRAYS = 16.3
+# 15.4 and 15.9 while the plan kept |p| and the symbols, 17.4 and 17.8
+# while it also kept u0's spectrum.
+CONTRACTION_PEAK_ARRAYS = 14.8
 
-# The same for `continuity`: 14.7 measured, a Picard step of the second
-# solve beside the first solve's u_p spectrum; 17.4 while the plan kept
-# u0's spectrum.  Keeping a stacked g(z) beside z in the Picard step read
+# The same for `continuity`: 13.6 measured, the second solve's residual
+# stage beside the first solve's u_p spectrum; 14.7 while the plan kept
+# |p| and the symbols, 17.4 while it also kept u0's spectrum.  Keeping a stacked g(z) beside z in the Picard step read
 # 20.7.
-CONTINUITY_PEAK_ARRAYS = 15.2
+CONTINUITY_PEAK_ARRAYS = 14.1
 
 
 def command_peak_arrays(argv, tmp_path):
