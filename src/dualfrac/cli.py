@@ -52,6 +52,7 @@ from .problems import (
     solvability_sweep_cases,
 )
 from .spectral import (
+    _relative,
     _rfft,
     _row_slabs,
     nonzero_mode_l2,
@@ -219,8 +220,7 @@ def _cmd_solve_linear(problem, args, dump):
         # -(S u_hat - f_hat) bit for bit, so its norm is the forward defect's
         for rows in slabs:
             cf[rows] -= plan.symbol_rows(m, rows) * cu[rows]
-        defect = nonzero_mode_l2(cf, grid)
-        forward_residual = defect / f_l2 if f_l2 else defect
+        forward_residual = _relative(nonzero_mode_l2(cf, grid), f_l2)
         plan.influx_spectrum(m, out=cf)
         reg_residual = _regularity_defect(cu, cf, grid, s1, s2)  # overwrites cu and cf
         report = _zero_mode_report(*_gaussian_sum_moments(problem.influxes[m], grid), s1)

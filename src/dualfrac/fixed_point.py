@@ -38,13 +38,13 @@ from .spectral import (  # noqa: F401  (forward_transform stays importable from 
     _band_limit,
     _h2_gap,
     _irfft,
+    _lap_power,
     _norms_with_h2_term,
+    _relative,
     _rfft,
     _row_slabs,
-    _weighted_power,
     forward_transform,
     h2_distance,
-    half_lattice,
     nonzero_mode_l2,
     spectral_plan,
     vector_norms,
@@ -300,13 +300,12 @@ def sample_ball(
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    lap_weights = half_lattice(grid).h2_weights
     while True:
         values = rng.standard_normal((n_components,) + grid.shape)
         coeff = _band_limit(values, grid)
         flat = values.ravel()
         l2_sq = grid.cell_volume * float(np.vdot(flat, flat))
-        norm = float(np.sqrt(l2_sq + _weighted_power(coeff, lap_weights)))
+        norm = float(np.sqrt(l2_sq + _lap_power(coeff, grid)))
         if norm != 0.0:
             break
     scale = rho * (1.0 - rng.random()) / norm  # target radius uniform in (0, rho]
@@ -383,7 +382,6 @@ def _residual_and_h2_term(u: VectorField, problem: ProblemSpec) -> tuple[float, 
     """
     _check_field(u, problem)
     plan = spectral_plan(problem)
-    lap_weights = half_lattice(problem.grid).h2_weights
     slabs = _row_slabs(problem.grid.points_per_axis)
     defect_sq = 0.0
     lap_sq = 0.0
@@ -395,7 +393,7 @@ def _residual_and_h2_term(u: VectorField, problem: ProblemSpec) -> tuple[float, 
         coeff_g = _rfft(g_m)
         del g_m
         coeff = _rfft(u.values[m])
-        lap_sq += _weighted_power(coeff, lap_weights)
+        lap_sq += _lap_power(coeff, problem.grid)
         for rows in slabs:
             symbol = plan.symbol_rows(m, rows)
             coeff[rows] *= symbol
@@ -407,8 +405,7 @@ def _residual_and_h2_term(u: VectorField, problem: ProblemSpec) -> tuple[float, 
         del coeff_g
         defect_sq += nonzero_mode_l2(coeff, problem.grid) ** 2
         del coeff
-    defect = math.sqrt(defect_sq)
-    return (defect / plan.influx_l2 if plan.influx_l2 else defect), lap_sq
+    return _relative(math.sqrt(defect_sq), plan.influx_l2), lap_sq
 
 
 def continuity_experiment(

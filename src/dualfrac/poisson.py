@@ -22,18 +22,19 @@ from .grid import Grid3, ScalarField, VectorField
 from .problems import GaussianSpec
 from .spectral import (
     TWO_PI_32,
-    _defect_ratio,
     _gaussian_axis_spectra,
     _irfft,
+    _lap_power,
     _outer_rows,
     _plancherel_weights,
+    _relative,
     _rfft,
     _row_power,
     _row_slabs,
     _wavenumber_rows,
     _weighted_power,
     _without_zero_mode,
-    half_lattice,
+    nonzero_mode_l2,
     spectral_plan,
     two_exponent_symbol,
 )
@@ -114,11 +115,10 @@ def solve_double_fractional(
         raise ValueError(f"unknown zero_mode_policy {zero_mode_policy!r}")
 
     g = f.grid
-    lattice = half_lattice(g)
     coeff = _rfft(f.values)
     mean = g.cell_volume * float(coeff[0, 0, 0].real)
     if zero_mode_policy == "reject_if_nonzero":
-        f_l2 = math.sqrt(_weighted_power(coeff, lattice.weights))
+        f_l2 = math.sqrt(_weighted_power(coeff, _plancherel_weights(g)))
         if not _is_zero_mean(mean, f_l2):
             raise ValueError(
                 "right side violates the zero-mean solvability condition "
@@ -128,7 +128,7 @@ def solve_double_fractional(
     elif mean != 0.0:
         logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
     symbol = two_exponent_symbol(_wavenumber_rows(g, slice(None)), s1, s2)
-    return ScalarField(g, _irfft(_without_zero_mode(coeff, symbol, out=coeff), g))
+    return ScalarField(g, _irfft(_without_zero_mode(coeff, symbol), g))
 
 
 def apply_double_fractional(u: ScalarField, s1: float, s2: float) -> ScalarField:
@@ -188,14 +188,14 @@ def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s
     slab of rows at a time (:func:`~dualfrac.spectral._row_slabs`), so |p|
     and the symbols exist only slab by slab.
     """
-    if not math.isfinite(_weighted_power(cu, half_lattice(grid).h2_weights)):
+    if not math.isfinite(_lap_power(cu, grid)):
         raise ValueError("Laplacian of u0 is not square integrable on the lattice")
     for rows in _row_slabs(grid.points_per_axis):
         pm = _wavenumber_rows(grid, rows)
         lhs = np.multiply(two_exponent_symbol(pm, 1.0, 1.0 + s2 - s1), cu[rows], out=cu[rows])
         rhs = np.multiply(pm ** (2.0 * (1.0 - s1)), cf[rows], out=cf[rows])
         np.subtract(lhs, rhs, out=lhs)
-    return _defect_ratio(cu, cf, grid)
+    return _relative(nonzero_mode_l2(cu, grid), nonzero_mode_l2(cf, grid))
 
 
 def solve_linear_system(problem) -> VectorField:
@@ -240,8 +240,7 @@ def box_length_sweep(
     x-frequency rows of about :data:`~dualfrac.spectral.SLAB_BYTES` of coefficients, built
     from the Gaussians' 1-D factor transforms (one ``fft`` and one ``rfft``
     call per box) together with the slab's |p| and symbol, so the sweep's
-    memory is O(n^2) of the largest box and builds no
-    :class:`~dualfrac.spectral.HalfLattice`.
+    memory is O(n^2) of the largest box.
     """
     _validate_orders(s1, s2)
     points = []
@@ -262,7 +261,7 @@ def box_length_sweep(
                 if mean != 0.0:
                     logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
             symbol = two_exponent_symbol(_wavenumber_rows(grid, rows), s1, s2)
-            power[rows] = _row_power(_without_zero_mode(coeff, symbol, out=coeff), weights)
+            power[rows] = _row_power(_without_zero_mode(coeff, symbol), weights)
         points.append(BoxSweepPoint(float(L), n, math.fsum(power), mean))
     return points
 

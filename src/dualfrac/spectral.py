@@ -8,20 +8,20 @@ Every full 3-D transform runs through :func:`_rfft`/:func:`_irfft`: plain
 a :class:`VectorField`; the public :class:`Spectrum` transforms only add
 the continuum normalization and the mirrored upper half of the ``fftn``
 layout.  The ball sampler's band limit runs the same passes pruned to the
-modes it keeps (:func:`_band_limit`).  :class:`HalfLattice` holds the
-per-grid norm weights, and :class:`SpectralPlan` holds the per-problem
-kernel transfer multipliers and the linear response u0, as values and
-norms.  Neither keeps |p| or a symbol, which depend on |p| alone:
+modes it keeps (:func:`_band_limit`).  :class:`SpectralPlan` holds the
+per-problem kernel transfer multipliers and the linear response u0, as
+values and norms.  No array of lattice size derived from |p| is kept:
 :func:`_wavenumber_rows` forms |p| from the 1-D frequency axes one slab
-of rows at a time (:func:`_row_slabs`) where it is used, and
-:meth:`SpectralPlan.symbol_rows` a symbol.  The influx and kernel spectra
-come from the Gaussians' separability, as outer products of 1-D
-transforms, never from a 3-D transform of sampled data; the plan keeps
-only the influxes' 1-D axis spectra and rebuilds one influx spectrum (or
-a slab of its rows) when asked for it.  Plans are immutable: every piece
-is computed once, on first use and under the plan's lock, and its arrays
-are read-only, so one plan is safe to share across the ``sweep-epsilon``
-thread pool.
+of rows at a time (:func:`_row_slabs`) where it is used,
+:meth:`SpectralPlan.symbol_rows` a symbol, and :func:`_lap_power` takes
+the H2 derivative term from per-row sums whose weights span one row.
+The influx and kernel spectra come from the Gaussians' separability, as
+outer products of 1-D transforms, never from a 3-D transform of sampled
+data; the plan keeps only the influxes' 1-D axis spectra and rebuilds
+one influx spectrum (or a slab of its rows) when asked for it.  Plans are
+immutable: every piece is computed once, on first use and under the
+plan's lock, and its arrays are read-only, so one plan is safe to share
+across the ``sweep-epsilon`` thread pool.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
     "spectrum_l2",
     "nonzero_mode_l2",
     "relative_defect",
-    "HalfLattice",
-    "half_lattice",
     "SpectralPlan",
     "spectral_plan",
 ]
@@ -162,12 +160,11 @@ def vector_norms(u: VectorField) -> NormReport:
     component, whose terms are added in component order, as
     :func:`~dualfrac.fixed_point.solve_fixed_point` adds them for u.
     """
-    weights = half_lattice(u.grid).h2_weights
     if u.spectrum is not None:
-        return _norms_with_h2_term(u, _weighted_power(u.spectrum, weights))
+        return _norms_with_h2_term(u, _lap_power(u.spectrum, u.grid))
     lap_sq = 0.0
     for values in u.values:
-        lap_sq += _weighted_power(_rfft(values), weights)
+        lap_sq += _lap_power(_rfft(values), u.grid)
     return _norms_with_h2_term(u, lap_sq)
 
 
@@ -200,12 +197,12 @@ def h2_distance(a: VectorField, b: VectorField) -> float:
 
 def _h2_gap(sa: np.ndarray, sb: np.ndarray, grid: Grid3) -> float:
     """:func:`h2_distance` of two fields given by their stacked half spectra."""
-    lattice = half_lattice(grid)
+    weights = _plancherel_weights(grid)
     diff = np.empty_like(sa[0])
     total = 0.0
     for ca, cb in zip(sa, sb):
         np.subtract(ca, cb, out=diff)
-        total += _weighted_power(diff, lattice.weights) + _weighted_power(diff, lattice.h2_weights)
+        total += _weighted_power(diff, weights) + _lap_power(diff, grid)
     return math.sqrt(total)
 
 
@@ -342,12 +339,12 @@ def _gaussian_half_spectra(sums, grid: Grid3) -> np.ndarray:
 def _weighted_power(coeff: np.ndarray, weights: np.ndarray) -> float:
     """``sum(weights * |coeff|^2)`` with no full-size temporary.
 
-    ``weights`` spans coeff's trailing axes: the 1-D Plancherel ``weights``
-    or the 3-D ``h2_weights`` of a :class:`HalfLattice`, or a slice of
-    either.  Leading axes (stacked components) are summed too.  One
-    ``einsum`` runs over each float64 view, ``coeff.real`` and
-    ``coeff.imag``; a single one over interleaved (re, im) pairs would make
-    its innermost loop two elements long and run 2-3x slower.
+    ``weights`` spans coeff's trailing axes, such as the Plancherel weights
+    (:func:`_plancherel_weights`) or a slice of them.  Leading axes
+    (stacked components) are summed too.  One ``einsum`` runs over each
+    float64 view, ``coeff.real`` and ``coeff.imag``; a single one over
+    interleaved (re, im) pairs would make its innermost loop two elements
+    long and run 2-3x slower.
     """
     axes = "abcdefgh"[: coeff.ndim]
     terms = f"{axes},{axes},{axes[coeff.ndim - weights.ndim:]}->"
@@ -356,13 +353,36 @@ def _weighted_power(coeff: np.ndarray, weights: np.ndarray) -> float:
 
 
 def _row_power(coeff: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """:func:`_weighted_power` of each leading-axis row of a 3-D ``coeff``, shape ``(m,)``.
+    """``sum(weights * |coeff|^2)`` over each x-frequency row of ``coeff``, shape ``coeff.shape[:-2]``.
 
-    A row's sum does not depend on the rows around it, so summing these
-    gives one result however the rows were split into slabs.
+    ``weights`` spans a row's last axis (n/2 + 1) or both its axes
+    (n x (n/2 + 1)); leading axes (stacked components) are kept.  A row's
+    sum does not depend on the rows around it, so summing these gives one
+    result however the rows were split into slabs.
     """
+    terms = "...abc,...abc," + "bc"[2 - weights.ndim :] + "->...a"
     re, im = coeff.real, coeff.imag
-    return np.einsum("abc,abc,c->a", re, re, weights) + np.einsum("abc,abc,c->a", im, im, weights)
+    return np.einsum(terms, re, re, weights) + np.einsum(terms, im, im, weights)
+
+
+def _lap_power(coeff: np.ndarray, grid: Grid3) -> float:
+    """H2 derivative term ``sum(weights * |p|^4 * |coeff|^2)`` of plain ``rfftn`` coefficients.
+
+    With ``t = p_y^2 + p_z^2``, ``|p|^4 = p_x^4 + 2 p_x^2 t + t^2``, so each
+    x-frequency row's term comes from three :func:`_row_power` sums with the
+    weights w, w t and w t^2, which span one row: no |p|-derived array of
+    lattice size is formed.  Leading axes (stacked components) are summed
+    too.  The rows are added by ``np.sum``, so an overflowing term gives a
+    non-finite result that callers can test, where ``math.fsum`` would raise.
+    """
+    n = grid.points_per_axis
+    p_sq = grid.frequency_axis**2
+    t = p_sq[:, None] + p_sq[: n // 2 + 1]
+    # weights of a row's full shape: with 1-D ones einsum buffers about 64 KiB
+    w = np.tile(_plancherel_weights(grid), (n, 1))
+    w_t = w * t
+    rows = p_sq**2 * _row_power(coeff, w) + 2.0 * p_sq * _row_power(coeff, w_t) + _row_power(coeff, w_t * t)
+    return float(np.sum(rows))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -370,17 +390,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _without_zero_mode(numerator: np.ndarray, symbol: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``numerator / symbol`` on the nonzero modes and 0 at p = 0, where the symbol vanishes.
+def _without_zero_mode(numerator: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Divide ``numerator`` in place by ``symbol`` on the nonzero modes and zero it at p = 0.
 
-    ``out`` may be ``numerator`` itself, which divides in place.
+    The symbol vanishes at p = 0.  Returns ``numerator``.
     """
     zero = symbol == 0.0
-    if out is None:
-        out = np.zeros(np.broadcast_shapes(numerator.shape, symbol.shape), dtype=np.complex128)
-    np.divide(numerator, symbol, out=out, where=~zero)
-    out[np.broadcast_to(zero, out.shape)] = 0.0
-    return out
+    np.divide(numerator, symbol, out=numerator, where=~zero)
+    numerator[np.broadcast_to(zero, numerator.shape)] = 0.0
+    return numerator
 
 
 class _once:
@@ -446,38 +464,6 @@ def _centre_phase(grid: Grid3, rows: slice = slice(None)) -> np.ndarray:
     return sign[rows, None, None] * sign[None, :, None] * sign[: n // 2 + 1]
 
 
-class HalfLattice:
-    """Per-grid norm weights on the ``rfftn`` half lattice ``n x n x (n/2 + 1)``.
-
-    The last axis holds frequencies ``0..n/2``; every other plane stands
-    for itself and its mirror ``-p``, which ``multiplicity`` counts, so that
-    sums over the full lattice of functions of |p| and |c(p)| become
-    weighted half sums.  |p| itself is not kept: :func:`_wavenumber_rows`
-    forms it slab by slab from the 1-D frequency axes where it is needed.
-    """
-
-    def __init__(self, grid: Grid3):
-        self.grid = grid
-        n = grid.points_per_axis
-        self.shape = (n, n, n // 2 + 1)
-        self.weights = _frozen(_plancherel_weights(grid))
-        self._lock = threading.RLock()
-
-    @_once
-    def h2_weights(self) -> np.ndarray:
-        """Weights of the H2 derivative term, ``weights * |p|^4``; built on first use, slab by slab."""
-        out = np.empty(self.shape)
-        for rows in _row_slabs(self.grid.points_per_axis):
-            np.multiply(self.weights, _wavenumber_rows(self.grid, rows) ** 4, out=out[rows])
-        return _frozen(out)
-
-
-@lru_cache(maxsize=1)
-def half_lattice(grid: Grid3) -> HalfLattice:
-    """Shared :class:`HalfLattice` of a grid (the most recent grid's is cached)."""
-    return HalfLattice(grid)
-
-
 def nonzero_mode_l2(coeff: np.ndarray, grid: Grid3) -> float:
     """L2 norm, by Plancherel, of plain ``rfftn`` coefficients on the nonzero modes.
 
@@ -487,7 +473,7 @@ def nonzero_mode_l2(coeff: np.ndarray, grid: Grid3) -> float:
     full sum instead would cancel catastrophically whenever that mode
     dominates, as it does in a defect against an influx with nonzero mean.
     """
-    w = half_lattice(grid).weights
+    w = _plancherel_weights(grid)
     total = (
         _weighted_power(coeff[..., 1:, :, :], w)
         + _weighted_power(coeff[..., 0, 1:, :], w)
@@ -502,14 +488,14 @@ def relative_defect(lhs: np.ndarray, rhs: np.ndarray, grid: Grid3, reference: fl
     ``reference`` defaults to the same norm of rhs; a zero reference leaves
     the defect unnormalized.
     """
-    return _defect_ratio(lhs - rhs, rhs, grid, reference)
+    if reference is None:
+        reference = nonzero_mode_l2(rhs, grid)
+    return _relative(nonzero_mode_l2(lhs - rhs, grid), reference)
 
 
-def _defect_ratio(diff: np.ndarray, rhs: np.ndarray, grid: Grid3, reference: float | None = None) -> float:
-    """:func:`relative_defect` from the difference ``diff = lhs - rhs``, which the caller may form in place."""
-    num = nonzero_mode_l2(diff, grid)
-    den = nonzero_mode_l2(rhs, grid) if reference is None else reference
-    return num / den if den else num
+def _relative(defect: float, reference: float) -> float:
+    """``defect / reference``, or the defect itself when the reference is zero."""
+    return defect / reference if reference else defect
 
 
 # --- per-problem plans ------------------------------------------------------------
@@ -544,7 +530,8 @@ class SpectralPlan:
         self.kernels = kernels
         self.influxes = influxes
         self.grid = grid
-        self.lattice = half_lattice(grid)
+        n = grid.points_per_axis
+        self.lattice_shape = (n, n, n // 2 + 1)
         self._lock = threading.RLock()
 
     def symbol_rows(self, m: int, rows: slice) -> np.ndarray:
@@ -569,7 +556,7 @@ class SpectralPlan:
         terms = slice(start, start + len(self.influxes[m]))
         xs = xs[terms, rows]
         if out is None:
-            out = np.empty((xs.shape[1],) + self.lattice.shape[1:], dtype=np.complex128)
+            out = np.empty((xs.shape[1],) + self.lattice_shape[1:], dtype=np.complex128)
         return _outer_rows(xs, ys[terms], zs[terms], out)
 
     @_once
@@ -577,13 +564,13 @@ class SpectralPlan:
         # One stack of influx spectra gives the influx norm, then is divided
         # by the symbols in place, slab by slab, to become u0's spectrum,
         # which gives u0's values and norms and is then dropped.
-        coeff = np.empty((len(self.influxes),) + self.lattice.shape, dtype=np.complex128)
+        coeff = np.empty((len(self.influxes),) + self.lattice_shape, dtype=np.complex128)
         for m, acc in enumerate(coeff):
             self.influx_spectrum(m, out=acc)
-        influx_l2 = math.sqrt(_weighted_power(coeff, self.lattice.weights))
+        influx_l2 = math.sqrt(_weighted_power(coeff, _plancherel_weights(self.grid)))
         for m, acc in enumerate(coeff):
             for rows in _row_slabs(self.grid.points_per_axis):
-                _without_zero_mode(acc[rows], self.symbol_rows(m, rows), out=acc[rows])
+                _without_zero_mode(acc[rows], self.symbol_rows(m, rows))
         values = _frozen(_irfft(coeff, self.grid))
         norms = vector_norms(VectorField(self.grid, values, coeff))
         return influx_l2, VectorField(self.grid, values), norms
@@ -631,7 +618,7 @@ class SpectralPlan:
         for rows in slabs:
             coeff[:, rows] *= g.cell_volume * _centre_phase(g, rows)
             for m, c in enumerate(coeff):
-                _without_zero_mode(c[rows], self.symbol_rows(m, rows), out=c[rows])
+                _without_zero_mode(c[rows], self.symbol_rows(m, rows))
         return (math.sqrt(h_sq), math.sqrt(q_sq)), _frozen(coeff)
 
     @property

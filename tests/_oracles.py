@@ -106,7 +106,7 @@ def u0_division_spectrum(plan):
     components = range(len(plan.influxes))
     influx = np.stack([plan.influx_spectrum(m) for m in components])
     symbols = np.stack([plan.symbol_rows(m, slice(None)) for m in components])
-    return _without_zero_mode(influx, symbols, out=influx)
+    return _without_zero_mode(influx, symbols)
 
 
 def summed_spectrum_u_norms(result, plan):

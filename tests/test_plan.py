@@ -24,7 +24,7 @@ from dualfrac import (
 )
 from dualfrac import cli, fixed_point, problems, spectral
 from dualfrac.fixed_point import CONTINUITY_TOL
-from dualfrac.spectral import SpectralPlan, h2_distance, half_lattice, relative_defect, spectral_plan
+from dualfrac.spectral import SpectralPlan, h2_distance, relative_defect, spectral_plan
 
 
 def relative_l2(a, b):
@@ -131,14 +131,13 @@ def test_plan_data_makes_no_3d_transform(demo, monkeypatch):
 
 
 def test_plan_pieces_built_once_under_concurrent_access(demo, realize_calls):
-    half_lattice.cache_clear()  # a fresh lattice, so its lazy weights race too
     plan = SpectralPlan(demo.orders, demo.kernels, demo.influxes, Grid3(20.0, 16))
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [
-                pool.submit(lambda: (plan.transfer, plan.u0, plan.u0_norms, plan.lattice.h2_weights))
+                pool.submit(lambda: (plan.transfer, plan.u0, plan.u0_norms))
                 for _ in range(32)
             ]
             results = [f.result(timeout=60) for f in futures]
@@ -184,13 +183,15 @@ def test_tau_and_residual_work_on_a_bounded_working_set(demo32):
 
 
 @pytest.mark.parametrize("n_components", [1, 2, 3])
-def test_norms_of_a_field_without_spectrum_transform_one_component_at_a_time(grid32, n_components):
+def test_norms_of_a_field_without_spectrum_transform_one_component_at_a_time(grid16, grid32, n_components):
     u = VectorField(grid32, np.random.default_rng(16).standard_normal((n_components,) + grid32.shape))
-    vector_norms(u)  # build the lattice's H2 weights first
-    # one component's half spectrum (1.03 arrays), dropped before the
-    # pointwise length (1.0) is taken, whatever N is; the stacked spectrum
-    # beside the length read 3.1 at N = 2
-    assert traced_peak(lambda: vector_norms(u)) <= 1.1 * u.values[0].nbytes
+    vector_norms(VectorField(grid16, np.ones((1,) + grid16.shape)))  # first-call set-up, on another grid
+    # From a cold start on this grid: one component's half spectrum (1.03
+    # arrays), dropped before the pointwise length (1.0) is taken, whatever N
+    # is, and the H2 term's row weights, 1.14 measured.  A cached |p|^4
+    # weight array (0.53), built on first use, read 1.61; the stacked
+    # spectrum beside the length read 3.1 at N = 2.
+    assert traced_peak(lambda: vector_norms(u)) <= 1.2 * u.values[0].nbytes
 
 
 def test_continuity_holds_little_beyond_one_solve(demo32):
@@ -204,16 +205,17 @@ def test_continuity_holds_little_beyond_one_solve(demo32):
 
 
 # Peak numpy memory of one demo solve at n = 64, in n^3 float64 arrays, plan
-# build included.  The live data are the plan (about 4.6: the transfer,
-# u0's values and the H2 weights) and u_p with its half spectrum (4.1).  A
-# Picard step (11.1) holds z = u0 + v, over which g(z) is written slab by
-# slab, the previous spectrum and the new one beside the plan.  The
-# residual stage, the peak at 11.5, adds one component's g_m(u) and its
+# build included.  The live data are the plan (about 4.1: the transfer
+# and u0's values) and u_p with its half spectrum (4.1).  A Picard step
+# (10.6) holds z = u0 + v, over which g(z) is written slab by slab, the
+# previous spectrum and the new one beside the plan.  The residual stage,
+# the peak at 11.0, adds one component's g_m(u) and its
 # transforms, with u formed in u_p's values buffer, and sums u's H2 term
 # from its transforms of u; it forms the defect in the two transforms slab
 # by slab, each slab's symbol and f_hat rows beside them (at n = 64 a slab
 # is 31 of the 64 rows).  u's norms then add only its pointwise length.
-# A plan that kept |p| and the symbols (1.55) read 12.7, at a Picard step;
+# Cached H2 weights (0.51) read 11.5, at the residual stage; a plan that
+# kept |p| and the symbols (1.55) as well read 12.7, at a Picard step;
 # one that also kept u0's spectrum (2.1), with u's norms taken on that
 # plus u_p's spectrum, read 15.4, at u's norms; a whole-array pointwise stage (g(z) stacked beside z,
 # a full-size monomial buffer) and u's values beside u_p's read 16.6;
@@ -227,7 +229,6 @@ def test_solve_peak_stays_under_the_memory_ceiling(monkeypatch):
     problem = problems.demo_problem()
     unit = 8 * problem.grid.points_per_axis**3
     spectral._cached_plan.cache_clear()
-    spectral.half_lattice.cache_clear()
     residual_peaks, earlier_peaks = [], []
     residual = fixed_point._residual_and_h2_term
 
@@ -296,15 +297,14 @@ def test_solve_leaves_no_influx_spectra_in_the_plan(demo32):
             for v in value:
                 collect(v)
 
-    for owner in (plan, plan.lattice):
-        for value in vars(owner).values():
-            collect(value)
-    large = [a for a in arrays if a.size >= np.prod(plan.lattice.shape)]
-    # the transfer, u0's values and the H2 weights alone: u0 keeps no
-    # spectrum, f_hat is rebuilt when it is asked for, and neither |p| nor
-    # a symbol is kept
+    for value in vars(plan).values():
+        collect(value)
+    large = [a for a in arrays if a.size >= np.prod(plan.lattice_shape)]
+    # the transfer and u0's values alone: u0 keeps no spectrum, f_hat is
+    # rebuilt when it is asked for, and neither |p|, a symbol nor an H2
+    # weight is kept
     assert result.u0.spectrum is None
-    kept = (plan.transfer, plan.u0.values, plan.lattice.h2_weights)
+    kept = (plan.transfer, plan.u0.values)
     assert sorted(map(id, large)) == sorted(map(id, kept))
 
 
@@ -312,7 +312,6 @@ def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
     n = demo32.grid.points_per_axis
 
     def pieces():
-        half_lattice.cache_clear()
         spectral._cached_plan.cache_clear()
         plan = spectral_plan(demo32)
         symbols = [
@@ -321,7 +320,7 @@ def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
         ]
         results = cli._cmd_solve_linear(demo32, None, None)[0]
         residuals = [(c["forward_residual"], c["regularity_residual"]) for c in results["components"]]
-        arrays = symbols + [plan.u0.values, plan.transfer, plan.lattice.h2_weights]
+        arrays = symbols + [plan.u0.values, plan.transfer]
         return [a.tobytes() for a in arrays], plan.kernel_constants, residuals
 
     try:
@@ -330,17 +329,16 @@ def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
         assert len(spectral._row_slabs(n)) == n
         assert pieces() == default
     finally:
-        half_lattice.cache_clear()
         spectral._cached_plan.cache_clear()
 
 
 # Peak numpy memory of `solve-linear --dump-fields` on the demo at n = 64, in
 # n^3 float64 arrays, plan build included: the plan's u0 build, u0's
-# division spectrum inverted into its values beside the H2 weights; 5.7
-# measured.  The checks that follow hold the plan (u0's values and the H2
-# weights, about 2.5) plus one component's two half-lattice buffers, u_hat
-# and f_hat (which also holds the forward defect), and slab-sized |p| and
-# symbol temporaries.  A plan that kept |p| and the symbols read 7.3; one
+# division spectrum inverted into its values; 5.3 measured.  The checks
+# that follow hold the plan (u0's values, 2.0) plus one component's two
+# half-lattice buffers, u_hat and f_hat (which also holds the forward
+# defect), and slab-sized |p| and symbol temporaries.  Cached H2 weights
+# (0.51) read 5.8; a plan that also kept |p| and the symbols read 7.3; one
 # that also kept u0's spectrum read 9.5; a third buffer for the defect and
 # whole-lattice symbol temporaries reached 10.5; sampling the influxes,
 # keeping their stacked spectra in the plan and copying each snapshot into
@@ -348,28 +346,33 @@ def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
 SOLVE_LINEAR_PEAK_ARRAYS = 7.2
 
 # The same for the `solve` subcommand, which reports the norms the solve
-# took and stores no u: its peak is the residual stage's, 11.6 measured.
-# A plan that kept |p| and the symbols read 12.6, at a Picard step; one
+# took and stores no u: its peak is the residual stage's, 11.0 measured,
+# 11.6 with cached H2 weights.  A plan that also kept |p| and the symbols
+# read 12.6, at a Picard step; one
 # that also kept u0's spectrum, with u's norms taken on that plus u_p's,
 # read 15.4; keeping u's values and spectrum beside u_p and taking its norms
 # after the solve read 17.4.
 SOLVE_COMMAND_PEAK_ARRAYS = 12.0
 
 # The same for `verify-bounds`, whose peak is the plan's kernel build on top
-# of u0: 6.2 measured, 7.5 while the plan kept |p| and the symbols and 9.6
+# of u0: 5.6 measured, 6.2 with cached H2 weights, 7.5 while the plan also
+# kept |p| and the symbols and 9.6
 # while it also kept u0's spectrum.  Taking
 # |kernel| into a second array, the filtered spectrum and the centre phase
 # as whole-lattice temporaries reached 9.8.
 VERIFY_BOUNDS_PEAK_ARRAYS = 7.0
 
-# The same for `contraction --trials 2`: 13.8 measured, 14.3 when it is the
-# process's first run and its peak also holds the numpy.random import;
-# 15.4 and 15.9 while the plan kept |p| and the symbols, 17.4 and 17.8
+# The same for `contraction --trials 2`: 13.6 measured after the other
+# subcommands, 14.1 the same way with cached H2 weights, which read 13.8,
+# or 14.3 when it is the process's first run and its peak also holds the
+# numpy.random import; 15.4 and 15.9 while the plan also kept |p| and the
+# symbols, 17.4 and 17.8
 # while it also kept u0's spectrum.
 CONTRACTION_PEAK_ARRAYS = 14.8
 
-# The same for `continuity`: 13.6 measured, the second solve's residual
-# stage beside the first solve's u_p spectrum; 14.7 while the plan kept
+# The same for `continuity`: 13.1 measured, the second solve's residual
+# stage beside the first solve's u_p spectrum; 13.6 with cached H2
+# weights, 14.7 while the plan also kept
 # |p| and the symbols, 17.4 while it also kept u0's spectrum.  Keeping a stacked g(z) beside z in the Picard step read
 # 20.7.
 CONTINUITY_PEAK_ARRAYS = 14.1
@@ -379,7 +382,6 @@ def command_peak_arrays(argv, tmp_path):
     """Peak numpy memory of one CLI run on the demo, plan build included, in n^3 arrays."""
     n = problems.demo_problem().grid.points_per_axis
     spectral._cached_plan.cache_clear()
-    spectral.half_lattice.cache_clear()
     run = [argv[0], "--config", "demo", "--out", str(tmp_path)] + argv[1:]
     try:
         peak = traced_peak(lambda: cli.run_command(run))

@@ -27,7 +27,6 @@ from dualfrac.problems import (
     realize_gaussian_sum,
     solvability_sweep_cases,
 )
-from dualfrac.spectral import half_lattice
 
 TP = 2.0 * np.pi
 
@@ -242,6 +241,13 @@ def test_regularity_grid_mismatch(grid16, grid32):
         regularity_check(ScalarField.zeros(grid16), ScalarField.zeros(grid32), 0.4, 0.8)
 
 
+def test_regularity_rejects_a_laplacian_that_overflows(grid16, rng):
+    # finite values whose squared transform coefficients exceed the float range
+    u0 = ScalarField(grid16, 1e200 * rng.standard_normal(grid16.shape))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not square integrable"):
+        regularity_check(u0, gaussian(grid16), 0.4, 0.8)
+
+
 # --- invariants ----------------------------------------------------------
 
 
@@ -337,22 +343,6 @@ def test_box_sweep_makes_no_3d_transform(monkeypatch):
     box_length_sweep(case.influx, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
     # per box, one 1-D fft of the x and y factors and one rfft of the z factors
     assert calls == ["fft", "rfft"] * len(SWEEP_BOXES)
-
-
-def test_box_sweep_builds_no_half_lattice(monkeypatch):
-    built = []
-    init = spectral.HalfLattice.__init__
-
-    def counting_init(self, grid):
-        built.append(grid)
-        init(self, grid)
-
-    monkeypatch.setattr(spectral.HalfLattice, "__init__", counting_init)
-    misses = half_lattice.cache_info().misses
-    case = solvability_sweep_cases()[0]
-    box_length_sweep(case.influx, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
-    assert half_lattice.cache_info().misses == misses
-    assert built == []
 
 
 @pytest.mark.parametrize("case", solvability_sweep_cases(), ids=lambda c: c.label)

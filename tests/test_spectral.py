@@ -20,17 +20,18 @@ from dualfrac import (
     solve_double_fractional,
     vector_norms,
 )
+from dualfrac import spectral
 from dualfrac.problems import realize_gaussian_sum, solvability_sweep_cases
 from dualfrac.spectral import (
     _band_limit,
     _gaussian_half_spectra,
     _irfft,
+    _lap_power,
+    _plancherel_weights,
     _rfft,
     _row_power,
     _wavenumber_rows,
     _weighted_power,
-    HalfLattice,
-    half_lattice,
     nonzero_mode_l2,
     spectrum_l2,
 )
@@ -471,43 +472,62 @@ def _reference_weighted_power(coeff, weights):
     return float(np.sum(weights * (coeff.real**2 + coeff.imag**2)))
 
 
+def _dense_h2_weights(grid):
+    """The H2 term's weights ``w * |p|^4`` on the whole half lattice, as an oracle."""
+    return _plancherel_weights(grid) * _wavenumber_rows(grid, slice(None)) ** 4
+
+
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "stacked"])
 @pytest.mark.parametrize("which", ["weights", "h2_weights"])
 def test_weighted_power_matches_sum_of_weighted_squares(grid32, rng, lead, which):
-    w = getattr(half_lattice(grid32), which)
     coeff = _rfft(rng.standard_normal(lead + grid32.shape))
-    assert _weighted_power(coeff, w) == pytest.approx(_reference_weighted_power(coeff, w), rel=1e-14)
+    if which == "weights":
+        w = _plancherel_weights(grid32)
+        assert _weighted_power(coeff, w) == pytest.approx(_reference_weighted_power(coeff, w), rel=1e-14)
+    else:
+        expected = _reference_weighted_power(coeff, _dense_h2_weights(grid32))
+        assert _lap_power(coeff, grid32) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "stacked"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_lap_power_matches_dense_h2_weights(rng, lead, n, monkeypatch):
+    # n = 32 is the h2_weights case above
+    grid = Grid3(20.0, n)
+    coeff = _rfft(rng.standard_normal(lead + grid.shape))
+    expected = _reference_weighted_power(coeff, _dense_h2_weights(grid))
+    lap = _lap_power(coeff, grid)
+    assert lap == pytest.approx(expected, rel=1e-14)
+    monkeypatch.setattr(spectral, "SLAB_BYTES", 1)
+    assert _lap_power(coeff, grid) == lap
 
 
 def test_row_power_sums_each_row(grid32, rng):
-    w = half_lattice(grid32).weights
-    coeff = _rfft(rng.standard_normal(grid32.shape))
-    rows = _row_power(coeff, w)
-    assert rows.shape == (grid32.points_per_axis,)
-    for row, c in zip(rows, coeff):
-        assert row == pytest.approx(_reference_weighted_power(c, w), rel=1e-14)
-
-
-def test_half_lattice_builds_h2_weights_on_first_use(grid32):
-    lattice = HalfLattice(grid32)
-    assert "h2_weights" not in vars(lattice)
-    assert lattice.h2_weights.shape == lattice.shape == _wavenumber_rows(grid32, slice(None)).shape
+    w = _plancherel_weights(grid32)
+    w_2d = np.tile(w, (grid32.points_per_axis, 1)) * rng.random((grid32.points_per_axis, 1))
+    coeff = _rfft(rng.standard_normal((2,) + grid32.shape))
+    for weights in (w, w_2d):
+        rows = _row_power(coeff, weights)
+        assert rows.shape == (2, grid32.points_per_axis)
+        for row, c in zip(rows.ravel(), coeff.reshape((-1,) + coeff.shape[-2:])):
+            assert row == pytest.approx(_reference_weighted_power(c, weights), rel=1e-14)
 
 
 def test_weighted_power_reads_slices_without_copying(grid64, rng):
-    w = half_lattice(grid64).weights
+    w = _plancherel_weights(grid64)
     coeff = _rfft(rng.standard_normal((2,) + grid64.shape))
     for part, weights in ((coeff[..., 1:, :, :], w), (coeff[..., 0, 1:, :], w), (coeff[..., 0, 0, 1:], w[1:])):
         assert _weighted_power(part, weights) == pytest.approx(_reference_weighted_power(part, weights), rel=1e-14)
-    h2_weights = half_lattice(grid64).h2_weights[1:]
+    _lap_power(coeff, grid64)  # first-call set-up outside the measurement
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _weighted_power(coeff[..., 1:, :, :], h2_weights)
+        _lap_power(coeff, grid64)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # einsum's iterator state only (2 KiB here), no coefficient-sized array
+    # row-sized weights and row sums only (71 KiB here), no coefficient-sized
+    # array: a lattice of |p|^4 weights alone is 0.25 coeff.nbytes
     assert peak <= 0.05 * coeff.nbytes
 
 
@@ -516,7 +536,7 @@ def test_weighted_power_reads_slices_without_copying(grid64, rng):
 def test_nonzero_mode_l2_matches_masked_sum(grid32, rng, lead, zero_scale):
     coeff = _rfft(rng.standard_normal(lead + grid32.shape))
     coeff[..., 0, 0, 0] = zero_scale * (3.0 + 0.5j) * np.abs(coeff).max()
-    sq = half_lattice(grid32).weights * (coeff.real**2 + coeff.imag**2)
+    sq = _plancherel_weights(grid32) * (coeff.real**2 + coeff.imag**2)
     sq[..., 0, 0, 0] = 0.0
     # a dominant zero mode must not cancel away the rest of the sum
     assert nonzero_mode_l2(coeff, grid32) == pytest.approx(np.sqrt(np.sum(sq)), rel=1e-14)
