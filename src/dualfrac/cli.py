@@ -37,6 +37,7 @@ from .fieldio import write_snapshot
 from .fixed_point import continuity_experiment, measure_contraction, solve_fixed_point
 from .grid import Grid3, VectorField
 from .poisson import (
+    _check_h2,
     _regularity_defect,
     _zero_mode_report,
     box_length_sweep,
@@ -213,7 +214,8 @@ def _cmd_solve_linear(problem, args, dump):
         # whatever u0's values hold.  Two half-lattice buffers serve
         # the component: cu, and cf for f_hat, its forward defect and f_hat again.
         cu = _rfft(u0_m)
-        norms = vector_norms(VectorField(grid, u0_m[None], cu[None])).as_dict()
+        norms = vector_norms(VectorField(grid, u0_m[None], cu[None]))
+        _check_h2(norms.h2)
         cf = plan.influx_spectrum(m)
         f_l2 = nonzero_mode_l2(cf, grid)
         # f_hat - S u_hat, formed slab by slab in f_hat's buffer, is
@@ -226,7 +228,7 @@ def _cmd_solve_linear(problem, args, dump):
         report = _zero_mode_report(*_gaussian_sum_moments(problem.influxes[m], grid), s1)
         components.append(
             {
-                "norms": norms,
+                "norms": norms.as_dict(),
                 "forward_residual": forward_residual,
                 "regularity_residual": reg_residual,
                 "solvability": report.as_dict(),

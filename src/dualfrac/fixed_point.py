@@ -37,9 +37,9 @@ from .problems import (
 from .spectral import (  # noqa: F401  (forward_transform stays importable from here)
     _band_limit,
     _h2_gap,
+    _h2_power,
     _irfft,
-    _lap_power,
-    _norms_with_h2_term,
+    _norms_with_h2_terms,
     _relative,
     _rfft,
     _row_slabs,
@@ -259,14 +259,14 @@ def solve_fixed_point(
     ratios = [b / a for a, b in zip(step_norms, step_norms[1:]) if a > 0.0]
     u_p_norms = vector_norms(v)
     # u is formed in the iterate's values buffer and dropped once its
-    # residual and norms are taken, the H2 term of its norms from the
+    # residual and norms are taken, the H2 terms of its norms from the
     # residual's own transforms of u; u_p's values are then rebuilt from
     # its carried spectrum, as the loop made them
     spectrum = v.spectrum
     u = VectorField(grid, np.add(u0.values, v.values, out=v.values))
     del v
-    residual, lap_sq = _residual_and_h2_term(u, problem)
-    u_norms = _norms_with_h2_term(u, lap_sq)
+    residual, l2_sq, lap_sq = _residual_and_h2_terms(u, problem)
+    u_norms = _norms_with_h2_terms(u, l2_sq, lap_sq)
     del u
     v = VectorField(grid, _irfft(spectrum, grid), spectrum)
     converged = bool(
@@ -296,16 +296,15 @@ def sample_ball(
     and rescaled to the target radius.  The transforms are pruned to the
     kept modes (:func:`~dualfrac.spectral._band_limit`), the noise buffer
     becomes the draw's values, and the norm is ``vector_norms(draw).h2``'s
-    own expression, without the pointwise length.
+    own expression, from the draw's half spectrum alone.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     while True:
         values = rng.standard_normal((n_components,) + grid.shape)
         coeff = _band_limit(values, grid)
-        flat = values.ravel()
-        l2_sq = grid.cell_volume * float(np.vdot(flat, flat))
-        norm = float(np.sqrt(l2_sq + _lap_power(coeff, grid)))
+        l2_sq, lap_sq = _h2_power(coeff, grid)
+        norm = float(np.sqrt(l2_sq + lap_sq))
         if norm != 0.0:
             break
     scale = rho * (1.0 - rng.random()) / norm  # target radius uniform in (0, rho]
@@ -369,13 +368,13 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     slab, with the slab's symbol formed once (:meth:`SpectralPlan.symbol_rows`)
     and its f_hat rows rebuilt by :meth:`SpectralPlan.influx_spectrum`.
     """
-    return _residual_and_h2_term(u, problem)[0]
+    return _residual_and_h2_terms(u, problem)[0]
 
 
-def _residual_and_h2_term(u: VectorField, problem: ProblemSpec) -> tuple[float, float]:
-    """:func:`system_residual` at u, and the H2 derivative term of ``vector_norms(u)``.
+def _residual_and_h2_terms(u: VectorField, problem: ProblemSpec) -> tuple[float, float, float]:
+    """:func:`system_residual` at u, and the two H2 terms of ``vector_norms(u)``.
 
-    The term is summed over components, in order, from the transform of
+    The terms are summed over components, in order, from the transform of
     u_m the residual makes anyway, before the symbol multiplies it: for a u
     that carries no spectrum, ``vector_norms`` adds the same terms, so the
     norms built on it are bitwise ``vector_norms(u)``'s.
@@ -383,8 +382,7 @@ def _residual_and_h2_term(u: VectorField, problem: ProblemSpec) -> tuple[float, 
     _check_field(u, problem)
     plan = spectral_plan(problem)
     slabs = _row_slabs(problem.grid.points_per_axis)
-    defect_sq = 0.0
-    lap_sq = 0.0
+    defect_sq = l2_sq = lap_sq = 0.0
     for m, eps in enumerate(problem.epsilon):
         # symbol * u_hat - (eps * symbol * transfer * g_hat + f_hat)
         g_m = np.empty(problem.grid.shape)
@@ -393,7 +391,9 @@ def _residual_and_h2_term(u: VectorField, problem: ProblemSpec) -> tuple[float, 
         coeff_g = _rfft(g_m)
         del g_m
         coeff = _rfft(u.values[m])
-        lap_sq += _lap_power(coeff, problem.grid)
+        terms = _h2_power(coeff, problem.grid)
+        l2_sq += terms[0]
+        lap_sq += terms[1]
         for rows in slabs:
             symbol = plan.symbol_rows(m, rows)
             coeff[rows] *= symbol
@@ -405,7 +405,7 @@ def _residual_and_h2_term(u: VectorField, problem: ProblemSpec) -> tuple[float, 
         del coeff_g
         defect_sq += nonzero_mode_l2(coeff, problem.grid) ** 2
         del coeff
-    return _relative(math.sqrt(defect_sq), plan.influx_l2), lap_sq
+    return _relative(math.sqrt(defect_sq), plan.influx_l2), l2_sq, lap_sq
 
 
 def continuity_experiment(

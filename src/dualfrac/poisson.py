@@ -23,8 +23,8 @@ from .problems import GaussianSpec
 from .spectral import (
     TWO_PI_32,
     _gaussian_axis_spectra,
+    _h2_power,
     _irfft,
-    _lap_power,
     _outer_rows,
     _plancherel_weights,
     _relative,
@@ -32,7 +32,6 @@ from .spectral import (
     _row_power,
     _row_slabs,
     _wavenumber_rows,
-    _weighted_power,
     _without_zero_mode,
     nonzero_mode_l2,
     spectral_plan,
@@ -43,8 +42,6 @@ __all__ = [
     "SolvabilityReport",
     "BoxSweepPoint",
     "solve_double_fractional",
-    "apply_double_fractional",
-    "solvability_report",
     "regularity_check",
     "solve_linear_system",
     "box_length_sweep",
@@ -84,8 +81,8 @@ class SolvabilityReport:
 def _is_zero_mean(mean: float, f_l2: float) -> bool:
     """Whether a mean integral ``h^3 sum(f)`` counts as zero against ``||f||_L2``.
 
-    The one test behind :func:`solvability_report` and the
-    ``reject_if_nonzero`` policy of :func:`solve_double_fractional`.
+    The one test behind the zero-mode report (:func:`_zero_mode_report`)
+    and the ``reject_if_nonzero`` policy of :func:`solve_double_fractional`.
     """
     return abs(mean) <= ORTHOGONALITY_RTOL * f_l2
 
@@ -108,7 +105,7 @@ def solve_double_fractional(
     Every nonzero mode is inverted exactly; the p = 0 mode is set to zero
     under the ``drop`` policy (the dropped mass is logged) or, under
     ``reject_if_nonzero``, causes an error when the right side's mean
-    integral is not zero by the test :func:`solvability_report` applies.
+    integral is not zero by the zero-mode report's test (:func:`_is_zero_mean`).
     """
     _validate_orders(s1, s2)
     if zero_mode_policy not in ZERO_MODE_POLICIES:
@@ -118,7 +115,7 @@ def solve_double_fractional(
     coeff = _rfft(f.values)
     mean = g.cell_volume * float(coeff[0, 0, 0].real)
     if zero_mode_policy == "reject_if_nonzero":
-        f_l2 = math.sqrt(_weighted_power(coeff, _plancherel_weights(g)))
+        f_l2 = math.sqrt(np.sum(_row_power(coeff, _plancherel_weights(g))))
         if not _is_zero_mean(mean, f_l2):
             raise ValueError(
                 "right side violates the zero-mean solvability condition "
@@ -131,25 +128,8 @@ def solve_double_fractional(
     return ScalarField(g, _irfft(_without_zero_mode(coeff, symbol), g))
 
 
-def apply_double_fractional(u: ScalarField, s1: float, s2: float) -> ScalarField:
-    """Apply the forward operator ``(-Lap)^{s1} + (-Lap)^{s2}`` spectrally."""
-    _validate_orders(s1, s2)
-    g = u.grid
-    coeff = _rfft(u.values)
-    coeff *= two_exponent_symbol(_wavenumber_rows(g, slice(None)), s1, s2)
-    return ScalarField(g, _irfft(coeff, g))
-
-
-def solvability_report(f: ScalarField, s1: float) -> SolvabilityReport:
-    """Classify the zero-mode regime of a right side for a given first order."""
-    g = f.grid
-    mean = float(g.cell_volume * np.sum(f.values))
-    f_l2 = float(np.sqrt(g.cell_volume * np.sum(f.values**2)))
-    return _zero_mode_report(mean, f_l2, s1)
-
-
 def _zero_mode_report(mean: float, f_l2: float, s1: float) -> SolvabilityReport:
-    """:func:`solvability_report` of a right side with mean integral ``mean`` and L2 norm ``f_l2``.
+    """Zero-mode regime, for first order s1, of a right side with mean integral ``mean`` and L2 norm ``f_l2``.
 
     The CLI feeds it the moments of a Gaussian sum
     (:func:`~dualfrac.problems._gaussian_sum_moments`), so no influx is sampled.
@@ -178,7 +158,15 @@ def regularity_check(u0: ScalarField, f: ScalarField, s1: float, s2: float) -> f
     _validate_orders(s1, s2)
     if u0.grid != f.grid:
         raise ValueError("u0 and f live on different grids")
-    return _regularity_defect(_rfft(u0.values), _rfft(f.values), u0.grid, s1, s2)
+    cu = _rfft(u0.values)
+    _check_h2(_h2_power(cu, u0.grid)[1])
+    return _regularity_defect(cu, _rfft(f.values), u0.grid, s1, s2)
+
+
+def _check_h2(term: float) -> None:
+    """Reject a u0 whose H2 norm or derivative term ``term`` is not finite: the identity needs its Laplacian."""
+    if not math.isfinite(term):
+        raise ValueError("Laplacian of u0 is not square integrable on the lattice")
 
 
 def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s2: float) -> float:
@@ -186,10 +174,9 @@ def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s
 
     Each side is formed in its operand's buffer and the defect in cu's, one
     slab of rows at a time (:func:`~dualfrac.spectral._row_slabs`), so |p|
-    and the symbols exist only slab by slab.
+    and the symbols exist only slab by slab.  The caller has checked that
+    u0's H2 term is finite (:func:`_check_h2`).
     """
-    if not math.isfinite(_lap_power(cu, grid)):
-        raise ValueError("Laplacian of u0 is not square integrable on the lattice")
     for rows in _row_slabs(grid.points_per_axis):
         pm = _wavenumber_rows(grid, rows)
         lhs = np.multiply(two_exponent_symbol(pm, 1.0, 1.0 + s2 - s1), cu[rows], out=cu[rows])

@@ -13,8 +13,8 @@ per-problem kernel transfer multipliers and the linear response u0, as
 values and norms.  No array of lattice size derived from |p| is kept:
 :func:`_wavenumber_rows` forms |p| from the 1-D frequency axes one slab
 of rows at a time (:func:`_row_slabs`) where it is used,
-:meth:`SpectralPlan.symbol_rows` a symbol, and :func:`_lap_power` takes
-the H2 derivative term from per-row sums whose weights span one row.
+:meth:`SpectralPlan.symbol_rows` a symbol, and every Plancherel sum is
+made of per-row sums whose weights span one row (:func:`_row_power`).
 The influx and kernel spectra come from the Gaussians' separability, as
 outer products of 1-D transforms, never from a 3-D transform of sampled
 data; the plan keeps only the influxes' 1-D axis spectra and rebuilds
@@ -38,7 +38,6 @@ from .problems import FractionalOrders, GaussianSpec, _axis_factors, realize_gau
 __all__ = [
     "forward_transform",
     "inverse_transform",
-    "apply_fractional_symbol",
     "two_exponent_symbol",
     "convolve",
     "field_norms",
@@ -46,7 +45,6 @@ __all__ = [
     "h2_distance",
     "spectrum_l2",
     "nonzero_mode_l2",
-    "relative_defect",
     "SpectralPlan",
     "spectral_plan",
 ]
@@ -100,18 +98,6 @@ def inverse_transform(spectrum: Spectrum) -> ScalarField:
     return ScalarField(g, _irfft(half, g))
 
 
-def apply_fractional_symbol(spectrum: Spectrum, s: float) -> Spectrum:
-    """Multiply by the fractional-Laplacian symbol |p|^{2s}, s in (0, 1].
-
-    The symbol vanishes at p = 0, so the zero-frequency coefficient is
-    always annihilated.
-    """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"fractional order s must lie in (0, 1], got {s}")
-    g = spectrum.grid
-    return Spectrum(g, g.wavenumbers ** (2.0 * s) * spectrum.coefficients)
-
-
 def two_exponent_symbol(wavenumbers: np.ndarray, s1: float, s2: float) -> np.ndarray:
     """Symbol ``|p|^{2 s1} + |p|^{2 s2}`` of ``(-Lap)^{s1} + (-Lap)^{s2}`` at the given |p|.
 
@@ -155,25 +141,25 @@ def vector_norms(u: VectorField) -> NormReport:
 
     L2 and H2 aggregate components as the root of the sum of squared
     component norms; L1 and Linf are taken on the pointwise Euclidean
-    length |u(x)|.  The H2 derivative term comes from the half spectrum the
-    field carries or, when it carries none, from one ``rfftn`` per
-    component, whose terms are added in component order, as
+    length |u(x)|.  L2 and H2 come by Plancherel (:func:`_h2_power`) from
+    the half spectrum the field carries or, when it carries none, from one
+    ``rfftn`` per component, whose terms are added in component order, as
     :func:`~dualfrac.fixed_point.solve_fixed_point` adds them for u.
     """
     if u.spectrum is not None:
-        return _norms_with_h2_term(u, _lap_power(u.spectrum, u.grid))
-    lap_sq = 0.0
+        return _norms_with_h2_terms(u, *_h2_power(u.spectrum, u.grid))
+    l2_sq = lap_sq = 0.0
     for values in u.values:
-        lap_sq += _lap_power(_rfft(values), u.grid)
-    return _norms_with_h2_term(u, lap_sq)
+        terms = _h2_power(_rfft(values), u.grid)
+        l2_sq += terms[0]
+        lap_sq += terms[1]
+    return _norms_with_h2_terms(u, l2_sq, lap_sq)
 
 
-def _norms_with_h2_term(u: VectorField, lap_sq: float) -> NormReport:
-    """:func:`vector_norms` of u given its H2 derivative term ``lap_sq``, a weighted half-spectrum sum."""
+def _norms_with_h2_terms(u: VectorField, l2_sq: float, lap_sq: float) -> NormReport:
+    """:func:`vector_norms` of u given its two H2 terms, as :func:`_h2_power` returns them."""
     g = u.grid
     length = u.euclidean_length()
-    flat = u.values.ravel()
-    l2_sq = g.cell_volume * float(np.vdot(flat, flat))
     return NormReport(
         l1=float(g.cell_volume * np.sum(length)),
         l2=float(np.sqrt(l2_sq)),
@@ -197,12 +183,12 @@ def h2_distance(a: VectorField, b: VectorField) -> float:
 
 def _h2_gap(sa: np.ndarray, sb: np.ndarray, grid: Grid3) -> float:
     """:func:`h2_distance` of two fields given by their stacked half spectra."""
-    weights = _plancherel_weights(grid)
     diff = np.empty_like(sa[0])
     total = 0.0
     for ca, cb in zip(sa, sb):
         np.subtract(ca, cb, out=diff)
-        total += _weighted_power(diff, weights) + _lap_power(diff, grid)
+        l2_sq, lap_sq = _h2_power(diff, grid)
+        total += l2_sq + lap_sq
     return math.sqrt(total)
 
 
@@ -336,53 +322,45 @@ def _gaussian_half_spectra(sums, grid: Grid3) -> np.ndarray:
     return out
 
 
-def _weighted_power(coeff: np.ndarray, weights: np.ndarray) -> float:
-    """``sum(weights * |coeff|^2)`` with no full-size temporary.
+def _row_power(coeff: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``sum(w * |coeff|^2)`` over each x-frequency row of ``coeff``, shape ``coeff.shape[:-2]``.
 
-    ``weights`` spans coeff's trailing axes, such as the Plancherel weights
-    (:func:`_plancherel_weights`) or a slice of them.  Leading axes
-    (stacked components) are summed too.  One ``einsum`` runs over each
-    float64 view, ``coeff.real`` and ``coeff.imag``; a single one over
-    interleaved (re, im) pairs would make its innermost loop two elements
-    long and run 2-3x slower.
+    The one Plancherel sum: every norm, distance and defect of half spectra
+    adds these row sums.  ``w`` has a row's shape, n x (n/2 + 1), such as
+    :func:`_plancherel_weights` (with 1-D weights ``einsum`` would buffer
+    about 64 KiB per call); leading axes (stacked components) are kept.
+    One ``einsum`` runs over each float64 view, ``coeff.real`` and
+    ``coeff.imag``; a single one over interleaved (re, im) pairs would make
+    its innermost loop two elements long and run 2-3x slower.  A row's sum
+    does not depend on the rows around it, so summing these gives one
+    result however the rows were split into slabs, and a total's rounding
+    grows with the number of rows, not of modes.
     """
-    axes = "abcdefgh"[: coeff.ndim]
-    terms = f"{axes},{axes},{axes[coeff.ndim - weights.ndim:]}->"
     re, im = coeff.real, coeff.imag
-    return float(np.einsum(terms, re, re, weights) + np.einsum(terms, im, im, weights))
+    return np.einsum("...abc,...abc,bc->...a", re, re, w) + np.einsum("...abc,...abc,bc->...a", im, im, w)
 
 
-def _row_power(coeff: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum(weights * |coeff|^2)`` over each x-frequency row of ``coeff``, shape ``coeff.shape[:-2]``.
-
-    ``weights`` spans a row's last axis (n/2 + 1) or both its axes
-    (n x (n/2 + 1)); leading axes (stacked components) are kept.  A row's
-    sum does not depend on the rows around it, so summing these gives one
-    result however the rows were split into slabs.
-    """
-    terms = "...abc,...abc," + "bc"[2 - weights.ndim :] + "->...a"
-    re, im = coeff.real, coeff.imag
-    return np.einsum(terms, re, re, weights) + np.einsum(terms, im, im, weights)
-
-
-def _lap_power(coeff: np.ndarray, grid: Grid3) -> float:
-    """H2 derivative term ``sum(weights * |p|^4 * |coeff|^2)`` of plain ``rfftn`` coefficients.
+def _h2_power(coeff: np.ndarray, grid: Grid3) -> tuple[float, float]:
+    """The H2 terms ``(sum(w |coeff|^2), sum(w |p|^4 |coeff|^2))`` of plain ``rfftn`` coefficients.
 
     With ``t = p_y^2 + p_z^2``, ``|p|^4 = p_x^4 + 2 p_x^2 t + t^2``, so each
-    x-frequency row's term comes from three :func:`_row_power` sums with the
-    weights w, w t and w t^2, which span one row: no |p|-derived array of
-    lattice size is formed.  Leading axes (stacked components) are summed
-    too.  The rows are added by ``np.sum``, so an overflowing term gives a
-    non-finite result that callers can test, where ``math.fsum`` would raise.
+    x-frequency row's derivative term comes from three :func:`_row_power`
+    sums with the weights w, w t and w t^2, and the first of them is the
+    row's L2 term: no |p|-derived array of lattice size is formed.  Leading
+    axes (stacked components) are summed too.  The rows are added by
+    ``np.sum``, so an overflowing term gives a non-finite result that
+    callers can test, where ``math.fsum`` would raise.
     """
     n = grid.points_per_axis
     p_sq = grid.frequency_axis**2
-    t = p_sq[:, None] + p_sq[: n // 2 + 1]
-    # weights of a row's full shape: with 1-D ones einsum buffers about 64 KiB
-    w = np.tile(_plancherel_weights(grid), (n, 1))
-    w_t = w * t
-    rows = p_sq**2 * _row_power(coeff, w) + 2.0 * p_sq * _row_power(coeff, w_t) + _row_power(coeff, w_t * t)
-    return float(np.sum(rows))
+    # t built in place: a broadcast sum buffers more than t's own size
+    t = np.repeat(p_sq[:, None], n // 2 + 1, axis=1)
+    t += p_sq[: n // 2 + 1]
+    w = _plancherel_weights(grid)
+    l2_rows = _row_power(coeff, w)
+    t_rows = _row_power(coeff, np.multiply(w, t, out=w))
+    tt_rows = _row_power(coeff, np.multiply(w, t, out=w))
+    return float(np.sum(l2_rows)), float(np.sum(p_sq**2 * l2_rows + 2.0 * p_sq * t_rows + tt_rows))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -442,16 +420,18 @@ def _wavenumber_rows(grid: Grid3, rows: slice) -> np.ndarray:
 
 
 def _plancherel_weights(grid: Grid3) -> np.ndarray:
-    """Weights along the last half-lattice axis that turn ``|c|^2`` sums into ``h^3 sum(f^2)``.
+    """Weights of one x-frequency row, n x (n/2 + 1), that turn ``|c|^2`` sums into ``h^3 sum(f^2)``.
 
     Every plane but the first and the last (Nyquist) stands for itself and
     its mirror ``-p``: for plain rfftn coefficients c of samples f,
-    ``h^3 * sum(f^2) = h^3 / n^3 * sum(multiplicity * |c|^2)``.
+    ``h^3 * sum(f^2) = h^3 / n^3 * sum(multiplicity * |c|^2)``.  A new
+    array on every call, so callers may scale it in place.
     """
     n = grid.points_per_axis
-    multiplicity = np.full(n // 2 + 1, 2.0)
-    multiplicity[0] = multiplicity[-1] = 1.0
-    return grid.cell_volume / n**3 * multiplicity
+    weights = np.full((n, n // 2 + 1), 2.0)
+    weights[:, 0] = weights[:, -1] = 1.0
+    weights *= grid.cell_volume / n**3
+    return weights
 
 
 def _centre_phase(grid: Grid3, rows: slice = slice(None)) -> np.ndarray:
@@ -468,29 +448,16 @@ def nonzero_mode_l2(coeff: np.ndarray, grid: Grid3) -> float:
     """L2 norm, by Plancherel, of plain ``rfftn`` coefficients on the nonzero modes.
 
     ``coeff`` may stack several components along leading axes; their squared
-    norms add.  The sum runs over three slices that together leave out only
-    p = 0, so nothing is copied; subtracting the zero mode's term from the
-    full sum instead would cancel catastrophically whenever that mode
-    dominates, as it does in a defect against an influx with nonzero mean.
+    norms add.  The x-frequency rows are summed by :func:`_row_power`, row 0
+    with p = 0's weight set to zero, so nothing is copied; subtracting the
+    zero mode's term from the full sum instead would cancel catastrophically
+    whenever that mode dominates, as it does in a defect against an influx
+    with nonzero mean.
     """
     w = _plancherel_weights(grid)
-    total = (
-        _weighted_power(coeff[..., 1:, :, :], w)
-        + _weighted_power(coeff[..., 0, 1:, :], w)
-        + _weighted_power(coeff[..., 0, 0, 1:], w[1:])
-    )
-    return math.sqrt(total)
-
-
-def relative_defect(lhs: np.ndarray, rhs: np.ndarray, grid: Grid3, reference: float | None = None) -> float:
-    """L2 defect ``||lhs - rhs||`` on the nonzero modes, relative to ``reference``.
-
-    ``reference`` defaults to the same norm of rhs; a zero reference leaves
-    the defect unnormalized.
-    """
-    if reference is None:
-        reference = nonzero_mode_l2(rhs, grid)
-    return _relative(nonzero_mode_l2(lhs - rhs, grid), reference)
+    rest = float(np.sum(_row_power(coeff[..., 1:, :, :], w)))
+    w[0, 0] = 0.0
+    return math.sqrt(float(np.sum(_row_power(coeff[..., :1, :, :], w))) + rest)
 
 
 def _relative(defect: float, reference: float) -> float:
@@ -567,7 +534,7 @@ class SpectralPlan:
         coeff = np.empty((len(self.influxes),) + self.lattice_shape, dtype=np.complex128)
         for m, acc in enumerate(coeff):
             self.influx_spectrum(m, out=acc)
-        influx_l2 = math.sqrt(_weighted_power(coeff, _plancherel_weights(self.grid)))
+        influx_l2 = math.sqrt(np.sum(_row_power(coeff, _plancherel_weights(self.grid))))
         for m, acc in enumerate(coeff):
             for rows in _row_slabs(self.grid.points_per_axis):
                 _without_zero_mode(acc[rows], self.symbol_rows(m, rows))

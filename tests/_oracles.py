@@ -8,11 +8,14 @@ is the ball sampler before its transforms were pruned, kept as the bitwise
 reference of the pruned one, and :func:`summed_spectrum_u_norms` is the
 solver's norms of u before they were taken from the residual's transforms,
 with u0's spectrum rebuilt by :func:`u0_division_spectrum`.
+:func:`fractional_symbol` applies a symbol through numpy's own ``fftn``,
+and :func:`sampled_solvability_report` is the zero-mode report from
+sums over a sampled right side.
 """
 
 import numpy as np
 
-from dualfrac import VectorField
+from dualfrac import VectorField, poisson
 from dualfrac.spectral import _irfft, _rfft, _wavenumber_rows, _without_zero_mode, vector_norms
 
 
@@ -31,6 +34,15 @@ def zero_cell_radius(box_length):
     """
     dp = 2.0 * np.pi / box_length
     return dp * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
+
+
+def fractional_symbol(values, grid, s):
+    """``(-Lap)^s`` of real samples through numpy's own ``fftn``: ``ifftn(|p|^{2s} fftn(values))``.
+
+    A real, even multiplier commutes with the box's offset, so no centre
+    phase enters.
+    """
+    return np.fft.ifftn(grid.wavenumbers ** (2.0 * s) * np.fft.fftn(values)).real
 
 
 def dft_matrices(grid):
@@ -113,3 +125,11 @@ def summed_spectrum_u_norms(result, plan):
     """``vector_norms(u)`` from u's values and the sum of u0's division spectrum and u_p's carried one."""
     spectrum = u0_division_spectrum(plan) + result.u_p.spectrum
     return vector_norms(VectorField(result.u_p.grid, result.u.values, spectrum))
+
+
+def sampled_solvability_report(f, s1):
+    """The zero-mode report of a sampled right side, its mean integral and L2 norm summed over the samples."""
+    g = f.grid
+    mean = float(g.cell_volume * np.sum(f.values))
+    f_l2 = float(np.sqrt(g.cell_volume * np.sum(f.values**2)))
+    return poisson._zero_mode_report(mean, f_l2, s1)

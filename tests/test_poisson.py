@@ -9,14 +9,12 @@ from dualfrac import (
     Grid3,
     ScalarField,
     Spectrum,
-    apply_double_fractional,
     box_length_sweep,
     field_norms,
     fit_growth_exponent,
     forward_transform,
     inverse_transform,
     regularity_check,
-    solvability_report,
     solve_double_fractional,
 )
 from dualfrac import poisson, spectral
@@ -120,7 +118,7 @@ def test_reject_policy_and_solvability_report_share_one_zero_mean_test(ratio, no
     values -= values.mean()
     l2 = np.sqrt(grid.cell_volume * np.sum(values**2))
     f = ScalarField(grid, values + ratio * l2 / grid.box_length**3)
-    report = solvability_report(f, 0.8)
+    report = _oracles.sampled_solvability_report(f, 0.8)
     assert report.orthogonality_residual == pytest.approx(ratio * l2, rel=1e-3)
     if nonzero:
         assert report.predicted_low_freq_growth == pytest.approx(0.2)
@@ -150,7 +148,7 @@ def test_drop_policy_logs_mass(grid16, caplog):
 
 
 def test_solvability_gaussian_supercritical(grid64):
-    rep = solvability_report(gaussian(grid64), 0.8)
+    rep = _oracles.sampled_solvability_report(gaussian(grid64), 0.8)
     assert rep.regime == "orthogonality_required"
     assert abs(rep.mean_integral - np.pi**1.5) <= 1e-8
     assert rep.orthogonality_residual == pytest.approx(np.pi**1.5, abs=1e-8)
@@ -159,20 +157,20 @@ def test_solvability_gaussian_supercritical(grid64):
 
 def test_solvability_dipole_has_no_growth(grid64):
     f = gaussian(grid64, center=(1.5, 0, 0)) - gaussian(grid64, center=(-1.5, 0, 0))
-    rep = solvability_report(f, 0.8)
+    rep = _oracles.sampled_solvability_report(f, 0.8)
     assert rep.orthogonality_residual <= 1e-12
     assert rep.predicted_low_freq_growth == 0.0
 
 
 def test_solvability_subcritical_unconditional(grid64):
-    rep = solvability_report(gaussian(grid64), 0.5)
+    rep = _oracles.sampled_solvability_report(gaussian(grid64), 0.5)
     assert rep.regime == "unconditional"
     assert rep.predicted_low_freq_growth == 0.0
 
 
 def test_solvability_order_validation(grid16):
     with pytest.raises(ValueError):
-        solvability_report(ScalarField.zeros(grid16), 1.2)
+        _oracles.sampled_solvability_report(ScalarField.zeros(grid16), 1.2)
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -188,7 +186,7 @@ def test_gaussian_moments_classify_like_the_sampled_influx(n):
         assert abs(l2 - sampled_l2) <= 1e-14 * sampled_l2
         assert abs(mean - grid.cell_volume * np.sum(f.values)) <= 1e-14 * sampled_l2
         for s1 in (0.5, 0.85):
-            sampled, moments = solvability_report(f, s1), poisson._zero_mode_report(mean, l2, s1)
+            sampled, moments = _oracles.sampled_solvability_report(f, s1), poisson._zero_mode_report(mean, l2, s1)
             assert (moments.regime, moments.predicted_low_freq_growth) == (
                 sampled.regime,
                 sampled.predicted_low_freq_growth,
@@ -256,8 +254,8 @@ def test_resolve_reconstructed_right_side_is_identity(grid16, rng):
     s1, s2 = 0.3, 0.9
     f = ScalarField(grid16, rng.standard_normal(grid16.shape))
     u = solve_double_fractional(f, s1, s2)
-    f2 = apply_double_fractional(u, s1, s2)
-    u2 = solve_double_fractional(f2, s1, s2)
+    f2 = _oracles.fractional_symbol(u.values, grid16, s1) + _oracles.fractional_symbol(u.values, grid16, s2)
+    u2 = solve_double_fractional(ScalarField(grid16, f2), s1, s2)
     assert np.max(np.abs(u2.values - u.values)) <= 1e-12 * np.max(np.abs(u.values))
 
 

@@ -10,8 +10,6 @@ from dualfrac import (
     ScalarField,
     Spectrum,
     VectorField,
-    apply_double_fractional,
-    apply_fractional_symbol,
     convolve,
     field_norms,
     forward_transform,
@@ -25,13 +23,13 @@ from dualfrac.problems import realize_gaussian_sum, solvability_sweep_cases
 from dualfrac.spectral import (
     _band_limit,
     _gaussian_half_spectra,
+    _h2_gap,
+    _h2_power,
     _irfft,
-    _lap_power,
     _plancherel_weights,
     _rfft,
     _row_power,
     _wavenumber_rows,
-    _weighted_power,
     nonzero_mode_l2,
     spectrum_l2,
 )
@@ -150,10 +148,8 @@ def test_public_spectral_functions_make_no_full_layout_fft(grid16, rng, monkeypa
     g = ScalarField(grid16, rng.standard_normal(grid16.shape))
     spec = forward_transform(f)
     inverse_transform(spec)
-    inverse_transform(apply_fractional_symbol(spec, 0.5))
     convolve(f, g)
-    u = solve_double_fractional(f, 0.4, 0.8)
-    apply_double_fractional(u, 0.4, 0.8)
+    solve_double_fractional(f, 0.4, 0.8)
 
 
 def test_transform_linearity(grid16, rng):
@@ -165,12 +161,13 @@ def test_transform_linearity(grid16, rng):
 
 
 # --- fractional symbol --------------------------------------------------------
+# |p| of Grid3.wavenumbers, applied through numpy's own fftn (_oracles.fractional_symbol)
 
 
 def test_symbol_kills_zero_mode(grid16, rng):
-    f = ScalarField(grid16, rng.standard_normal(grid16.shape) + 5.0)
-    out = apply_fractional_symbol(forward_transform(f), 0.6)
-    assert out.coefficients[0, 0, 0] == 0.0
+    f = rng.standard_normal(grid16.shape) + 5.0
+    out = _oracles.fractional_symbol(f, grid16, 0.6)
+    assert abs(np.mean(out)) <= 1e-14 * np.max(np.abs(out))
 
 
 def test_symbol_scales_plane_wave(grid16):
@@ -178,25 +175,27 @@ def test_symbol_scales_plane_wave(grid16):
     x, _, _ = grid16.meshes
     f = ScalarField(grid16, np.cos(p0 * x))
     for s in (0.3, 0.5, 1.0):
-        out = inverse_transform(apply_fractional_symbol(forward_transform(f), s))
+        out = _oracles.fractional_symbol(f.values, grid16, s)
         expected = p0 ** (2 * s) * f.values
-        assert np.max(np.abs(out.values - expected)) <= 1e-11 * np.max(np.abs(expected))
+        assert np.max(np.abs(out - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
 def test_symbol_s1_matches_analytic_laplacian(grid64):
     x, y, z = grid64.meshes
     r2 = x**2 + y**2 + z**2
-    f = ScalarField(grid64, np.exp(-r2 / 2.0))
-    out = inverse_transform(apply_fractional_symbol(forward_transform(f), 1.0))
+    out = _oracles.fractional_symbol(np.exp(-r2 / 2.0), grid64, 1.0)
     expected = (3.0 - r2) * np.exp(-r2 / 2.0)
-    assert np.max(np.abs(out.values - expected)) <= 1e-8
+    assert np.max(np.abs(out - expected)) <= 1e-8
 
 
 @pytest.mark.parametrize("s", [0.0, -0.2, 1.0001, 2.0])
 def test_symbol_order_validation(grid16, s):
-    spec = forward_transform(ScalarField.zeros(grid16))
-    with pytest.raises(ValueError):
-        apply_fractional_symbol(spec, s)
+    # the public path that applies the two-exponent symbol rejects an order
+    # outside (0, 1) in either place
+    f = ScalarField.zeros(grid16)
+    for s1, s2 in ((s, 0.9), (0.1, s)):
+        with pytest.raises(ValueError, match="orders"):
+            solve_double_fractional(f, s1, s2)
 
 
 def test_symbol_positivity_and_monotonicity(grid16):
@@ -219,8 +218,7 @@ def test_symbol_agrees_with_second_differences_at_rate_two():
         p0 = TP / g.box_length
         x, y, _ = g.meshes
         f = np.cos(p0 * x) * np.cos(p0 * y)
-        spec = forward_transform(ScalarField(g, f))
-        exact = -inverse_transform(apply_fractional_symbol(spec, 1.0)).values
+        exact = -_oracles.fractional_symbol(f, g, 1.0)
         h = g.spacing
         fd = (
             np.roll(f, 1, 0) + np.roll(f, -1, 0)
@@ -465,7 +463,7 @@ def test_inverse_helper_allocates_its_output_and_one_component_copy(grid32, rng)
     assert peak <= out.nbytes + 1.1 * coeff[0].nbytes
 
 
-# --- the weighted-power kernel ----------------------------------------------------
+# --- the Plancherel row-sum kernel ---------------------------------------------
 
 
 def _reference_weighted_power(coeff, weights):
@@ -480,33 +478,40 @@ def _dense_h2_weights(grid):
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "stacked"])
 @pytest.mark.parametrize("which", ["weights", "h2_weights"])
 def test_weighted_power_matches_sum_of_weighted_squares(grid32, rng, lead, which):
+    # the weighted power sum(w |c|^2) of the row sums, and both H2 terms at
+    # n = 32 (n = 16 and 64 are below), against dense w and w |p|^4
     coeff = _rfft(rng.standard_normal(lead + grid32.shape))
+    w = _plancherel_weights(grid32)
     if which == "weights":
-        w = _plancherel_weights(grid32)
-        assert _weighted_power(coeff, w) == pytest.approx(_reference_weighted_power(coeff, w), rel=1e-14)
+        total = float(np.sum(_row_power(coeff, w)))
+        assert total == pytest.approx(_reference_weighted_power(coeff, w), rel=1e-14)
     else:
-        expected = _reference_weighted_power(coeff, _dense_h2_weights(grid32))
-        assert _lap_power(coeff, grid32) == pytest.approx(expected, rel=1e-14)
+        l2_sq, lap_sq = _h2_power(coeff, grid32)
+        assert l2_sq == pytest.approx(_reference_weighted_power(coeff, w), rel=1e-14)
+        assert lap_sq == pytest.approx(_reference_weighted_power(coeff, _dense_h2_weights(grid32)), rel=1e-14)
 
 
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "stacked"])
 @pytest.mark.parametrize("n", [16, 64])
 def test_lap_power_matches_dense_h2_weights(rng, lead, n, monkeypatch):
-    # n = 32 is the h2_weights case above
+    # n = 32 is the h2_weights case above; the dense reference of the sum
+    # l2_sq + lap_sq is w (1 + |p|^4)
     grid = Grid3(20.0, n)
     coeff = _rfft(rng.standard_normal(lead + grid.shape))
-    expected = _reference_weighted_power(coeff, _dense_h2_weights(grid))
-    lap = _lap_power(coeff, grid)
-    assert lap == pytest.approx(expected, rel=1e-14)
+    terms = _h2_power(coeff, grid)
+    expected = _reference_weighted_power(coeff, _plancherel_weights(grid) + _dense_h2_weights(grid))
+    assert sum(terms) == pytest.approx(expected, rel=1e-14)
+    assert terms[1] == pytest.approx(_reference_weighted_power(coeff, _dense_h2_weights(grid)), rel=1e-14)
+    # row sums do not depend on how callers split the rows into slabs
     monkeypatch.setattr(spectral, "SLAB_BYTES", 1)
-    assert _lap_power(coeff, grid) == lap
+    assert _h2_power(coeff, grid) == terms
 
 
 def test_row_power_sums_each_row(grid32, rng):
     w = _plancherel_weights(grid32)
-    w_2d = np.tile(w, (grid32.points_per_axis, 1)) * rng.random((grid32.points_per_axis, 1))
+    assert w.shape == (grid32.points_per_axis, grid32.points_per_axis // 2 + 1)
     coeff = _rfft(rng.standard_normal((2,) + grid32.shape))
-    for weights in (w, w_2d):
+    for weights in (w, w * rng.random((grid32.points_per_axis, 1))):
         rows = _row_power(coeff, weights)
         assert rows.shape == (2, grid32.points_per_axis)
         for row, c in zip(rows.ravel(), coeff.reshape((-1,) + coeff.shape[-2:])):
@@ -514,21 +519,41 @@ def test_row_power_sums_each_row(grid32, rng):
 
 
 def test_weighted_power_reads_slices_without_copying(grid64, rng):
+    # the row slices nonzero_mode_l2 sums, and the H2 terms' row-sized
+    # temporaries (about 42 KiB here): no coefficient-sized array, where a
+    # lattice of |p|^4 weights alone is 0.25 coeff.nbytes
     w = _plancherel_weights(grid64)
     coeff = _rfft(rng.standard_normal((2,) + grid64.shape))
-    for part, weights in ((coeff[..., 1:, :, :], w), (coeff[..., 0, 1:, :], w), (coeff[..., 0, 0, 1:], w[1:])):
-        assert _weighted_power(part, weights) == pytest.approx(_reference_weighted_power(part, weights), rel=1e-14)
-    _lap_power(coeff, grid64)  # first-call set-up outside the measurement
+    for part in (coeff[..., 1:, :, :], coeff[..., :1, :, :]):
+        assert float(np.sum(_row_power(part, w))) == pytest.approx(_reference_weighted_power(part, w), rel=1e-14)
+    _h2_power(coeff, grid64)  # first-call set-up outside the measurement
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _lap_power(coeff, grid64)
+        _h2_power(coeff, grid64)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # row-sized weights and row sums only (71 KiB here), no coefficient-sized
-    # array: a lattice of |p|^4 weights alone is 0.25 coeff.nbytes
     assert peak <= 0.05 * coeff.nbytes
+
+
+def test_norm_sums_allocate_only_row_sized_temporaries(grid32, rng):
+    # with row-shaped weights einsum buffers nothing of note; 1-D weights
+    # made it buffer about 64 KiB per call, 0.24 of one component here
+    sa, sb = _rfft(rng.standard_normal((2, 2) + grid32.shape))
+    nonzero_mode_l2(sa, grid32), _h2_gap(sa, sb, grid32)  # first-call set-up
+    peaks = []
+    for call in (lambda: nonzero_mode_l2(sa, grid32), lambda: _h2_gap(sa, sb, grid32)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    # _h2_gap forms each component's difference in one buffer
+    assert peaks[0] <= 16 * 1024
+    assert peaks[1] - sa[0].nbytes <= 16 * 1024
 
 
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "stacked"])
