@@ -31,7 +31,8 @@ from .spectral import (
     _rfft,
     _row_power,
     _row_slabs,
-    _wavenumber_rows,
+    _shell_rows,
+    _shell_wavenumbers,
     _without_zero_mode,
     nonzero_mode_l2,
     spectral_plan,
@@ -124,8 +125,10 @@ def solve_double_fractional(
             )
     elif mean != 0.0:
         logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
-    symbol = two_exponent_symbol(_wavenumber_rows(g, slice(None)), s1, s2)
-    return ScalarField(g, _irfft(_without_zero_mode(coeff, symbol), g))
+    symbol = two_exponent_symbol(_shell_wavenumbers(g), s1, s2)
+    for rows in _row_slabs(g.points_per_axis):
+        _without_zero_mode(coeff[rows], symbol[_shell_rows(g, rows)], rows)
+    return ScalarField(g, _irfft(coeff, g))
 
 
 def _zero_mode_report(mean: float, f_l2: float, s1: float) -> SolvabilityReport:
@@ -173,14 +176,18 @@ def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s
     """:func:`regularity_check` on plain ``rfftn`` coefficients of u0 and f; overwrites both.
 
     Each side is formed in its operand's buffer and the defect in cu's, one
-    slab of rows at a time (:func:`~dualfrac.spectral._row_slabs`), so |p|
-    and the symbols exist only slab by slab.  The caller has checked that
-    u0's H2 term is finite (:func:`_check_h2`).
+    slab of rows at a time (:func:`~dualfrac.spectral._row_slabs`): the two
+    powers are 1-D tables over the shells, gathered on each slab with its
+    shell index (:func:`~dualfrac.spectral._shell_rows`).  The caller has
+    checked that u0's H2 term is finite (:func:`_check_h2`).
     """
+    p = _shell_wavenumbers(grid)
+    lhs_table = two_exponent_symbol(p, 1.0, 1.0 + s2 - s1)
+    rhs_table = p ** (2.0 * (1.0 - s1))
     for rows in _row_slabs(grid.points_per_axis):
-        pm = _wavenumber_rows(grid, rows)
-        lhs = np.multiply(two_exponent_symbol(pm, 1.0, 1.0 + s2 - s1), cu[rows], out=cu[rows])
-        rhs = np.multiply(pm ** (2.0 * (1.0 - s1)), cf[rows], out=cf[rows])
+        shell = _shell_rows(grid, rows)
+        lhs = np.multiply(lhs_table[shell], cu[rows], out=cu[rows])
+        rhs = np.multiply(rhs_table[shell], cf[rows], out=cf[rows])
         np.subtract(lhs, rhs, out=lhs)
     return _relative(nonzero_mode_l2(cu, grid), nonzero_mode_l2(cf, grid))
 
@@ -220,14 +227,18 @@ def box_length_sweep(
 
     The number of points per axis is ``round(L / spacing)`` and must come
     out even.  The drop policy applies.  ``u_l2_sq`` is the Plancherel sum
-    of ``f_hat / symbol`` over the nonzero modes and ``mean_integral`` is
-    ``h^3 * Re f_hat(0)``, so u is never brought back to real space.
+    of ``|f_hat / symbol|^2`` over the nonzero modes and ``mean_integral``
+    is ``h^3 * Re f_hat(0)``, so u is never brought back to real space.
 
     Nothing of box size is held: each box is swept in slabs of
-    x-frequency rows of about :data:`~dualfrac.spectral.SLAB_BYTES` of coefficients, built
-    from the Gaussians' 1-D factor transforms (one ``fft`` and one ``rfft``
-    call per box) together with the slab's |p| and symbol, so the sweep's
-    memory is O(n^2) of the largest box.
+    x-frequency rows of about :data:`~dualfrac.spectral.SLAB_BYTES` of
+    coefficients, built from the Gaussians' 1-D factor transforms (one
+    ``fft`` and one ``rfft`` call per box), so the sweep's memory is O(n^2)
+    of the largest box.  Nothing is divided on the lattice: the symbol
+    depends on the shell ``k^2`` alone, so each slab's Plancherel-weighted
+    ``|f_hat|^2`` is added into a per-shell histogram (``np.bincount`` on
+    the shell index) and ``u_l2_sq`` is the sum over the shells ``k^2 > 0``
+    of ``hist / symbol^2``.
     """
     _validate_orders(s1, s2)
     points = []
@@ -236,21 +247,42 @@ def box_length_sweep(
         if n % 2 != 0:
             raise ValueError(f"box length {L} with spacing {spacing} gives odd n={n}")
         grid = Grid3(float(L), n)
-        xs, ys, zs = _gaussian_axis_spectra(influx, grid)
-        weights = _plancherel_weights(grid)
-        slabs = _row_slabs(n)
-        slab = np.empty((slabs[0].stop, n, n // 2 + 1), dtype=np.complex128)
-        power = np.empty(n)
-        for rows in slabs:
-            coeff = _outer_rows(xs[:, rows], ys, zs, slab[: rows.stop - rows.start])
-            if rows.start == 0:
-                mean = grid.cell_volume * float(coeff[0, 0, 0].real)
-                if mean != 0.0:
-                    logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
-            symbol = two_exponent_symbol(_wavenumber_rows(grid, rows), s1, s2)
-            power[rows] = _row_power(_without_zero_mode(coeff, symbol), weights)
-        points.append(BoxSweepPoint(float(L), n, math.fsum(power), mean))
+        hist, mean = _shell_power(influx, grid)
+        symbol = two_exponent_symbol(_shell_wavenumbers(grid), s1, s2)
+        u_l2_sq = float(np.sum(hist[1:] / (symbol[1:] * symbol[1:])))
+        points.append(BoxSweepPoint(float(L), n, u_l2_sq, mean))
     return points
+
+
+def _shell_power(influx: Sequence[GaussianSpec], grid: Grid3) -> tuple[np.ndarray, float]:
+    """Per-shell sums of the Plancherel-weighted ``|f_hat|^2`` of a sampled Gaussian sum, and its mean integral.
+
+    Entry ``k^2`` of the histogram sums ``w |f_hat|^2`` over the modes of
+    that shell.  The spectrum is built slab by slab in one reused buffer,
+    from the Gaussians' 1-D factor transforms, squared there in place as
+    float pairs, and each slab's weighted ``re^2 + im^2`` is added in with
+    ``np.bincount`` on its shell index.
+    """
+    n = grid.points_per_axis
+    xs, ys, zs = _gaussian_axis_spectra(influx, grid)
+    weights = _plancherel_weights(grid)
+    slabs = _row_slabs(n)
+    slab = np.empty((slabs[0].stop, n, n // 2 + 1), dtype=np.complex128)
+    power = np.empty(slab.shape)
+    hist = np.zeros(3 * (n // 2) ** 2 + 1)
+    for rows in slabs:
+        m = rows.stop - rows.start
+        coeff = _outer_rows(xs[:, rows], ys, zs, slab[:m])
+        if rows.start == 0:
+            mean = grid.cell_volume * float(coeff[0, 0, 0].real)
+            if mean != 0.0:
+                logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
+        pairs = coeff.view(np.float64)
+        np.multiply(pairs, pairs, out=pairs)
+        w = np.add(pairs[..., 0::2], pairs[..., 1::2], out=power[:m])
+        w *= weights
+        hist += np.bincount(_shell_rows(grid, rows).ravel(), w.ravel(), minlength=len(hist))
+    return hist, mean
 
 
 def fit_growth_exponent(points: Iterable[BoxSweepPoint]) -> float:

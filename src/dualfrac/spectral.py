@@ -10,11 +10,17 @@ the continuum normalization and the mirrored upper half of the ``fftn``
 layout.  The ball sampler's band limit runs the same passes pruned to the
 modes it keeps (:func:`_band_limit`).  :class:`SpectralPlan` holds the
 per-problem kernel transfer multipliers and the linear response u0, as
-values and norms.  No array of lattice size derived from |p| is kept:
-:func:`_wavenumber_rows` forms |p| from the 1-D frequency axes one slab
-of rows at a time (:func:`_row_slabs`) where it is used,
-:meth:`SpectralPlan.symbol_rows` a symbol, and every Plancherel sum is
-made of per-row sums whose weights span one row (:func:`_row_power`).
+values and norms.  No array of lattice size derived from |p| is kept.  On
+the lattice ``|p|^2 = (2 pi / L)^2 k^2`` with ``k^2`` an integer shell of
+at most ``3 (n/2)^2``, so every |p|-dependent factor (a symbol, Q's filter,
+the regularity identity's powers) is a 1-D table over the shells, made from
+:func:`_shell_wavenumbers`, and is gathered one slab of rows at a time
+(:func:`_row_slabs`) with the integer shell index :func:`_shell_rows` forms
+from the 1-D axes.  The zero mode p = 0 is shell 0 alone, where every
+symbol vanishes: :func:`_without_zero_mode` divides plainly and then
+writes that one coefficient.  :meth:`SpectralPlan.symbol_rows` gathers a
+symbol from the plan's cached tables, and every Plancherel sum is made of
+per-row sums whose weights span one row (:func:`_row_power`).
 The influx and kernel spectra come from the Gaussians' separability, as
 outer products of 1-D transforms, never from a 3-D transform of sampled
 data; the plan keeps only the influxes' 1-D axis spectra and rebuilds
@@ -52,8 +58,8 @@ __all__ = [
 TWO_PI_32 = (2.0 * np.pi) ** 1.5
 
 # Coefficient bytes per slab of x-frequency rows for the slab-wise passes
-# (:func:`_row_slabs`): about 1 MiB, so one slab and its |p| and symbol
-# stay in L2 cache.
+# (:func:`_row_slabs`): about 1 MiB, so one slab and its shell index and
+# symbol stay in L2 cache.
 SLAB_BYTES = 1 << 20
 
 # A real field's spectrum deviates from conjugate symmetry only at rounding
@@ -238,17 +244,19 @@ def _band_limit(values: np.ndarray, grid: Grid3) -> np.ndarray:
     ``rfft`` runs in full and keeps n//4 + 1 planes, the y pass runs on
     those planes and the x pass on the kept rows; the drop mask is formed
     from the 1-D axes on the cube only, and the inverse mirrors the forward
-    passes.  The z ``rfft``'s half spectrum serves as the work buffer of
-    the y passes and the z ``irfft``, and then as the returned spectrum,
-    zero outside the cube.
+    passes.  A mode is dropped when its shell exceeds ``(n/4)^2``, tested
+    on integers as ``16 k^2 > n^2``, so the modes at exactly half the
+    Nyquist frequency are kept along every direction, whatever rounding a
+    floating-point |p| would see.  The z ``rfft``'s half spectrum serves as
+    the work buffer of the y passes and the z ``irfft``, and then as the
+    returned spectrum, zero outside the cube.
     """
     n = grid.points_per_axis
     q = n // 4
     kept = np.r_[0 : q + 1, n - q : n]
     cube = (Ellipsis,) + np.ix_(kept, kept, np.arange(q + 1))
-    p_sq = grid.frequency_axis**2  # |p| as _wavenumber_rows forms it, on the cube
-    drop = np.sqrt(p_sq[kept, None, None] + p_sq[None, kept, None] + p_sq[None, None, : q + 1])
-    drop = drop > 0.5 * grid.nyquist
+    k_sq = _axis_shells(n)
+    drop = 16 * (k_sq[kept, None, None] + k_sq[None, kept, None] + k_sq[None, None, : q + 1]) > n * n
     coeff = np.fft.rfft(values, axis=-1)
     planes = coeff[..., : q + 1]
     np.fft.fft(planes, axis=-2, out=planes)
@@ -368,14 +376,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _without_zero_mode(numerator: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Divide ``numerator`` in place by ``symbol`` on the nonzero modes and zero it at p = 0.
+def _without_zero_mode(numerator: np.ndarray, symbol: np.ndarray, rows: slice) -> np.ndarray:
+    """Divide ``numerator`` in place by ``symbol``, both on the x-frequency ``rows``, and zero it at p = 0.
 
-    The symbol vanishes at p = 0.  Returns ``numerator``.
+    The symbol vanishes on shell 0 alone, the mode p = 0 in the corner of
+    row 0, and is positive elsewhere: one plain division, then that one
+    coefficient is written when the rows hold it.  Returns ``numerator``.
     """
-    zero = symbol == 0.0
-    np.divide(numerator, symbol, out=numerator, where=~zero)
-    numerator[np.broadcast_to(zero, numerator.shape)] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(numerator, symbol, out=numerator)
+    if not rows.start:
+        numerator[..., 0, 0, 0] = 0.0
     return numerator
 
 
@@ -411,12 +422,30 @@ def _row_slabs(n: int) -> list[slice]:
     return [slice(r, min(r + height, n)) for r in range(0, n, height)]
 
 
-def _wavenumber_rows(grid: Grid3, rows: slice) -> np.ndarray:
-    """|p| on the given x-frequency rows of the half lattice, shape ``(m, n, n/2 + 1)``."""
-    p_sq = grid.frequency_axis**2
+def _axis_shells(n: int) -> np.ndarray:
+    """Integer ``k^2`` along an n-point frequency axis, in ``fftfreq`` order."""
+    k = np.arange(n)
+    k = np.minimum(k, n - k)
+    return k * k
+
+
+def _shell_rows(grid: Grid3, rows: slice) -> np.ndarray:
+    """Shell index ``k^2 = k_x^2 + k_y^2 + k_z^2`` on the given x-frequency rows of the half lattice.
+
+    Integer, shape ``(m, n, n/2 + 1)``, formed from the 1-D axes.  Its
+    values lie in ``0 .. 3 (n/2)^2``, the entries of
+    :func:`_shell_wavenumbers`, and it is 0 at p = 0 alone, so indexing a
+    shell table with it gives that factor on the rows.
+    """
+    k_sq = _axis_shells(grid.points_per_axis)
     half = grid.points_per_axis // 2 + 1
-    pm = p_sq[rows, None, None] + p_sq[None, :, None] + p_sq[None, None, :half]
-    return np.sqrt(pm, out=pm)
+    return k_sq[rows, None, None] + k_sq[None, :, None] + k_sq[None, None, :half]
+
+
+def _shell_wavenumbers(grid: Grid3) -> np.ndarray:
+    """|p| = (2 pi / L) sqrt(k^2) on every shell ``k^2 = 0 .. 3 (n/2)^2``: the 1-D table of |p|."""
+    n = grid.points_per_axis
+    return (2.0 * np.pi / grid.box_length) * np.sqrt(np.arange(3 * (n // 2) ** 2 + 1))
 
 
 def _plancherel_weights(grid: Grid3) -> np.ndarray:
@@ -473,8 +502,9 @@ class SpectralPlan:
 
     The lattice-size arrays it keeps are the transfer, plain ``rfftn``
     coefficients stacked over components, shape ``(N, n, n, n/2 + 1)``, and
-    u0's values.  No symbol is kept: :meth:`symbol_rows` forms one
-    component's on a slab of rows, and every reader takes it slab by slab.
+    u0's values.  No symbol of lattice size is kept: each component's is
+    cached as a 1-D table over the shells ``k^2``, :meth:`symbol_rows`
+    gathers it on a slab of rows, and every reader takes it slab by slab.
     u0 is kept as values alone, with its norms; its spectrum, the influx
     spectra divided by the symbols, lives only while u0 is built.  The
     influx spectra are not kept either; the plan caches only the influx
@@ -501,9 +531,19 @@ class SpectralPlan:
         self.lattice_shape = (n, n, n // 2 + 1)
         self._lock = threading.RLock()
 
+    @_once
+    def _symbol_tables(self) -> tuple[np.ndarray, ...]:
+        # each component's symbol on every shell, zero on shell 0 (p = 0)
+        p = _shell_wavenumbers(self.grid)
+        return tuple(_frozen(two_exponent_symbol(p, s1, s2)) for s1, s2 in zip(self.orders.s1, self.orders.s2))
+
     def symbol_rows(self, m: int, rows: slice) -> np.ndarray:
-        """Two-exponent symbol of component ``m`` on the given x-frequency rows of the half lattice."""
-        return two_exponent_symbol(_wavenumber_rows(self.grid, rows), self.orders.s1[m], self.orders.s2[m])
+        """Two-exponent symbol of component ``m`` on the given x-frequency rows of the half lattice.
+
+        A new array, gathered from the component's cached shell table with
+        the rows' shell index (:func:`_shell_rows`).
+        """
+        return self._symbol_tables[m][_shell_rows(self.grid, rows)]
 
     @_once
     def _influx_axis_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -537,7 +577,7 @@ class SpectralPlan:
         influx_l2 = math.sqrt(np.sum(_row_power(coeff, _plancherel_weights(self.grid))))
         for m, acc in enumerate(coeff):
             for rows in _row_slabs(self.grid.points_per_axis):
-                _without_zero_mode(acc[rows], self.symbol_rows(m, rows))
+                _without_zero_mode(acc[rows], self.symbol_rows(m, rows), rows)
         values = _frozen(_irfft(coeff, self.grid))
         norms = vector_norms(VectorField(self.grid, values, coeff))
         return influx_l2, VectorField(self.grid, values), norms
@@ -562,9 +602,10 @@ class SpectralPlan:
         # H is a real-space L1 norm: each kernel is realized, one at a time,
         # for it alone, and its |values| taken in place.  Q and the transfer
         # multiplier read the separable spectra: each filtered spectrum is
-        # formed in one reused buffer, and the filter, the centre phase and
-        # the symbol division run slab by slab, so besides the kernel stack
-        # the build holds one component's buffer and slab-sized temporaries.
+        # formed in one reused buffer, and the filter (gathered from its
+        # shell table), the centre phase and the symbol division run slab by
+        # slab, so besides the kernel stack the build holds one component's
+        # buffer and slab-sized temporaries.
         g = self.grid
         h_sq = 0.0
         for k in self.kernels:
@@ -574,10 +615,12 @@ class SpectralPlan:
         coeff = _gaussian_half_spectra(self.kernels, g)
         slabs = _row_slabs(g.points_per_axis)
         filtered = np.empty_like(coeff[0])
+        p = _shell_wavenumbers(g)
         q_sq = 0.0
         for s1, c in zip(self.orders.s1, coeff):
+            q_filter = p ** (2.0 * (1.0 - s1))
             for rows in slabs:
-                np.multiply(_wavenumber_rows(g, rows) ** (2.0 * (1.0 - s1)), c[rows], out=filtered[rows])
+                np.multiply(q_filter[_shell_rows(g, rows)], c[rows], out=filtered[rows])
             q_sq += nonzero_mode_l2(filtered, g) ** 2
         del filtered
         # continuum convolution theorem on plain coefficients: the centred
@@ -585,7 +628,7 @@ class SpectralPlan:
         for rows in slabs:
             coeff[:, rows] *= g.cell_volume * _centre_phase(g, rows)
             for m, c in enumerate(coeff):
-                _without_zero_mode(c[rows], self.symbol_rows(m, rows))
+                _without_zero_mode(c[rows], self.symbol_rows(m, rows), rows)
         return (math.sqrt(h_sq), math.sqrt(q_sq)), _frozen(coeff)
 
     @property

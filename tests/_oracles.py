@@ -10,13 +10,15 @@ solver's norms of u before they were taken from the residual's transforms,
 with u0's spectrum rebuilt by :func:`u0_division_spectrum`.
 :func:`fractional_symbol` applies a symbol through numpy's own ``fftn``,
 and :func:`sampled_solvability_report` is the zero-mode report from
-sums over a sampled right side.
+sums over a sampled right side.  :func:`wavenumber_rows` is |p| formed
+per mode from the frequency axes, independent of the package's shell
+tables.
 """
 
 import numpy as np
 
 from dualfrac import VectorField, poisson
-from dualfrac.spectral import _irfft, _rfft, _wavenumber_rows, _without_zero_mode, vector_norms
+from dualfrac.spectral import _irfft, _rfft, vector_norms
 
 
 def radial_integral(fn, lo, hi, n=200_001):
@@ -34,6 +36,13 @@ def zero_cell_radius(box_length):
     """
     dp = 2.0 * np.pi / box_length
     return dp * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
+
+
+def wavenumber_rows(grid, rows=slice(None)):
+    """|p| = sqrt(p_x^2 + p_y^2 + p_z^2), per mode, on the given x-frequency rows of the half lattice."""
+    p_sq = grid.frequency_axis**2
+    half = grid.points_per_axis // 2 + 1
+    return np.sqrt(p_sq[rows, None, None] + p_sq[None, :, None] + p_sq[None, None, :half])
 
 
 def fractional_symbol(values, grid, s):
@@ -103,7 +112,7 @@ def full_lattice_sample_ball(grid, n_components, rho, rng):
     """``sample_ball`` with full-lattice transforms: mask, invert, take the norms, rescale."""
     cutoff = 0.5 * grid.nyquist
     coeff = _rfft(rng.standard_normal((n_components,) + grid.shape))
-    coeff[:, _wavenumber_rows(grid, slice(None)) > cutoff] = 0.0
+    coeff[:, wavenumber_rows(grid) > cutoff] = 0.0
     values = _irfft(coeff, grid)
     draw = VectorField(grid, values, coeff)
     norm = vector_norms(draw).h2
@@ -118,7 +127,9 @@ def u0_division_spectrum(plan):
     components = range(len(plan.influxes))
     influx = np.stack([plan.influx_spectrum(m) for m in components])
     symbols = np.stack([plan.symbol_rows(m, slice(None)) for m in components])
-    return _without_zero_mode(influx, symbols)
+    np.divide(influx, symbols, out=influx, where=symbols != 0.0)
+    influx[:, 0, 0, 0] = 0.0
+    return influx
 
 
 def summed_spectrum_u_norms(result, plan):

@@ -16,8 +16,10 @@ from functools import lru_cache
 
 import pytest
 
+import _oracles
 from dualfrac import VectorField, cli, fixed_point, spectral
 from dualfrac.cli import run_command
+from dualfrac.problems import solvability_sweep_cases
 
 
 def sigma_divided_by(factor):
@@ -114,11 +116,35 @@ def division_s2_raised_by(m, offset):
     def inject(monkeypatch):
         def symbol_rows(plan, k, rows):
             s2 = plan.orders.s2[k] + (offset if k == m else 0.0)
-            pm = spectral._wavenumber_rows(plan.grid, rows)
+            pm = _oracles.wavenumber_rows(plan.grid, rows)
             return spectral.two_exponent_symbol(pm, plan.orders.s1[k], s2)
 
         monkeypatch.setattr(spectral.SpectralPlan, "symbol_rows", symbol_rows)
         monkeypatch.setattr(spectral, "_cached_plan", lru_cache(maxsize=1)(spectral.SpectralPlan))
+
+    return inject
+
+
+def sweep_s1_replaced(label, s1, box=None):
+    """The solvability sweep of case ``label`` run with first order ``s1``, on every box or on box ``box`` alone.
+
+    The sweep forms its symbol table with the wrong order; the case's
+    expected regime is left as it is.  Boxes are numbered as the sweep
+    runs them (L/2, L, 2L), so a defect on one end box moves only the
+    change across the doubling that box takes part in.
+    """
+
+    def inject(monkeypatch):
+        sweep = cli.box_length_sweep
+        influx = next(c.influx for c in solvability_sweep_cases() if c.label == label)
+
+        def wrong(case_influx, case_s1, s2, spacing, boxes):
+            if case_influx != influx:
+                return sweep(case_influx, case_s1, s2, spacing, boxes)
+            orders = [s1 if box in (None, i) else case_s1 for i in range(len(boxes))]
+            return [sweep(influx, o, s2, spacing, [L])[0] for o, L in zip(orders, boxes)]
+
+        monkeypatch.setattr(cli, "box_length_sweep", wrong)
 
     return inject
 
@@ -136,6 +162,42 @@ INJECTIONS = [
     ("solve-linear", "u0_1 * (1 + 1e-9)", u0_scaled_by(1, 1 + 1e-9), {"forward_residual_1", "regularity_residual_1"}),
     ("solve-linear", "symbol s2_0 + 1e-6", division_s2_raised_by(0, 1e-6), {"regularity_residual_0"}),
     ("solve-linear", "symbol s2_1 + 1e-6", division_s2_raised_by(1, 1e-6), {"regularity_residual_1"}),
+    (
+        "solvability",
+        "supercritical_nonzero_mean s1 0.85 -> 0.6",
+        sweep_s1_replaced("supercritical_nonzero_mean", 0.6),
+        {"growth_supercritical_nonzero_mean"},
+    ),
+    (
+        "solvability",
+        "supercritical_dipole s1 0.85 -> 0.5 on L/2",
+        sweep_s1_replaced("supercritical_dipole", 0.5, box=0),
+        {"bounded_supercritical_dipole_0"},
+    ),
+    (
+        "solvability",
+        "supercritical_dipole s1 0.85 -> 0.5 on 2L",
+        sweep_s1_replaced("supercritical_dipole", 0.5, box=2),
+        {"bounded_supercritical_dipole_1"},
+    ),
+    (
+        "solvability",
+        "subcritical_nonzero_mean s1 0.5 -> 0.65",
+        sweep_s1_replaced("subcritical_nonzero_mean", 0.65),
+        {"bounded_subcritical_nonzero_mean_0"},
+    ),
+    (
+        "solvability",
+        "subcritical_nonzero_mean s1 0.5 -> 0.8",
+        sweep_s1_replaced("subcritical_nonzero_mean", 0.8),
+        {"bounded_subcritical_nonzero_mean_0", "bounded_subcritical_nonzero_mean_1"},
+    ),
+    (
+        "solvability",
+        "subcritical_nonzero_mean s1 0.5 -> 0.2 on 2L",
+        sweep_s1_replaced("subcritical_nonzero_mean", 0.2, box=2),
+        {"bounded_subcritical_nonzero_mean_1"},
+    ),
 ]
 
 CANNOT_FAIL_ALONE = {

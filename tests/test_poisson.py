@@ -27,6 +27,7 @@ from dualfrac.problems import (
 )
 
 TP = 2.0 * np.pi
+ULP = np.finfo(float).eps
 
 # the sum form of gaussian(grid): amplitude 1, width 1, centred
 UNIT_GAUSSIAN = (GaussianSpec(1.0, 1.0),)
@@ -234,6 +235,20 @@ def test_regularity_detects_perturbation(grid32, rng):
     assert regularity_check(perturbed, f, s1, s2) > 1e-3
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_regularity_defect_matches_the_per_mode_oracle(n):
+    # random u0 and f, so the defect is of order one and not rounding noise
+    grid = Grid3(20.0, n)
+    rng = np.random.default_rng(n)
+    cu, cf = (spectral._rfft(rng.standard_normal(grid.shape)) for _ in range(2))
+    s1, s2 = 0.4, 0.8
+    pm = _oracles.wavenumber_rows(grid)
+    rhs = pm ** (2 * (1 - s1)) * cf
+    lhs = (pm**2 + pm ** (2 * (1 + s2 - s1))) * cu
+    expected = spectral.nonzero_mode_l2(lhs - rhs, grid) / spectral.nonzero_mode_l2(rhs, grid)
+    assert abs(poisson._regularity_defect(cu, cf, grid, s1, s2) - expected) <= 8 * ULP * expected
+
+
 def test_regularity_grid_mismatch(grid16, grid32):
     with pytest.raises(ValueError, match="grid"):
         regularity_check(ScalarField.zeros(grid16), ScalarField.zeros(grid32), 0.4, 0.8)
@@ -323,6 +338,19 @@ def test_box_sweep_matches_full_layout_reference(case):
         # is itself rounding noise, so compare on the scale of h^3 sum|f|
         mass = grid.cell_volume * float(np.sum(np.abs(f.values)))
         assert abs(p.mean_integral - grid.cell_volume * float(np.sum(f.values))) <= 1e-13 * mass
+
+
+@pytest.mark.parametrize("case", solvability_sweep_cases(), ids=lambda c: c.label)
+def test_box_sweep_matches_the_per_mode_oracle(case):
+    # n = 16, 32 and 64: f_hat / symbol per mode, with |p| formed per mode
+    pts = box_length_sweep(case.influx, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
+    for p in pts:
+        grid = Grid3(p.box_length, p.points_per_axis)
+        coeff = spectral._gaussian_half_spectra([case.influx], grid)[0]
+        symbol = spectral.two_exponent_symbol(_oracles.wavenumber_rows(grid), case.s1, case.s2)
+        u_hat = np.divide(coeff, symbol, out=np.zeros_like(coeff), where=symbol != 0.0)
+        expected = float(np.sum(spectral._plancherel_weights(grid) * (u_hat.real**2 + u_hat.imag**2)))
+        assert abs(p.u_l2_sq - expected) <= 8 * ULP * expected
 
 
 def test_box_sweep_makes_no_3d_transform(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,12 +30,13 @@ from dualfrac.spectral import (
     _plancherel_weights,
     _rfft,
     _row_power,
-    _wavenumber_rows,
     nonzero_mode_l2,
     spectrum_l2,
+    two_exponent_symbol,
 )
 
 TP = 2.0 * np.pi
+ULP = np.finfo(float).eps
 
 
 def gaussian(grid, a=1.0):
@@ -231,6 +233,38 @@ def test_symbol_agrees_with_second_differences_at_rate_two():
     assert abs(rate - 2.0) <= 0.1
 
 
+# --- radial shell tables --------------------------------------------------------
+# each |p|-dependent factor gathered from its table over k^2 = 0 .. 3 (n/2)^2,
+# against |p| formed per mode (_oracles.wavenumber_rows)
+
+
+@pytest.mark.parametrize("n", [2, 4, 96])
+def test_shell_index_stays_inside_the_table(n):
+    grid = Grid3(20.0, n)
+    size = len(spectral._shell_wavenumbers(grid))
+    assert size == 3 * (n // 2) ** 2 + 1
+    shell = np.concatenate([spectral._shell_rows(grid, rows) for rows in spectral._row_slabs(n)])
+    assert shell.shape == (n, n, n // 2 + 1)
+    assert shell.min() == 0 and shell.max() == size - 1
+    # shell 0 is p = 0 alone
+    assert np.flatnonzero(shell == 0).tolist() == [0]
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_shell_tables_match_the_per_mode_oracle(demo, n):
+    problem = demo.with_grid(Grid3(20.0, n))
+    plan = spectral.spectral_plan(problem)
+    pm = _oracles.wavenumber_rows(problem.grid)
+    orders = list(zip(problem.orders.s1, problem.orders.s2))
+    for m, (s1, s2) in enumerate(orders):
+        expected = two_exponent_symbol(pm, s1, s2)
+        # per mode within 8 ulp (3.7 ulp read at n = 64), and 0 at p = 0 alone
+        assert np.all(np.abs(plan.symbol_rows(m, slice(None)) - expected) <= 8 * ULP * expected)
+    coeff = _gaussian_half_spectra(problem.kernels, problem.grid)
+    q_sq = sum(nonzero_mode_l2(pm ** (2.0 * (1.0 - s1)) * c, problem.grid) ** 2 for (s1, _), c in zip(orders, coeff))
+    assert abs(plan.kernel_constants[1] - math.sqrt(q_sq)) <= 8 * ULP * math.sqrt(q_sq)
+
+
 # --- convolution --------------------------------------------------------------
 
 
@@ -417,10 +451,27 @@ def test_band_limit_is_bitwise_the_masked_full_lattice_transforms(n, lead):
     grid = Grid3(20.0, n)
     values = np.random.default_rng(n).standard_normal(lead + grid.shape)
     expected = _rfft(values)
-    expected[..., _wavenumber_rows(grid, slice(None)) > 0.5 * grid.nyquist] = 0.0
+    expected[..., _oracles.wavenumber_rows(grid) > 0.5 * grid.nyquist] = 0.0
     coeff = _band_limit(values, grid)
     # bytes, not values: the signs of zeros must agree too
     assert coeff.shape == expected.shape and coeff.tobytes() == expected.tobytes()
+    assert values.tobytes() == _irfft(expected, grid).tobytes()
+
+
+def test_band_limit_keeps_the_whole_half_nyquist_shell():
+    # at L = 25, n = 24 a floating-point test |p| > nyquist / 2 kept 5 of the
+    # 17 half-lattice modes with k^2 = (n/4)^2 = 36 and dropped 12
+    n = 24
+    grid = Grid3(25.0, n)
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    k_sq = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, : n // 2 + 1] ** 2
+    values = np.random.default_rng(n).standard_normal(grid.shape)
+    expected = _rfft(values)
+    expected[k_sq > 36] = 0.0
+    coeff = _band_limit(values, grid)
+    assert np.count_nonzero(k_sq == 36) == 17
+    assert np.count_nonzero(coeff[k_sq == 36]) == 17
+    assert coeff.tobytes() == expected.tobytes()
     assert values.tobytes() == _irfft(expected, grid).tobytes()
 
 
@@ -472,7 +523,7 @@ def _reference_weighted_power(coeff, weights):
 
 def _dense_h2_weights(grid):
     """The H2 term's weights ``w * |p|^4`` on the whole half lattice, as an oracle."""
-    return _plancherel_weights(grid) * _wavenumber_rows(grid, slice(None)) ** 4
+    return _plancherel_weights(grid) * _oracles.wavenumber_rows(grid) ** 4
 
 
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "stacked"])
