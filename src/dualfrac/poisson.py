@@ -23,17 +23,18 @@ from .problems import GaussianSpec
 from .spectral import (
     TWO_PI_32,
     _gaussian_axis_spectra,
+    _gaussian_rows,
     _h2_power,
+    _inverse_symbol,
     _irfft,
-    _outer_rows,
     _plancherel_weights,
     _relative,
     _rfft,
     _row_power,
     _row_slabs,
+    _scale_by_shells,
     _shell_rows,
     _shell_wavenumbers,
-    _without_zero_mode,
     nonzero_mode_l2,
     spectral_plan,
     two_exponent_symbol,
@@ -126,8 +127,7 @@ def solve_double_fractional(
     elif mean != 0.0:
         logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
     symbol = two_exponent_symbol(_shell_wavenumbers(g), s1, s2)
-    for rows in _row_slabs(g.points_per_axis):
-        _without_zero_mode(coeff[rows], symbol[_shell_rows(g, rows)], rows)
+    _scale_by_shells(coeff, _inverse_symbol(symbol), g)
     return ScalarField(g, _irfft(coeff, g))
 
 
@@ -175,20 +175,15 @@ def _check_h2(term: float) -> None:
 def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s2: float) -> float:
     """:func:`regularity_check` on plain ``rfftn`` coefficients of u0 and f; overwrites both.
 
-    Each side is formed in its operand's buffer and the defect in cu's, one
-    slab of rows at a time (:func:`~dualfrac.spectral._row_slabs`): the two
-    powers are 1-D tables over the shells, gathered on each slab with its
-    shell index (:func:`~dualfrac.spectral._shell_rows`).  The caller has
-    checked that u0's H2 term is finite (:func:`_check_h2`).
+    Each side is formed in its operand's buffer and the defect in cu's: the
+    two powers are 1-D tables over the shells, applied by
+    :func:`~dualfrac.spectral._scale_by_shells`.  The caller has checked
+    that u0's H2 term is finite (:func:`_check_h2`).
     """
     p = _shell_wavenumbers(grid)
-    lhs_table = two_exponent_symbol(p, 1.0, 1.0 + s2 - s1)
-    rhs_table = p ** (2.0 * (1.0 - s1))
-    for rows in _row_slabs(grid.points_per_axis):
-        shell = _shell_rows(grid, rows)
-        lhs = np.multiply(lhs_table[shell], cu[rows], out=cu[rows])
-        rhs = np.multiply(rhs_table[shell], cf[rows], out=cf[rows])
-        np.subtract(lhs, rhs, out=lhs)
+    lhs = _scale_by_shells(cu, two_exponent_symbol(p, 1.0, 1.0 + s2 - s1), grid)
+    rhs = _scale_by_shells(cf, p ** (2.0 * (1.0 - s1)), grid)
+    np.subtract(lhs, rhs, out=lhs)
     return _relative(nonzero_mode_l2(cu, grid), nonzero_mode_l2(cf, grid))
 
 
@@ -264,7 +259,7 @@ def _shell_power(influx: Sequence[GaussianSpec], grid: Grid3) -> tuple[np.ndarra
     ``np.bincount`` on its shell index.
     """
     n = grid.points_per_axis
-    xs, ys, zs = _gaussian_axis_spectra(influx, grid)
+    (axes,) = _gaussian_axis_spectra([influx], grid)
     weights = _plancherel_weights(grid)
     slabs = _row_slabs(n)
     slab = np.empty((slabs[0].stop, n, n // 2 + 1), dtype=np.complex128)
@@ -272,7 +267,7 @@ def _shell_power(influx: Sequence[GaussianSpec], grid: Grid3) -> tuple[np.ndarra
     hist = np.zeros(3 * (n // 2) ** 2 + 1)
     for rows in slabs:
         m = rows.stop - rows.start
-        coeff = _outer_rows(xs[:, rows], ys, zs, slab[:m])
+        coeff = _gaussian_rows(axes, rows, slab[:m])
         if rows.start == 0:
             mean = grid.cell_volume * float(coeff[0, 0, 0].real)
             if mean != 0.0:

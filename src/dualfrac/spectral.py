@@ -14,20 +14,18 @@ values and norms.  No array of lattice size derived from |p| is kept.  On
 the lattice ``|p|^2 = (2 pi / L)^2 k^2`` with ``k^2`` an integer shell of
 at most ``3 (n/2)^2``, so every |p|-dependent factor (a symbol, Q's filter,
 the regularity identity's powers) is a 1-D table over the shells, made from
-:func:`_shell_wavenumbers`, and is gathered one slab of rows at a time
-(:func:`_row_slabs`) with the integer shell index :func:`_shell_rows` forms
-from the 1-D axes.  The zero mode p = 0 is shell 0 alone, where every
-symbol vanishes: :func:`_without_zero_mode` divides plainly and then
-writes that one coefficient.  :meth:`SpectralPlan.symbol_rows` gathers a
-symbol from the plan's cached tables, and every Plancherel sum is made of
-per-row sums whose weights span one row (:func:`_row_power`).
-The influx and kernel spectra come from the Gaussians' separability, as
-outer products of 1-D transforms, never from a 3-D transform of sampled
-data; the plan keeps only the influxes' 1-D axis spectra and rebuilds
-one influx spectrum (or a slab of its rows) when asked for it.  Plans are
-immutable: every piece is computed once, on first use and under the
-plan's lock, and its arrays are read-only, so one plan is safe to share
-across the ``sweep-epsilon`` thread pool.
+:func:`_shell_wavenumbers`, that :func:`_scale_by_shells` applies in
+place slab by slab (:func:`_row_slabs`) through the integer shell index
+:func:`_shell_rows`.  The zero mode p = 0 is shell 0 alone, where every
+symbol vanishes, so a division scales by :func:`_inverse_symbol`, which is 0
+there: the drop policy is one table entry.  Every Plancherel sum is made of
+per-row sums whose weights span one row (:func:`_row_power`).  Gaussian
+sums are separable, so their spectra are outer products of 1-D transforms
+(:func:`_gaussian_axis_spectra`, :func:`_gaussian_rows`), never a 3-D
+transform of samples; the plan keeps only the influxes' 1-D axis spectra
+and rebuilds one influx spectrum (or a slab of its rows) when asked for it.  Plans are immutable: every piece is computed once, on first use
+and under the plan's lock, and its arrays are read-only, so one plan is
+safe to share across the ``sweep-epsilon`` thread pool.
 """
 
 from __future__ import annotations
@@ -277,56 +275,45 @@ def _band_limit(values: np.ndarray, grid: Grid3) -> np.ndarray:
     return coeff
 
 
-def _gaussian_axis_spectra(specs, grid: Grid3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """1-D transforms of the Gaussians' axis factors: ``fft(A e_x)``, ``fft(e_y)``, ``rfft(e_z)``.
+def _gaussian_axis_spectra(sums, grid: Grid3) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """1-D transforms of Gaussian sums' axis factors, one ``(xs, ys, zs)`` triple per sum.
 
-    Row t of each array belongs to ``specs[t]``; shapes ``(k, n)``, ``(k, n)``
-    and ``(k, n/2 + 1)``.  The axis samples are those of
+    Row t of a sum's arrays belongs to its term t: ``fft(A e_x)``,
+    ``fft(e_y)`` and ``rfft(e_z)``, shapes ``(k, n)``, ``(k, n)`` and
+    ``(k, n/2 + 1)``.  The axis samples are those of
     :func:`~dualfrac.problems.realize_gaussian`, clearance warning included;
-    one ``fft`` call transforms every x and y factor and one ``rfft`` call
-    every z factor.
+    one ``fft`` call transforms every x and y factor of every sum and one
+    ``rfft`` call every z factor.
     """
     n = grid.points_per_axis
-    if not specs:
-        return np.zeros((0, n), complex), np.zeros((0, n), complex), np.zeros((0, n // 2 + 1), complex)
+    specs = [spec for terms in sums for spec in terms]
     factors = [_axis_factors(spec, grid) for spec in specs]
     xs = [spec.amplitude * f[0] for spec, f in zip(specs, factors)]
-    xy = np.fft.fft(np.stack(xs + [f[1] for f in factors]))
-    zs = np.fft.rfft(np.stack([f[2] for f in factors]))
-    return xy[: len(specs)], xy[len(specs) :], zs
+    xy = np.fft.fft(np.reshape(xs + [f[1] for f in factors], (-1, n)))
+    zs = np.fft.rfft(np.reshape([f[2] for f in factors], (-1, n)))
+    ends = np.cumsum([0] + [len(terms) for terms in sums])
+    return [(xy[a:b], xy[len(specs) + a : len(specs) + b], zs[a:b]) for a, b in zip(ends[:-1], ends[1:])]
 
 
-def _outer_rows(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``sum_t xs[t, i] ys[t, j] zs[t, l]`` written into ``out[i, j, l]``.
+def _gaussian_rows(axis_spectra, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+    """Plain ``rfftn`` coefficients of one sampled Gaussian sum on the given x-frequency rows (default all).
 
+    A sampled Gaussian ``A e_x(x) e_y(y) e_z(z)`` factors over the axes, so
+    its DFT is the outer product of its axis spectra
+    (:func:`_gaussian_axis_spectra`): ``sum_t xs[t, i] ys[t, j] zs[t, l]``,
+    written into ``out`` or a new array of shape ``(len(rows), n, n/2 + 1)``.
     The k terms are added by one ``(m n x k) @ (k x n/2+1)`` matrix product
-    written straight into ``out``, so no full-size temporary is built.
-    Passing a slice of ``xs``'s columns gives those x-frequency rows alone.
+    written straight into ``out``, so no full-size temporary is built; an
+    empty sum gives zeros.
     """
+    xs, ys, zs = axis_spectra
+    xs = xs[:, rows]
     k, m = xs.shape
     n, half = ys.shape[1], zs.shape[1]
+    if out is None:
+        out = np.empty((m, n, half), dtype=np.complex128)
     planes = xs[:, :, None] * ys[:, None, :]
     np.matmul(planes.reshape(k, m * n).T, zs, out=out.reshape(m * n, half))
-    return out
-
-
-def _gaussian_half_spectra(sums, grid: Grid3) -> np.ndarray:
-    """Plain ``rfftn`` coefficients of Gaussian sums sampled on the grid, stacked.
-
-    Returns shape ``(len(sums), n, n, n/2 + 1)`` with no 3-D transform: a
-    sampled Gaussian ``A e_x(x) e_y(y) e_z(z)`` factors over the axes, so its
-    DFT is the outer product ``fft(A e_x) x fft(e_y) x rfft(e_z)``
-    (:func:`_gaussian_axis_spectra`), summed over each sum's terms by
-    :func:`_outer_rows` over all rows at once.
-    """
-    n = grid.points_per_axis
-    out = np.zeros((len(sums), n, n, n // 2 + 1), dtype=np.complex128)
-    xs, ys, zs = _gaussian_axis_spectra([spec for terms in sums for spec in terms], grid)
-    start = 0
-    for acc, terms in zip(out, sums):
-        stop = start + len(terms)
-        _outer_rows(xs[start:stop], ys[start:stop], zs[start:stop], acc)
-        start = stop
     return out
 
 
@@ -374,20 +361,6 @@ def _h2_power(coeff: np.ndarray, grid: Grid3) -> tuple[float, float]:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _without_zero_mode(numerator: np.ndarray, symbol: np.ndarray, rows: slice) -> np.ndarray:
-    """Divide ``numerator`` in place by ``symbol``, both on the x-frequency ``rows``, and zero it at p = 0.
-
-    The symbol vanishes on shell 0 alone, the mode p = 0 in the corner of
-    row 0, and is positive elsewhere: one plain division, then that one
-    coefficient is written when the rows hold it.  Returns ``numerator``.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(numerator, symbol, out=numerator)
-    if not rows.start:
-        numerator[..., 0, 0, 0] = 0.0
-    return numerator
 
 
 class _once:
@@ -448,6 +421,30 @@ def _shell_wavenumbers(grid: Grid3) -> np.ndarray:
     return (2.0 * np.pi / grid.box_length) * np.sqrt(np.arange(3 * (n // 2) ** 2 + 1))
 
 
+def _inverse_symbol(symbol: np.ndarray) -> np.ndarray:
+    """``1 / symbol`` on the shells ``k^2 >= 1`` and 0 on shell 0 (p = 0), where the symbol vanishes.
+
+    Scaling by it divides by the symbol and drops the zero mode.  numpy
+    divides complex by real as a multiply by the reciprocal, so the result
+    equals a plain division's.
+    """
+    inverse = np.zeros_like(symbol)
+    np.divide(1.0, symbol[1:], out=inverse[1:])
+    return inverse
+
+
+def _scale_by_shells(coeff: np.ndarray, table: np.ndarray, grid: Grid3) -> np.ndarray:
+    """Multiply half-lattice coefficients (stacked or not) in place by a 1-D shell table; returns ``coeff``.
+
+    The table is gathered one slab of rows at a time (:func:`_row_slabs`)
+    with the slab's shell index (:func:`_shell_rows`), so the temporaries
+    are slab-sized.
+    """
+    for rows in _row_slabs(grid.points_per_axis):
+        coeff[..., rows, :, :] *= table[_shell_rows(grid, rows)]
+    return coeff
+
+
 def _plancherel_weights(grid: Grid3) -> np.ndarray:
     """Weights of one x-frequency row, n x (n/2 + 1), that turn ``|c|^2`` sums into ``h^3 sum(f^2)``.
 
@@ -503,13 +500,14 @@ class SpectralPlan:
     The lattice-size arrays it keeps are the transfer, plain ``rfftn``
     coefficients stacked over components, shape ``(N, n, n, n/2 + 1)``, and
     u0's values.  No symbol of lattice size is kept: each component's is
-    cached as a 1-D table over the shells ``k^2``, :meth:`symbol_rows`
-    gathers it on a slab of rows, and every reader takes it slab by slab.
-    u0 is kept as values alone, with its norms; its spectrum, the influx
-    spectra divided by the symbols, lives only while u0 is built.  The
-    influx spectra are not kept either; the plan caches only the influx
-    Gaussians' 1-D axis spectra, from which u0 is built and
-    :meth:`influx_spectrum` rebuilds one component's f_hat on request.
+    cached as a 1-D table over the shells ``k^2``, whose inverse the
+    plan's divisions scale by, and :meth:`symbol_rows` gathers it on a slab
+    of rows for readers that combine it with other factors.  u0 is kept as
+    values alone, with its norms; its spectrum, the influx spectra divided
+    by the symbols, lives only while u0 is built.  The influx spectra are
+    not kept either; the plan caches only the influx Gaussians' 1-D axis
+    spectra, from which u0 is built and :meth:`influx_spectrum` rebuilds
+    one component's f_hat on request.
     Couplings and nonlinearities are not part of the plan, so
     ``with_epsilon``/``with_nonlinearity`` variants of a problem share one.
     Pieces are built on first use: a linear solve realizes nothing, and no
@@ -546,38 +544,31 @@ class SpectralPlan:
         return self._symbol_tables[m][_shell_rows(self.grid, rows)]
 
     @_once
-    def _influx_axis_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # every influx Gaussian's 1-D axis spectra, stacked in component order
-        specs = [spec for terms in self.influxes for spec in terms]
-        return tuple(_frozen(a) for a in _gaussian_axis_spectra(specs, self.grid))
+    def _influx_axis_spectra(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        # each influx's 1-D axis spectra, in component order
+        return tuple(tuple(map(_frozen, axes)) for axes in _gaussian_axis_spectra(self.influxes, self.grid))
 
     def influx_spectrum(self, m: int, out: np.ndarray | None = None, rows: slice = slice(None)) -> np.ndarray:
         """Plain ``rfftn`` coefficients of influx ``m`` on the given x-frequency rows (default all).
 
         Shape ``(len(rows), n, n/2 + 1)``.  Rebuilt on every call, into
         ``out`` or a new array, as an outer product of the cached 1-D axis
-        spectra: the plan keeps no influx spectrum of lattice size.
+        spectra (:func:`_gaussian_rows`): the plan keeps no influx spectrum
+        of lattice size.
         """
-        xs, ys, zs = self._influx_axis_spectra
-        start = sum(len(terms) for terms in self.influxes[:m])
-        terms = slice(start, start + len(self.influxes[m]))
-        xs = xs[terms, rows]
-        if out is None:
-            out = np.empty((xs.shape[1],) + self.lattice_shape[1:], dtype=np.complex128)
-        return _outer_rows(xs, ys[terms], zs[terms], out)
+        return _gaussian_rows(self._influx_axis_spectra[m], rows, out)
 
     @_once
     def _linear_pieces(self) -> tuple[float, VectorField, NormReport]:
-        # One stack of influx spectra gives the influx norm, then is divided
-        # by the symbols in place, slab by slab, to become u0's spectrum,
-        # which gives u0's values and norms and is then dropped.
+        # One stack of influx spectra gives the influx norm, then is scaled
+        # in place by the inverse symbols, zero mode dropped, to become u0's
+        # spectrum, which gives u0's values and norms and is then dropped.
         coeff = np.empty((len(self.influxes),) + self.lattice_shape, dtype=np.complex128)
         for m, acc in enumerate(coeff):
             self.influx_spectrum(m, out=acc)
         influx_l2 = math.sqrt(np.sum(_row_power(coeff, _plancherel_weights(self.grid))))
-        for m, acc in enumerate(coeff):
-            for rows in _row_slabs(self.grid.points_per_axis):
-                _without_zero_mode(acc[rows], self.symbol_rows(m, rows), rows)
+        for acc, symbol in zip(coeff, self._symbol_tables):
+            _scale_by_shells(acc, _inverse_symbol(symbol), self.grid)
         values = _frozen(_irfft(coeff, self.grid))
         norms = vector_norms(VectorField(self.grid, values, coeff))
         return influx_l2, VectorField(self.grid, values), norms
@@ -602,33 +593,32 @@ class SpectralPlan:
         # H is a real-space L1 norm: each kernel is realized, one at a time,
         # for it alone, and its |values| taken in place.  Q and the transfer
         # multiplier read the separable spectra: each filtered spectrum is
-        # formed in one reused buffer, and the filter (gathered from its
-        # shell table), the centre phase and the symbol division run slab by
-        # slab, so besides the kernel stack the build holds one component's
-        # buffer and slab-sized temporaries.
+        # formed in one reused buffer, and the filter, the centre phase and
+        # the inverse symbol are applied slab by slab, so besides the kernel
+        # stack the build holds one component's buffer and slab-sized
+        # temporaries.
         g = self.grid
         h_sq = 0.0
         for k in self.kernels:
             values = realize_gaussian_sum(k, g).values
             h_sq += float(g.cell_volume * np.sum(np.abs(values, out=values))) ** 2
             del values
-        coeff = _gaussian_half_spectra(self.kernels, g)
-        slabs = _row_slabs(g.points_per_axis)
+        coeff = np.empty((len(self.kernels),) + self.lattice_shape, dtype=np.complex128)
+        for acc, axes in zip(coeff, _gaussian_axis_spectra(self.kernels, g)):
+            _gaussian_rows(axes, out=acc)
         filtered = np.empty_like(coeff[0])
         p = _shell_wavenumbers(g)
         q_sq = 0.0
         for s1, c in zip(self.orders.s1, coeff):
-            q_filter = p ** (2.0 * (1.0 - s1))
-            for rows in slabs:
-                np.multiply(q_filter[_shell_rows(g, rows)], c[rows], out=filtered[rows])
-            q_sq += nonzero_mode_l2(filtered, g) ** 2
+            np.copyto(filtered, c)
+            q_sq += nonzero_mode_l2(_scale_by_shells(filtered, p ** (2.0 * (1.0 - s1)), g), g) ** 2
         del filtered
         # continuum convolution theorem on plain coefficients: the centred
         # kernel contributes h^3 * phase * c_h
-        for rows in slabs:
+        for rows in _row_slabs(g.points_per_axis):
             coeff[:, rows] *= g.cell_volume * _centre_phase(g, rows)
-            for m, c in enumerate(coeff):
-                _without_zero_mode(c[rows], self.symbol_rows(m, rows), rows)
+        for c, symbol in zip(coeff, self._symbol_tables):
+            _scale_by_shells(c, _inverse_symbol(symbol), g)
         return (math.sqrt(h_sq), math.sqrt(q_sq)), _frozen(coeff)
 
     @property

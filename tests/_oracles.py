@@ -109,10 +109,17 @@ def brute_force_phi_minimum(alpha, s, coarse=4001, fine=4001):
 
 
 def full_lattice_sample_ball(grid, n_components, rho, rng):
-    """``sample_ball`` with full-lattice transforms: mask, invert, take the norms, rescale."""
-    cutoff = 0.5 * grid.nyquist
+    """``sample_ball`` with full-lattice transforms: mask, invert, take the norms, rescale.
+
+    A mode is dropped when |p| exceeds half the Nyquist frequency, tested on
+    integers as ``16 k^2 > n^2`` with k from ``fftfreq``, so no rounding of
+    a floating-point |p| decides the modes on that shell.
+    """
+    n = grid.points_per_axis
+    k = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(np.int64)
+    k_sq = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, : n // 2 + 1] ** 2
     coeff = _rfft(rng.standard_normal((n_components,) + grid.shape))
-    coeff[:, wavenumber_rows(grid) > cutoff] = 0.0
+    coeff[:, 16 * k_sq > n * n] = 0.0
     values = _irfft(coeff, grid)
     draw = VectorField(grid, values, coeff)
     norm = vector_norms(draw).h2

@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import pytest
 
-import _oracles
 from dualfrac import VectorField, cli, fixed_point, spectral
 from dualfrac.cli import run_command
 from dualfrac.problems import solvability_sweep_cases
@@ -107,19 +106,19 @@ def u0_scaled_by(m, factor):
 
 
 def division_s2_raised_by(m, offset):
-    """The plan's symbol for component m, hence u0's division, formed with s2 + ``offset``.
+    """The plan's symbol table for component m, hence u0's division, formed with s2 + ``offset``.
 
     The problem's orders stay right.  The plan is built in a cache of the
     injection's own, so no plan with the wrong symbol outlives the case.
     """
 
     def inject(monkeypatch):
-        def symbol_rows(plan, k, rows):
-            s2 = plan.orders.s2[k] + (offset if k == m else 0.0)
-            pm = _oracles.wavenumber_rows(plan.grid, rows)
-            return spectral.two_exponent_symbol(pm, plan.orders.s1[k], s2)
+        def _symbol_tables(plan):
+            p = spectral._shell_wavenumbers(plan.grid)
+            s2 = [s + (offset if k == m else 0.0) for k, s in enumerate(plan.orders.s2)]
+            return tuple(spectral.two_exponent_symbol(p, *orders) for orders in zip(plan.orders.s1, s2))
 
-        monkeypatch.setattr(spectral.SpectralPlan, "symbol_rows", symbol_rows)
+        monkeypatch.setattr(spectral.SpectralPlan, "_symbol_tables", spectral._once(_symbol_tables))
         monkeypatch.setattr(spectral, "_cached_plan", lru_cache(maxsize=1)(spectral.SpectralPlan))
 
     return inject

@@ -256,7 +256,9 @@ def test_solve_peak_stays_under_the_memory_ceiling(monkeypatch):
 def test_residual_matches_batched_formula(demo32):
     plan = spectral_plan(demo32)
     u0 = solve_linear_system(demo32)
-    influx_spectra = spectral._gaussian_half_spectra(demo32.influxes, demo32.grid)
+    influx_spectra = np.stack(
+        [spectral._gaussian_rows(axes) for axes in spectral._gaussian_axis_spectra(demo32.influxes, demo32.grid)]
+    )
     for m, spectrum in enumerate(influx_spectra):
         np.testing.assert_array_equal(plan.influx_spectrum(m), spectrum)
     for seed in (14, 15):

@@ -346,7 +346,7 @@ def test_box_sweep_matches_the_per_mode_oracle(case):
     pts = box_length_sweep(case.influx, case.s1, case.s2, SWEEP_SPACING, SWEEP_BOXES)
     for p in pts:
         grid = Grid3(p.box_length, p.points_per_axis)
-        coeff = spectral._gaussian_half_spectra([case.influx], grid)[0]
+        coeff = spectral._gaussian_rows(*spectral._gaussian_axis_spectra([case.influx], grid))
         symbol = spectral.two_exponent_symbol(_oracles.wavenumber_rows(grid), case.s1, case.s2)
         u_hat = np.divide(coeff, symbol, out=np.zeros_like(coeff), where=symbol != 0.0)
         expected = float(np.sum(spectral._plancherel_weights(grid) * (u_hat.real**2 + u_hat.imag**2)))

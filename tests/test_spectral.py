@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from dualfrac import spectral
 from dualfrac.problems import realize_gaussian_sum, solvability_sweep_cases
 from dualfrac.spectral import (
     _band_limit,
-    _gaussian_half_spectra,
+    _gaussian_axis_spectra,
+    _gaussian_rows,
     _h2_gap,
     _h2_power,
     _irfft,
@@ -260,9 +262,30 @@ def test_shell_tables_match_the_per_mode_oracle(demo, n):
         expected = two_exponent_symbol(pm, s1, s2)
         # per mode within 8 ulp (3.7 ulp read at n = 64), and 0 at p = 0 alone
         assert np.all(np.abs(plan.symbol_rows(m, slice(None)) - expected) <= 8 * ULP * expected)
-    coeff = _gaussian_half_spectra(problem.kernels, problem.grid)
+    coeff = [_gaussian_rows(axes) for axes in _gaussian_axis_spectra(problem.kernels, problem.grid)]
     q_sq = sum(nonzero_mode_l2(pm ** (2.0 * (1.0 - s1)) * c, problem.grid) ** 2 for (s1, _), c in zip(orders, coeff))
     assert abs(plan.kernel_constants[1] - math.sqrt(q_sq)) <= 8 * ULP * math.sqrt(q_sq)
+
+
+@pytest.mark.parametrize("n", [16, 32, 96])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "stack"])
+def test_scaling_by_the_inverse_symbol_is_a_plain_division(n, lead):
+    # Why u0 and the transfer kept their values when their divisions became
+    # scalings by a 1/symbol table: numpy divides a complex number by a real
+    # one as a multiply by the reciprocal.  Compared with ==, as the signs
+    # of zero imaginary parts may differ.
+    grid = Grid3(20.0, n)
+    assert len(spectral._row_slabs(n)) == (8 if n == 96 else 1)
+    symbol = two_exponent_symbol(spectral._shell_wavenumbers(grid), 0.4, 0.8)
+    coeff = _rfft(np.random.default_rng(n).standard_normal(lead + grid.shape))
+    shell = spectral._shell_rows(grid, slice(None))
+    expected = np.divide(coeff, symbol[shell], out=np.zeros_like(coeff), where=shell != 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        inverse = spectral._inverse_symbol(symbol)
+        assert spectral._scale_by_shells(coeff, inverse, grid) is coeff
+    assert inverse[0] == 0.0
+    assert np.all(coeff == expected)
 
 
 # --- convolution --------------------------------------------------------------
@@ -406,23 +429,32 @@ def _gaussian_sum_sets():
 @pytest.mark.parametrize("n", [16, 32])
 def test_gaussian_half_spectra_match_rfftn_of_samples(sums, n):
     grid = Grid3(20.0, n)
-    got = _gaussian_half_spectra(sums, grid)
+    axes = _gaussian_axis_spectra(sums, grid)
+    assert [len(xs) for xs, _, _ in axes] == [len(terms) for terms in sums]
+    got = np.stack([_gaussian_rows(a) for a in axes])
     ref = np.stack([np.fft.rfftn(realize_gaussian_sum(terms, grid).values) for terms in sums])
     assert got.shape == ref.shape == (len(sums), n, n, n // 2 + 1)
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(got - ref)) <= 1e-13 * scale
     assert not np.any(got[[i for i, terms in enumerate(sums) if not terms]])
+    # a slab of rows, written into a given buffer, is those rows of the whole
+    for a, whole in zip(axes, got):
+        out = np.empty((3, n, n // 2 + 1), dtype=np.complex128)
+        assert _gaussian_rows(a, slice(2, 5), out) is out
+        assert np.array_equal(out, whole[2:5])
 
 
 def test_gaussian_half_spectra_of_no_gaussian_is_zero(grid16):
-    assert not np.any(_gaussian_half_spectra(((),), grid16))
-    assert _gaussian_half_spectra((), grid16).shape == (0, 16, 16, 9)
+    (axes,) = _gaussian_axis_spectra(((),), grid16)
+    got = _gaussian_rows(axes)
+    assert got.shape == (16, 16, 9) and not np.any(got)
+    assert _gaussian_axis_spectra((), grid16) == []
 
 
 def test_gaussian_half_spectra_warn_on_clearance():
     grid = Grid3(10.0, 16)
     with pytest.warns(UserWarning, match="truncated mass"):
-        _gaussian_half_spectra(((GaussianSpec(1.0, 0.05),),), grid)
+        _gaussian_axis_spectra(((GaussianSpec(1.0, 0.05),),), grid)
 
 
 # --- the transform funnel ------------------------------------------------------------
