@@ -38,6 +38,7 @@ from .fixed_point import continuity_experiment, measure_contraction, solve_fixed
 from .grid import Grid3, VectorField
 from .poisson import (
     _check_h2,
+    _forward_defect,
     _regularity_defect,
     _zero_mode_report,
     box_length_sweep,
@@ -52,14 +53,7 @@ from .problems import (
     load_problem,
     solvability_sweep_cases,
 )
-from .spectral import (
-    _relative,
-    _rfft,
-    _row_slabs,
-    nonzero_mode_l2,
-    spectral_plan,
-    vector_norms,
-)
+from .spectral import _rfft, spectral_plan, vector_norms
 
 __all__ = ["run_command", "write_report", "main"]
 
@@ -202,7 +196,6 @@ def _cmd_solve_linear(problem, args, dump):
     plan = spectral_plan(problem)
     u0 = solve_linear_system(problem)
     grid = problem.grid
-    slabs = _row_slabs(grid.points_per_axis)
     components = []
     checks = []
     for m, u0_m in enumerate(u0.values):
@@ -217,12 +210,7 @@ def _cmd_solve_linear(problem, args, dump):
         norms = vector_norms(VectorField(grid, u0_m[None], cu[None]))
         _check_h2(norms.h2)
         cf = plan.influx_spectrum(m)
-        f_l2 = nonzero_mode_l2(cf, grid)
-        # f_hat - S u_hat, formed slab by slab in f_hat's buffer, is
-        # -(S u_hat - f_hat) bit for bit, so its norm is the forward defect's
-        for rows in slabs:
-            cf[rows] -= plan.symbol_rows(m, rows) * cu[rows]
-        forward_residual = _relative(nonzero_mode_l2(cf, grid), f_l2)
+        forward_residual = _forward_defect(cu, cf, plan.symbols[m], grid)  # overwrites cf
         plan.influx_spectrum(m, out=cf)
         reg_residual = _regularity_defect(cu, cf, grid, s1, s2)  # overwrites cu and cf
         report = _zero_mode_report(*_gaussian_sum_moments(problem.influxes[m], grid), s1)

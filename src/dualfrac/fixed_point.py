@@ -43,6 +43,7 @@ from .spectral import (  # noqa: F401  (forward_transform stays importable from 
     _relative,
     _rfft,
     _row_slabs,
+    _scale_by_shells,
     forward_transform,
     h2_distance,
     nonzero_mode_l2,
@@ -363,10 +364,11 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     time: g_m(u) is evaluated slab by slab over x rows, as in
     :func:`_tau_spectrum`, so its monomial buffer is slab-sized
     (:meth:`Nonlinearity.eval_component`), then transformed, and its values
-    freed; then u_m is transformed, and the rest of the right side and the
-    defect are formed in place on the two coefficient buffers, slab by
-    slab, with the slab's symbol formed once (:meth:`SpectralPlan.symbol_rows`)
-    and its f_hat rows rebuilt by :meth:`SpectralPlan.influx_spectrum`.
+    freed; then u_m is transformed, and the defect
+    ``symbol * (u_hat - eps * transfer * g_hat) - f_hat`` is formed in place
+    on the two coefficient buffers, the symbol scaled in by
+    :func:`~dualfrac.spectral._scale_by_shells` and f_hat rebuilt into
+    g_hat's freed buffer (:meth:`SpectralPlan.influx_spectrum`).
     """
     return _residual_and_h2_terms(u, problem)[0]
 
@@ -381,29 +383,26 @@ def _residual_and_h2_terms(u: VectorField, problem: ProblemSpec) -> tuple[float,
     """
     _check_field(u, problem)
     plan = spectral_plan(problem)
-    slabs = _row_slabs(problem.grid.points_per_axis)
+    grid = problem.grid
     defect_sq = l2_sq = lap_sq = 0.0
     for m, eps in enumerate(problem.epsilon):
-        # symbol * u_hat - (eps * symbol * transfer * g_hat + f_hat)
-        g_m = np.empty(problem.grid.shape)
-        for rows in slabs:
+        # symbol * (u_hat - eps * transfer * g_hat) - f_hat
+        g_m = np.empty(grid.shape)
+        for rows in _row_slabs(grid.points_per_axis):
             problem.nonlinearity.eval_component(u.values[:, rows], m, out=g_m[rows])
         coeff_g = _rfft(g_m)
         del g_m
         coeff = _rfft(u.values[m])
-        terms = _h2_power(coeff, problem.grid)
+        terms = _h2_power(coeff, grid)
         l2_sq += terms[0]
         lap_sq += terms[1]
-        for rows in slabs:
-            symbol = plan.symbol_rows(m, rows)
-            coeff[rows] *= symbol
-            symbol *= eps
-            coeff_g[rows] *= plan.transfer[m][rows] * symbol
-            coeff_g[rows] += plan.influx_spectrum(m, rows=rows)
-            coeff[rows] -= coeff_g[rows]
-            del symbol  # before the next slab's is formed
+        coeff_g *= plan.transfer[m]
+        coeff_g *= eps
+        coeff -= coeff_g
+        _scale_by_shells(coeff, plan.symbols[m], grid)
+        coeff -= plan.influx_spectrum(m, out=coeff_g)
         del coeff_g
-        defect_sq += nonzero_mode_l2(coeff, problem.grid) ** 2
+        defect_sq += nonzero_mode_l2(coeff, grid) ** 2
         del coeff
     return _relative(math.sqrt(defect_sq), plan.influx_l2), l2_sq, lap_sq
 

@@ -172,6 +172,18 @@ def _check_h2(term: float) -> None:
         raise ValueError("Laplacian of u0 is not square integrable on the lattice")
 
 
+def _forward_defect(cu: np.ndarray, cf: np.ndarray, symbol: np.ndarray, grid: Grid3) -> float:
+    """``||symbol * u_hat - f_hat|| / ||f_hat||`` on the nonzero modes, from ``rfftn`` coefficients; overwrites cf.
+
+    The defect is formed in cf's buffer as ``symbol * (f_hat / symbol - u_hat)``
+    by two shell-table scalings, so cu is left intact for :func:`_regularity_defect`.
+    """
+    f_l2 = nonzero_mode_l2(cf, grid)
+    _scale_by_shells(cf, _inverse_symbol(symbol), grid)
+    cf -= cu
+    return _relative(nonzero_mode_l2(_scale_by_shells(cf, symbol, grid), grid), f_l2)
+
+
 def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s2: float) -> float:
     """:func:`regularity_check` on plain ``rfftn`` coefficients of u0 and f; overwrites both.
 

@@ -74,8 +74,11 @@ class GaussianSpec:
             raise ValueError("gaussian center must have three coordinates")
 
     def analytic_l1(self) -> float:
-        """Closed-form L1 norm |A| (pi/a)^{3/2}."""
-        return abs(self.amplitude) * (math.pi / self.width) ** 1.5
+        """Closed-form L1 norm |A| (pi/a)^{3/2}; inf for A != 0 where that exceeds the float range."""
+        try:
+            return abs(self.amplitude) * (math.pi / self.width) ** 1.5
+        except OverflowError:  # a float power raises where a product would saturate
+            return math.inf if self.amplitude else 0.0
 
     def analytic_transform(self, px, py, pz):
         """Continuum-normalized transform ``A (2a)^{-3/2} e^{-|p|^2/(4a)} e^{-i p.c}``."""
@@ -102,9 +105,7 @@ def _axis_factors(spec: GaussianSpec, grid: Grid3) -> tuple[np.ndarray, np.ndarr
     margin = min(half - abs(c) for c in spec.center)
     if margin < clearance:
         # erfc along the tightest axis estimates the mass escaping the box
-        lost = abs(spec.amplitude) * (math.pi / spec.width) ** 1.5 * math.erfc(
-            math.sqrt(spec.width) * max(margin, 0.0)
-        )
+        lost = spec.analytic_l1() * math.erfc(math.sqrt(spec.width) * max(margin, 0.0))
         warnings.warn(
             f"gaussian at {spec.center} with width {spec.width} has face clearance "
             f"{margin:.3f} < {clearance:.3f}; estimated truncated mass {lost:.3e}",

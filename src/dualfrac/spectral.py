@@ -23,9 +23,10 @@ per-row sums whose weights span one row (:func:`_row_power`).  Gaussian
 sums are separable, so their spectra are outer products of 1-D transforms
 (:func:`_gaussian_axis_spectra`, :func:`_gaussian_rows`), never a 3-D
 transform of samples; the plan keeps only the influxes' 1-D axis spectra
-and rebuilds one influx spectrum (or a slab of its rows) when asked for it.  Plans are immutable: every piece is computed once, on first use
-and under the plan's lock, and its arrays are read-only, so one plan is
-safe to share across the ``sweep-epsilon`` thread pool.
+and rebuilds one influx spectrum when asked for it.  Plans are immutable:
+every piece is computed once, on first use and under the plan's lock, and
+its arrays are read-only, so one plan is safe to share across the
+``sweep-epsilon`` thread pool.
 """
 
 from __future__ import annotations
@@ -460,14 +461,16 @@ def _plancherel_weights(grid: Grid3) -> np.ndarray:
     return weights
 
 
-def _centre_phase(grid: Grid3, rows: slice = slice(None)) -> np.ndarray:
-    """``(-1)^(k1+k2+k3)`` on the half lattice, relating samples indexed from ``-L/2`` to ``x = 0``.
+def _axis_signs(n: int) -> np.ndarray:
+    """``(-1)^k`` along an n-point frequency axis: the centre phase's factor on that axis."""
+    return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
 
-    ``rows`` restricts it to those x-frequency rows.
-    """
+
+def _centre_phase(grid: Grid3) -> np.ndarray:
+    """``(-1)^(k1+k2+k3)`` on the half lattice, relating samples indexed from ``-L/2`` to ``x = 0``."""
     n = grid.points_per_axis
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return sign[rows, None, None] * sign[None, :, None] * sign[: n // 2 + 1]
+    sign = _axis_signs(n)
+    return sign[:, None, None] * sign[None, :, None] * sign[: n // 2 + 1]
 
 
 def nonzero_mode_l2(coeff: np.ndarray, grid: Grid3) -> float:
@@ -500,15 +503,14 @@ class SpectralPlan:
     The lattice-size arrays it keeps are the transfer, plain ``rfftn``
     coefficients stacked over components, shape ``(N, n, n, n/2 + 1)``, and
     u0's values.  No symbol of lattice size is kept: each component's is
-    cached as a 1-D table over the shells ``k^2``, whose inverse the
-    plan's divisions scale by, and :meth:`symbol_rows` gathers it on a slab
-    of rows for readers that combine it with other factors.  u0 is kept as
-    values alone, with its norms; its spectrum, the influx spectra divided
-    by the symbols, lives only while u0 is built.  The influx spectra are
-    not kept either; the plan caches only the influx Gaussians' 1-D axis
-    spectra, from which u0 is built and :meth:`influx_spectrum` rebuilds
-    one component's f_hat on request.
-    Couplings and nonlinearities are not part of the plan, so
+    a 1-D table over the shells ``k^2`` (:attr:`symbols`), which every
+    reader, the plan's divisions by its inverse included, applies with
+    :func:`_scale_by_shells`.  u0 is kept as values alone, with its norms;
+    its spectrum, the influx spectra divided by the symbols, lives only
+    while u0 is built.  The influx spectra are not kept either; the plan
+    caches only the influx Gaussians' 1-D axis spectra, from which u0 is
+    built and :meth:`influx_spectrum` rebuilds one component's f_hat on
+    request.  Couplings and nonlinearities are not part of the plan, so
     ``with_epsilon``/``with_nonlinearity`` variants of a problem share one.
     Pieces are built on first use: a linear solve realizes nothing, and no
     piece realizes the influxes in real space.
@@ -530,33 +532,28 @@ class SpectralPlan:
         self._lock = threading.RLock()
 
     @_once
-    def _symbol_tables(self) -> tuple[np.ndarray, ...]:
-        # each component's symbol on every shell, zero on shell 0 (p = 0)
+    def symbols(self) -> tuple[np.ndarray, ...]:
+        """Each component's two-exponent symbol on every shell ``k^2 = 0 .. 3 (n/2)^2``, read-only.
+
+        Zero on shell 0 (p = 0); :func:`_scale_by_shells` applies a table,
+        or its :func:`_inverse_symbol`, to half-lattice coefficients.
+        """
         p = _shell_wavenumbers(self.grid)
         return tuple(_frozen(two_exponent_symbol(p, s1, s2)) for s1, s2 in zip(self.orders.s1, self.orders.s2))
-
-    def symbol_rows(self, m: int, rows: slice) -> np.ndarray:
-        """Two-exponent symbol of component ``m`` on the given x-frequency rows of the half lattice.
-
-        A new array, gathered from the component's cached shell table with
-        the rows' shell index (:func:`_shell_rows`).
-        """
-        return self._symbol_tables[m][_shell_rows(self.grid, rows)]
 
     @_once
     def _influx_axis_spectra(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         # each influx's 1-D axis spectra, in component order
         return tuple(tuple(map(_frozen, axes)) for axes in _gaussian_axis_spectra(self.influxes, self.grid))
 
-    def influx_spectrum(self, m: int, out: np.ndarray | None = None, rows: slice = slice(None)) -> np.ndarray:
-        """Plain ``rfftn`` coefficients of influx ``m`` on the given x-frequency rows (default all).
+    def influx_spectrum(self, m: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Plain ``rfftn`` coefficients of influx ``m`` on the half lattice.
 
-        Shape ``(len(rows), n, n/2 + 1)``.  Rebuilt on every call, into
-        ``out`` or a new array, as an outer product of the cached 1-D axis
-        spectra (:func:`_gaussian_rows`): the plan keeps no influx spectrum
-        of lattice size.
+        Rebuilt on every call, into ``out`` or a new array, as an outer
+        product of the cached 1-D axis spectra (:func:`_gaussian_rows`): the
+        plan keeps no influx spectrum of lattice size.
         """
-        return _gaussian_rows(self._influx_axis_spectra[m], rows, out)
+        return _gaussian_rows(self._influx_axis_spectra[m], out=out)
 
     @_once
     def _linear_pieces(self) -> tuple[float, VectorField, NormReport]:
@@ -567,7 +564,7 @@ class SpectralPlan:
         for m, acc in enumerate(coeff):
             self.influx_spectrum(m, out=acc)
         influx_l2 = math.sqrt(np.sum(_row_power(coeff, _plancherel_weights(self.grid))))
-        for acc, symbol in zip(coeff, self._symbol_tables):
+        for acc, symbol in zip(coeff, self.symbols):
             _scale_by_shells(acc, _inverse_symbol(symbol), self.grid)
         values = _frozen(_irfft(coeff, self.grid))
         norms = vector_norms(VectorField(self.grid, values, coeff))
@@ -592,20 +589,21 @@ class SpectralPlan:
     def _kernel_pieces(self) -> tuple[tuple[float, float], np.ndarray]:
         # H is a real-space L1 norm: each kernel is realized, one at a time,
         # for it alone, and its |values| taken in place.  Q and the transfer
-        # multiplier read the separable spectra: each filtered spectrum is
-        # formed in one reused buffer, and the filter, the centre phase and
-        # the inverse symbol are applied slab by slab, so besides the kernel
-        # stack the build holds one component's buffer and slab-sized
-        # temporaries.
+        # read the separable spectra, where the centred kernel contributes
+        # h^3 * phase * c_h (continuum convolution theorem); the phase's
+        # exact axis sign flips go on the 1-D spectra.  Each filtered
+        # spectrum is formed in one reused buffer, so besides the kernel
+        # stack the build holds one component's buffer and slab temporaries.
         g = self.grid
         h_sq = 0.0
         for k in self.kernels:
             values = realize_gaussian_sum(k, g).values
             h_sq += float(g.cell_volume * np.sum(np.abs(values, out=values))) ** 2
             del values
+        sign = _axis_signs(g.points_per_axis)
         coeff = np.empty((len(self.kernels),) + self.lattice_shape, dtype=np.complex128)
         for acc, axes in zip(coeff, _gaussian_axis_spectra(self.kernels, g)):
-            _gaussian_rows(axes, out=acc)
+            _gaussian_rows([a * sign[: a.shape[1]] for a in axes], out=acc)
         filtered = np.empty_like(coeff[0])
         p = _shell_wavenumbers(g)
         q_sq = 0.0
@@ -613,11 +611,8 @@ class SpectralPlan:
             np.copyto(filtered, c)
             q_sq += nonzero_mode_l2(_scale_by_shells(filtered, p ** (2.0 * (1.0 - s1)), g), g) ** 2
         del filtered
-        # continuum convolution theorem on plain coefficients: the centred
-        # kernel contributes h^3 * phase * c_h
-        for rows in _row_slabs(g.points_per_axis):
-            coeff[:, rows] *= g.cell_volume * _centre_phase(g, rows)
-        for c, symbol in zip(coeff, self._symbol_tables):
+        coeff *= g.cell_volume
+        for c, symbol in zip(coeff, self.symbols):
             _scale_by_shells(c, _inverse_symbol(symbol), g)
         return (math.sqrt(h_sq), math.sqrt(q_sq)), _frozen(coeff)
 

@@ -18,7 +18,7 @@ tables.
 import numpy as np
 
 from dualfrac import VectorField, poisson
-from dualfrac.spectral import _irfft, _rfft, vector_norms
+from dualfrac.spectral import _irfft, _rfft, _shell_rows, vector_norms
 
 
 def radial_integral(fn, lo, hi, n=200_001):
@@ -133,7 +133,8 @@ def u0_division_spectrum(plan):
     """u0's half spectrum as the plan divides it: stacked f_hat / symbol, zero at p = 0."""
     components = range(len(plan.influxes))
     influx = np.stack([plan.influx_spectrum(m) for m in components])
-    symbols = np.stack([plan.symbol_rows(m, slice(None)) for m in components])
+    shell = _shell_rows(plan.grid, slice(None))
+    symbols = np.stack([plan.symbols[m][shell] for m in components])
     np.divide(influx, symbols, out=influx, where=symbols != 0.0)
     influx[:, 0, 0, 0] = 0.0
     return influx

@@ -113,12 +113,12 @@ def division_s2_raised_by(m, offset):
     """
 
     def inject(monkeypatch):
-        def _symbol_tables(plan):
+        def symbols(plan):
             p = spectral._shell_wavenumbers(plan.grid)
             s2 = [s + (offset if k == m else 0.0) for k, s in enumerate(plan.orders.s2)]
             return tuple(spectral.two_exponent_symbol(p, *orders) for orders in zip(plan.orders.s1, s2))
 
-        monkeypatch.setattr(spectral.SpectralPlan, "_symbol_tables", spectral._once(_symbol_tables))
+        monkeypatch.setattr(spectral.SpectralPlan, "symbols", spectral._once(symbols))
         monkeypatch.setattr(spectral, "_cached_plan", lru_cache(maxsize=1)(spectral.SpectralPlan))
 
     return inject

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _oracles
 from dualfrac import VectorField, cli, fixed_point, problems, spectral
 from dualfrac.cli import run_command
 from dualfrac.fieldio import read_snapshot
@@ -82,6 +83,29 @@ def test_solve_linear_residuals_detect_perturbed_u0(demo_config, tmp_path, monke
     residuals = [c for c in report["checks"] if "residual" in c["name"]]
     assert len(residuals) == 4
     assert not any(c["passed"] for c in residuals)
+
+
+def test_forward_residual_reads_the_per_mode_defect(demo32, monkeypatch):
+    # u0_0 scaled by 1 + 1e-9: the report's value, not only its verdict, is
+    # ||f_hat - S u_hat|| / ||f_hat|| on the nonzero modes, with |p|, S and
+    # f_hat formed per mode from samples
+    original = cli.solve_linear_system
+
+    def scaled(problem):
+        values = original(problem).values.copy()
+        values[0] *= 1.0 + 1e-9
+        return VectorField(problem.grid, values)
+
+    monkeypatch.setattr(cli, "solve_linear_system", scaled)
+    grid = demo32.grid
+    reported = cli._cmd_solve_linear(demo32, None, None)[0]["components"][0]["forward_residual"]
+    symbol = spectral.two_exponent_symbol(_oracles.wavenumber_rows(grid), demo32.orders.s1[0], demo32.orders.s2[0])
+    u_hat = np.fft.rfftn(scaled(demo32).values[0])
+    f_hat = np.fft.rfftn(problems.realize_gaussian_sum(demo32.influxes[0], grid).values)
+    defect = f_hat - symbol * u_hat
+    expected = spectral.nonzero_mode_l2(defect, grid) / spectral.nonzero_mode_l2(f_hat, grid)
+    assert 0.5e-9 < expected < 2e-9
+    assert abs(reported - expected) <= 1e-6 * expected
 
 
 def test_solve_linear_makes_three_3d_transforms(tmp_path, monkeypatch):
@@ -314,6 +338,22 @@ def test_config_box_outside_the_float_range_exits_2_naming_the_grid(tmp_path, ca
     assert code == 2
     assert "error: grid: box_length" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "sub, group", [("solve-linear", "influxes"), ("verify-bounds", "influxes"), ("verify-bounds", "kernels")]
+)
+def test_vanishing_gaussian_width_warns_and_runs_on(sub, group, tmp_path):
+    # the clearance warning's truncated mass |A| (pi / a)^{3/2} erfc(...)
+    # exceeds the float range below a ~ 1e-205: it reads inf, not an error
+    raw = json.loads(demo_config_text())
+    raw[group][0][0]["a"] = 1e-300
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(raw))
+    spectral._cached_plan.cache_clear()  # a cached plan samples no Gaussian, so would not warn
+    with pytest.warns(UserWarning, match="truncated mass inf"):
+        code = run_command([sub, "--config", str(path), "--grid", "16", "--out", str(tmp_path / "out")])
+    assert code == 0
 
 
 def test_warnings_name_the_subcommand_and_leave_no_handler(tmp_path, capsys):

@@ -209,11 +209,13 @@ def test_continuity_holds_little_beyond_one_solve(demo32):
 # and u0's values) and u_p with its half spectrum (4.1).  A Picard step
 # (10.6) holds z = u0 + v, over which g(z) is written slab by slab, the
 # previous spectrum and the new one beside the plan.  The residual stage,
-# the peak at 11.0, adds one component's g_m(u) and its
+# the peak at 10.8, adds one component's g_m(u) and its
 # transforms, with u formed in u_p's values buffer, and sums u's H2 term
-# from its transforms of u; it forms the defect in the two transforms slab
-# by slab, each slab's symbol and f_hat rows beside them (at n = 64 a slab
-# is 31 of the 64 rows).  u's norms then add only its pointwise length.
+# from its transforms of u; it forms the defect in place in the two
+# transforms, the symbol scaled in a slab at a time and f_hat rebuilt into
+# g_hat's buffer.  u's norms then add only its pointwise length.  Each
+# slab's symbol, its product with the transfer and its f_hat rows beside
+# the transforms (at n = 64 a slab is 31 of the 64 rows) read 11.0.
 # Cached H2 weights (0.51) read 11.5, at the residual stage; a plan that
 # kept |p| and the symbols (1.55) as well read 12.7, at a Picard step;
 # one that also kept u0's spectrum (2.1), with u's norms taken on that
@@ -266,7 +268,8 @@ def test_residual_matches_batched_formula(demo32):
         g_values = np.stack(demo32.nonlinearity.eval_components(list(u.values)))
         coeff_u, coeff_g = np.fft.rfftn(np.stack([u.values, g_values]), axes=(-3, -2, -1))
         eps = np.asarray(demo32.epsilon)[:, None, None, None]
-        symbols = np.stack([plan.symbol_rows(m, slice(None)) for m in range(demo32.n_components)])
+        shell = spectral._shell_rows(demo32.grid, slice(None))
+        symbols = np.stack([plan.symbols[m][shell] for m in range(demo32.n_components)])
         lhs = symbols * coeff_u
         rhs = eps * symbols * plan.transfer * coeff_g + influx_spectra
         batched = nonzero_mode_l2(lhs - rhs, demo32.grid) / plan.influx_l2
@@ -316,10 +319,8 @@ def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
     def pieces():
         spectral._cached_plan.cache_clear()
         plan = spectral_plan(demo32)
-        symbols = [
-            np.concatenate([plan.symbol_rows(m, rows) for rows in spectral._row_slabs(n)])
-            for m in range(demo32.n_components)
-        ]
+        shells = [spectral._shell_rows(demo32.grid, rows) for rows in spectral._row_slabs(n)]
+        symbols = [np.concatenate([plan.symbols[m][shell] for shell in shells]) for m in range(demo32.n_components)]
         results = cli._cmd_solve_linear(demo32, None, None)[0]
         residuals = [(c["forward_residual"], c["regularity_residual"]) for c in results["components"]]
         arrays = symbols + [plan.u0.values, plan.transfer]
@@ -339,7 +340,7 @@ def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
 # division spectrum inverted into its values; 5.3 measured.  The checks
 # that follow hold the plan (u0's values, 2.0) plus one component's two
 # half-lattice buffers, u_hat and f_hat (which also holds the forward
-# defect), and slab-sized |p| and symbol temporaries.  Cached H2 weights
+# defect), and slab-sized gathers of the shell tables.  Cached H2 weights
 # (0.51) read 5.8; a plan that also kept |p| and the symbols read 7.3; one
 # that also kept u0's spectrum read 9.5; a third buffer for the defect and
 # whole-lattice symbol temporaries reached 10.5; sampling the influxes,
@@ -348,11 +349,11 @@ def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
 SOLVE_LINEAR_PEAK_ARRAYS = 7.2
 
 # The same for the `solve` subcommand, which reports the norms the solve
-# took and stores no u: its peak is the residual stage's, 11.0 measured,
-# 11.6 with cached H2 weights.  A plan that also kept |p| and the symbols
-# read 12.6, at a Picard step; one
-# that also kept u0's spectrum, with u's norms taken on that plus u_p's,
-# read 15.4; keeping u's values and spectrum beside u_p and taking its norms
+# took and stores no u: its peak is the residual stage's, 10.7 measured,
+# 11.0 with slab-wise symbol and f_hat rows, 11.6 with cached H2 weights.
+# A plan that also kept |p| and the symbols read 12.6, at a Picard step;
+# one that also kept u0's spectrum, with u's norms taken on that plus
+# u_p's, read 15.4; keeping u's values and spectrum beside u_p and taking its norms
 # after the solve read 17.4.
 SOLVE_COMMAND_PEAK_ARRAYS = 12.0
 
@@ -372,11 +373,11 @@ VERIFY_BOUNDS_PEAK_ARRAYS = 7.0
 # while it also kept u0's spectrum.
 CONTRACTION_PEAK_ARRAYS = 14.8
 
-# The same for `continuity`: 13.1 measured, the second solve's residual
-# stage beside the first solve's u_p spectrum; 13.6 with cached H2
-# weights, 14.7 while the plan also kept
-# |p| and the symbols, 17.4 while it also kept u0's spectrum.  Keeping a stacked g(z) beside z in the Picard step read
-# 20.7.
+# The same for `continuity`: 12.8 measured, the second solve's residual
+# stage beside the first solve's u_p spectrum; 13.1 with slab-wise symbol
+# and f_hat rows, 13.6 with cached H2 weights, 14.7 while the plan also
+# kept |p| and the symbols, 17.4 while it also kept u0's spectrum.
+# Keeping a stacked g(z) beside z in the Picard step read 20.7.
 CONTINUITY_PEAK_ARRAYS = 14.1
 
 

@@ -288,6 +288,12 @@ def test_clearance_warning_reports_truncation():
         realize_gaussian(GaussianSpec(1.0, 0.05, (0.0, 0.0, 0.0)), grid)
 
 
+def test_analytic_l1_saturates_beyond_the_float_range():
+    # (pi / a)^{3/2} overflows below a ~ 1e-205; the clearance warning reads it
+    assert GaussianSpec(2.0, 1e-300).analytic_l1() == np.inf
+    assert GaussianSpec(0.0, 1e-300).analytic_l1() == 0.0
+
+
 def test_gaussian_width_validation():
     with pytest.raises(ValueError, match="width"):
         GaussianSpec(1.0, 0.0)
