@@ -119,12 +119,13 @@ def apply_tau(v: VectorField, problem: ProblemSpec) -> VectorField:
 
     u0 is the problem's plan u0.  The coupling is evaluated pointwise on
     ``u0 + v``; convolution with each kernel and inversion of the linear
-    operator (drop zero-mode policy) are one multiplication by the plan's
-    transfer on the half lattice, between one batched ``rfftn`` and one
-    ``irfftn`` per component.  The result carries its half spectrum.  Logs
-    a warning when the pointwise values leave the ball the coupling bound
-    was sized on.  Each full-size intermediate is released as soon as it is
-    consumed.
+    operator (drop zero-mode policy) are one multiplication by each
+    component's transfer on the half lattice
+    (:meth:`~dualfrac.spectral.SpectralPlan.scale_by_transfer`), between one
+    batched ``rfftn`` and one ``irfftn`` per component.  The result carries
+    its half spectrum.  Logs a warning when the pointwise values leave the
+    ball the coupling bound was sized on.  Each full-size intermediate is
+    released as soon as it is consumed.
     """
     _check_nonlinear_orders(problem)
     _check_field(v, problem)
@@ -139,9 +140,10 @@ def _tau_spectrum(z: np.ndarray, problem: ProblemSpec, ball_radius: float) -> np
     The one Picard step of :func:`apply_tau`, :func:`solve_fixed_point` and
     :func:`measure_contraction`: warns when |z| leaves the coupling ball,
     raises when g(z) is not finite, and multiplies g's spectrum by the
-    couplings and the plan's transfer.  z is overwritten with g(z)
-    (:func:`_coupling_in_place`), which is transformed from that buffer;
-    the caller drops z when the step returns.
+    couplings, then each component by its transfer, which the plan forms
+    slab by slab (:meth:`~dualfrac.spectral.SpectralPlan.scale_by_transfer`).
+    z is overwritten with g(z) (:func:`_coupling_in_place`), which is
+    transformed from that buffer; the caller drops z when the step returns.
     """
     max_sq, not_finite = _coupling_in_place(z, problem.nonlinearity)
     max_len = math.sqrt(max_sq)
@@ -156,7 +158,9 @@ def _tau_spectrum(z: np.ndarray, problem: ProblemSpec, ball_radius: float) -> np
         raise ValueError(f"coupling output for component {min(not_finite)} is not finite")
     coeff = _rfft(z)
     coeff *= np.asarray(problem.epsilon)[:, None, None, None]
-    coeff *= spectral_plan(problem).transfer
+    plan = spectral_plan(problem)
+    for m, c in enumerate(coeff):
+        plan.scale_by_transfer(c, m)
     return coeff
 
 
@@ -366,7 +370,8 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     (:meth:`Nonlinearity.eval_component`), then transformed, and its values
     freed; then u_m is transformed, and the defect
     ``symbol * (u_hat - eps * transfer * g_hat) - f_hat`` is formed in place
-    on the two coefficient buffers, the symbol scaled in by
+    on the two coefficient buffers, the transfer multiplied in slab by slab
+    (:meth:`SpectralPlan.scale_by_transfer`), the symbol scaled in by
     :func:`~dualfrac.spectral._scale_by_shells` and f_hat rebuilt into
     g_hat's freed buffer (:meth:`SpectralPlan.influx_spectrum`).
     """
@@ -396,7 +401,7 @@ def _residual_and_h2_terms(u: VectorField, problem: ProblemSpec) -> tuple[float,
         terms = _h2_power(coeff, grid)
         l2_sq += terms[0]
         lap_sq += terms[1]
-        coeff_g *= plan.transfer[m]
+        plan.scale_by_transfer(coeff_g, m)
         coeff_g *= eps
         coeff -= coeff_g
         _scale_by_shells(coeff, plan.symbols[m], grid)

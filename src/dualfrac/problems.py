@@ -108,7 +108,7 @@ def _axis_factors(spec: GaussianSpec, grid: Grid3) -> tuple[np.ndarray, np.ndarr
         lost = spec.analytic_l1() * math.erfc(math.sqrt(spec.width) * max(margin, 0.0))
         warnings.warn(
             f"gaussian at {spec.center} with width {spec.width} has face clearance "
-            f"{margin:.3f} < {clearance:.3f}; estimated truncated mass {lost:.3e}",
+            f"{margin:.3g} < {clearance:.3g}; estimated truncated mass {lost:.3e}",
             stacklevel=3,
         )
     ex, ey, ez = (np.exp(-spec.width * (grid.axis - c) ** 2) for c in spec.center)

@@ -9,7 +9,8 @@ a :class:`VectorField`; the public :class:`Spectrum` transforms only add
 the continuum normalization and the mirrored upper half of the ``fftn``
 layout.  The ball sampler's band limit runs the same passes pruned to the
 modes it keeps (:func:`_band_limit`).  :class:`SpectralPlan` holds the
-per-problem kernel transfer multipliers and the linear response u0, as
+per-problem kernel pieces, from which it applies the transfer slab by slab
+(:meth:`SpectralPlan.scale_by_transfer`), and the linear response u0, as
 values and norms.  No array of lattice size derived from |p| is kept.  On
 the lattice ``|p|^2 = (2 pi / L)^2 k^2`` with ``k^2`` an integer shell of
 at most ``3 (n/2)^2``, so every |p|-dependent factor (a symbol, Q's filter,
@@ -22,8 +23,9 @@ there: the drop policy is one table entry.  Every Plancherel sum is made of
 per-row sums whose weights span one row (:func:`_row_power`).  Gaussian
 sums are separable, so their spectra are outer products of 1-D transforms
 (:func:`_gaussian_axis_spectra`, :func:`_gaussian_rows`), never a 3-D
-transform of samples; the plan keeps only the influxes' 1-D axis spectra
-and rebuilds one influx spectrum when asked for it.  Plans are immutable:
+transform of samples; the plan keeps only the influxes' and the kernels'
+1-D axis spectra, rebuilds one influx spectrum when asked for it and forms
+the transfer one slab at a time when it applies it.  Plans are immutable:
 every piece is computed once, on first use and under the plan's lock, and
 its arrays are read-only, so one plan is safe to share across the
 ``sweep-epsilon`` thread pool.
@@ -403,17 +405,17 @@ def _axis_shells(n: int) -> np.ndarray:
     return k * k
 
 
-def _shell_rows(grid: Grid3, rows: slice) -> np.ndarray:
+def _shell_rows(grid: Grid3, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
     """Shell index ``k^2 = k_x^2 + k_y^2 + k_z^2`` on the given x-frequency rows of the half lattice.
 
-    Integer, shape ``(m, n, n/2 + 1)``, formed from the 1-D axes.  Its
-    values lie in ``0 .. 3 (n/2)^2``, the entries of
-    :func:`_shell_wavenumbers`, and it is 0 at p = 0 alone, so indexing a
-    shell table with it gives that factor on the rows.
+    Integer, shape ``(m, n, n/2 + 1)``, formed from the 1-D axes into
+    ``out`` or a new array.  Its values lie in ``0 .. 3 (n/2)^2``, the
+    entries of :func:`_shell_wavenumbers`, and it is 0 at p = 0 alone, so
+    indexing a shell table with it gives that factor on the rows.
     """
     k_sq = _axis_shells(grid.points_per_axis)
     half = grid.points_per_axis // 2 + 1
-    return k_sq[rows, None, None] + k_sq[None, :, None] + k_sq[None, None, :half]
+    return np.add(k_sq[rows, None, None], k_sq[None, :, None] + k_sq[None, None, :half], out=out)
 
 
 def _shell_wavenumbers(grid: Grid3) -> np.ndarray:
@@ -434,15 +436,34 @@ def _inverse_symbol(symbol: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _shell_factors(table: np.ndarray, grid: Grid3):
+    """Yield each slab of rows (:func:`_row_slabs`) with a 1-D shell table gathered on it.
+
+    The slab's shell index (:func:`_shell_rows`) and the gathered factor
+    are written into two buffers of slab size that every slab reuses, so
+    each factor is valid until the next one is yielded.  ``take`` runs in
+    ``clip`` mode because under the default ``raise`` it buffers ``out``;
+    the table's length is checked instead, so every index lies in it.
+    """
+    n = grid.points_per_axis
+    if len(table) <= 3 * (n // 2) ** 2:
+        raise ValueError(f"shell table has {len(table)} entries; the grid's shells need {3 * (n // 2) ** 2 + 1}")
+    slabs = _row_slabs(n)
+    shape = (slabs[0].stop, n, n // 2 + 1)
+    index, factor = np.empty(shape, dtype=np.int64), np.empty(shape, dtype=table.dtype)
+    for rows in slabs:
+        m = rows.stop - rows.start
+        yield rows, np.take(table, _shell_rows(grid, rows, out=index[:m]), out=factor[:m], mode="clip")
+
+
 def _scale_by_shells(coeff: np.ndarray, table: np.ndarray, grid: Grid3) -> np.ndarray:
     """Multiply half-lattice coefficients (stacked or not) in place by a 1-D shell table; returns ``coeff``.
 
-    The table is gathered one slab of rows at a time (:func:`_row_slabs`)
-    with the slab's shell index (:func:`_shell_rows`), so the temporaries
-    are slab-sized.
+    The table is gathered one slab of rows at a time (:func:`_shell_factors`),
+    so the temporaries are slab-sized.
     """
-    for rows in _row_slabs(grid.points_per_axis):
-        coeff[..., rows, :, :] *= table[_shell_rows(grid, rows)]
+    for rows, factor in _shell_factors(table, grid):
+        coeff[..., rows, :, :] *= factor
     return coeff
 
 
@@ -500,17 +521,19 @@ def _relative(defect: float, reference: float) -> float:
 class SpectralPlan:
     """Spectral data of one ``(orders, kernels, influxes, grid)`` on the half lattice.
 
-    The lattice-size arrays it keeps are the transfer, plain ``rfftn``
-    coefficients stacked over components, shape ``(N, n, n, n/2 + 1)``, and
-    u0's values.  No symbol of lattice size is kept: each component's is
-    a 1-D table over the shells ``k^2`` (:attr:`symbols`), which every
-    reader, the plan's divisions by its inverse included, applies with
-    :func:`_scale_by_shells`.  u0 is kept as values alone, with its norms;
-    its spectrum, the influx spectra divided by the symbols, lives only
-    while u0 is built.  The influx spectra are not kept either; the plan
-    caches only the influx Gaussians' 1-D axis spectra, from which u0 is
-    built and :meth:`influx_spectrum` rebuilds one component's f_hat on
-    request.  Couplings and nonlinearities are not part of the plan, so
+    The one lattice-size array it keeps is u0's values.  No symbol of
+    lattice size is kept: each component's is a 1-D table over the shells
+    ``k^2`` (:attr:`symbols`), which every reader, the plan's divisions by
+    its inverse included, applies with :func:`_scale_by_shells`.  u0 is kept
+    as values alone, with its norms; its spectrum, the influx spectra
+    divided by the symbols, lives only while u0 is built.  The influx
+    spectra are not kept either; the plan caches only the influx Gaussians'
+    1-D axis spectra, from which u0 is built and :meth:`influx_spectrum`
+    rebuilds one component's f_hat on request.  Nor is the transfer kept:
+    the plan caches the kernels' sign-flipped 1-D axis spectra and the
+    inverse-symbol tables, and :meth:`scale_by_transfer` forms the transfer
+    from them one slab at a time as it multiplies a spectrum by it.
+    Couplings and nonlinearities are not part of the plan, so
     ``with_epsilon``/``with_nonlinearity`` variants of a problem share one.
     Pieces are built on first use: a linear solve realizes nothing, and no
     piece realizes the influxes in real space.
@@ -586,14 +609,14 @@ class SpectralPlan:
         return self._linear_pieces[2]
 
     @_once
-    def _kernel_pieces(self) -> tuple[tuple[float, float], np.ndarray]:
+    def _kernel_pieces(self) -> tuple[tuple[float, float], tuple, tuple[np.ndarray, ...]]:
         # H is a real-space L1 norm: each kernel is realized, one at a time,
         # for it alone, and its |values| taken in place.  Q and the transfer
         # read the separable spectra, where the centred kernel contributes
         # h^3 * phase * c_h (continuum convolution theorem); the phase's
-        # exact axis sign flips go on the 1-D spectra.  Each filtered
-        # spectrum is formed in one reused buffer, so besides the kernel
-        # stack the build holds one component's buffer and slab temporaries.
+        # exact axis sign flips go on the 1-D spectra, which are kept with
+        # the inverse-symbol tables.  Q's filtered spectra are formed one
+        # component at a time in one reused buffer.
         g = self.grid
         h_sq = 0.0
         for k in self.kernels:
@@ -601,34 +624,44 @@ class SpectralPlan:
             h_sq += float(g.cell_volume * np.sum(np.abs(values, out=values))) ** 2
             del values
         sign = _axis_signs(g.points_per_axis)
-        coeff = np.empty((len(self.kernels),) + self.lattice_shape, dtype=np.complex128)
-        for acc, axes in zip(coeff, _gaussian_axis_spectra(self.kernels, g)):
-            _gaussian_rows([a * sign[: a.shape[1]] for a in axes], out=acc)
-        filtered = np.empty_like(coeff[0])
+        signed = tuple(
+            tuple(_frozen(a * sign[: a.shape[1]]) for a in axes) for axes in _gaussian_axis_spectra(self.kernels, g)
+        )
+        filtered = np.empty(self.lattice_shape, dtype=np.complex128)
         p = _shell_wavenumbers(g)
         q_sq = 0.0
-        for s1, c in zip(self.orders.s1, coeff):
-            np.copyto(filtered, c)
+        for s1, axes in zip(self.orders.s1, signed):
+            _gaussian_rows(axes, out=filtered)
             q_sq += nonzero_mode_l2(_scale_by_shells(filtered, p ** (2.0 * (1.0 - s1)), g), g) ** 2
-        del filtered
-        coeff *= g.cell_volume
-        for c, symbol in zip(coeff, self.symbols):
-            _scale_by_shells(c, _inverse_symbol(symbol), g)
-        return (math.sqrt(h_sq), math.sqrt(q_sq)), _frozen(coeff)
+        inverse = tuple(_frozen(_inverse_symbol(symbol)) for symbol in self.symbols)
+        return (math.sqrt(h_sq), math.sqrt(q_sq)), signed, inverse
 
     @property
     def kernel_constants(self) -> tuple[float, float]:
         """Root sums of squared kernel L1 norms (H) and of ``(-Lap)^{1-s1}``-filtered L2 norms (Q)."""
         return self._kernel_pieces[0]
 
-    @property
-    def transfer(self) -> np.ndarray:
-        """epsilon-free map from the coupling's spectrum to the solution map's.
+    def scale_by_transfer(self, coeff: np.ndarray, m: int) -> np.ndarray:
+        """Multiply component ``m``'s half spectrum in place by its transfer; returns ``coeff``.
 
-        ``(2 pi)^{3/2} h_hat / (|p|^{2 s1} + |p|^{2 s2})`` per component,
-        zero at p = 0.
+        The transfer is the epsilon-free map from the coupling's spectrum to
+        the solution map's, ``(2 pi)^{3/2} h_hat / (|p|^{2 s1} + |p|^{2 s2})``,
+        zero at p = 0: on plain coefficients, ``h^3 * phase * c_h`` scaled by
+        the inverse symbol.  It is formed one slab of rows at a time
+        (:func:`_row_slabs`) in a buffer of this call's own, from the
+        kernel's sign-flipped 1-D axis spectra (:func:`_gaussian_rows`) and
+        the inverse-symbol shell table, so no transfer of lattice size exists
+        and concurrent calls share nothing they write.
         """
-        return self._kernel_pieces[1]
+        _, signed, inverse = self._kernel_pieces
+        g = self.grid
+        buffer = np.empty((_row_slabs(g.points_per_axis)[0].stop,) + self.lattice_shape[1:], dtype=np.complex128)
+        for rows, factor in _shell_factors(inverse[m], g):
+            t = _gaussian_rows(signed[m], rows, out=buffer[: len(factor)])
+            t *= g.cell_volume
+            t *= factor
+            coeff[rows] *= t
+        return coeff
 
 
 @lru_cache(maxsize=1)

@@ -7,7 +7,9 @@ by trapezoid quadrature on a fine 1-D grid.  :func:`full_lattice_sample_ball`
 is the ball sampler before its transforms were pruned, kept as the bitwise
 reference of the pruned one, and :func:`summed_spectrum_u_norms` is the
 solver's norms of u before they were taken from the residual's transforms,
-with u0's spectrum rebuilt by :func:`u0_division_spectrum`.
+with u0's spectrum rebuilt by :func:`u0_division_spectrum`;
+:func:`stored_transfer` is the whole-array transfer the plan kept before
+it applied the transfer slab by slab.
 :func:`fractional_symbol` applies a symbol through numpy's own ``fftn``,
 and :func:`sampled_solvability_report` is the zero-mode report from
 sums over a sampled right side.  :func:`wavenumber_rows` is |p| formed
@@ -18,7 +20,16 @@ tables.
 import numpy as np
 
 from dualfrac import VectorField, poisson
-from dualfrac.spectral import _irfft, _rfft, _shell_rows, vector_norms
+from dualfrac.spectral import (
+    _axis_signs,
+    _gaussian_axis_spectra,
+    _gaussian_rows,
+    _inverse_symbol,
+    _irfft,
+    _rfft,
+    _shell_rows,
+    vector_norms,
+)
 
 
 def radial_integral(fn, lo, hi, n=200_001):
@@ -138,6 +149,25 @@ def u0_division_spectrum(plan):
     np.divide(influx, symbols, out=influx, where=symbols != 0.0)
     influx[:, 0, 0, 0] = 0.0
     return influx
+
+
+def stored_transfer(plan):
+    """The transfer stack ``(N, n, n, n/2 + 1)`` as the plan once stored it.
+
+    Each kernel's outer product of its sign-flipped axis spectra over the
+    whole half lattice, times h^3, times its component's inverse symbol
+    gathered through the whole-lattice shell index.
+    """
+    g = plan.grid
+    sign = _axis_signs(g.points_per_axis)
+    transfer = np.stack(
+        [_gaussian_rows([a * sign[: a.shape[1]] for a in axes]) for axes in _gaussian_axis_spectra(plan.kernels, g)]
+    )
+    transfer *= g.cell_volume
+    shell = _shell_rows(g, slice(None))
+    for t, symbol in zip(transfer, plan.symbols):
+        t *= _inverse_symbol(symbol)[shell]
+    return transfer
 
 
 def summed_spectrum_u_norms(result, plan):

@@ -7,6 +7,7 @@ import pytest
 
 import _oracles
 from dualfrac import (
+    GaussianSpec,
     Grid3,
     ScalarField,
     VectorField,
@@ -119,9 +120,11 @@ def test_plan_data_makes_no_3d_transform(demo, monkeypatch):
     for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     plan = SpectralPlan(demo.orders, demo.kernels, demo.influxes, Grid3(20.0, 16))
-    plan.influx_spectrum(0), plan.influx_spectrum(1), plan.transfer, plan.kernel_constants
+    plan.influx_spectrum(0), plan.influx_spectrum(1), plan.kernel_constants
+    for m in range(demo.n_components):
+        plan.scale_by_transfer(np.ones(plan.lattice_shape, dtype=complex), m)
     # one fft of the x and y factors and one rfft of the z factors, for the
-    # influxes and again for the kernels
+    # influxes and again for the kernels; the transfer is applied from them
     assert calls == ["fft", "rfft"] * 2
     calls.clear()
     plan.influx_l2
@@ -132,26 +135,77 @@ def test_plan_data_makes_no_3d_transform(demo, monkeypatch):
 
 def test_plan_pieces_built_once_under_concurrent_access(demo, realize_calls):
     plan = SpectralPlan(demo.orders, demo.kernels, demo.influxes, Grid3(20.0, 16))
+    coeff = np.random.default_rng(17).standard_normal((2,) + plan.lattice_shape) + 0j
+
+    def work(m):
+        # each call multiplies a copy of its own, in slab buffers of its own
+        return plan._kernel_pieces, plan.u0, plan.u0_norms, plan.scale_by_transfer(coeff[m].copy(), m)
+
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [
-                pool.submit(lambda: (plan.transfer, plan.u0, plan.u0_norms))
-                for _ in range(32)
-            ]
+            futures = [pool.submit(work, i % 2) for i in range(32)]
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(previous)
     first = results[0]
-    assert all(all(a is b for a, b in zip(r, first)) for r in results)
-    transfer, u0 = first[:2]
+    assert all(all(a is b for a, b in zip(r[:3], first[:3])) for r in results)
+    expected = coeff * _oracles.stored_transfer(plan)
+    for i, r in enumerate(results):
+        assert np.array_equal(r[3].view(np.uint64), expected[i % 2].view(np.uint64))
+    (_, signed, inverse), u0 = first[:2]
     # only the kernel constant H samples the kernels; u0 realizes nothing
     assert len(realize_calls) == sum(len(k) for k in demo.kernels)
-    assert not transfer.flags.writeable
+    assert not any(a.flags.writeable for axes in signed for a in axes)
+    assert not any(table.flags.writeable for table in inverse)
     assert not u0.values.flags.writeable
     with pytest.raises(ValueError):
         u0.components[0].values[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", [16, 32, 96])
+@pytest.mark.parametrize("one_row_slabs", [False, True], ids=["default_slabs", "one_row_slabs"])
+def test_scale_by_transfer_is_bitwise_the_stored_transfer_product(demo, monkeypatch, n, one_row_slabs):
+    plan = SpectralPlan(demo.orders, demo.kernels, demo.influxes, Grid3(20.0, n))
+    assert len(spectral._row_slabs(n)) == (8 if n == 96 else 1)
+    if one_row_slabs:
+        monkeypatch.setattr(spectral, "SLAB_BYTES", 1)
+        assert len(spectral._row_slabs(n)) == n
+    stored = _oracles.stored_transfer(plan)
+    # the components' transfers differ, so a swapped component index fails
+    assert not np.array_equal(stored[0], stored[1])
+    rng = np.random.default_rng(n)
+    for m, transfer in enumerate(stored):
+        coeff = rng.standard_normal(plan.lattice_shape) + 1j * rng.standard_normal(plan.lattice_shape)
+        expected = coeff * transfer
+        assert plan.scale_by_transfer(coeff, m) is coeff
+        assert np.array_equal(coeff.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [16, 32, 96])
+def test_transfer_is_the_realized_kernel_spectrum_over_the_symbol(demo, n):
+    # Independent of the separable build: numpy's rfftn of the sampled
+    # kernel, the centre phase (-1)^(k1+k2+k3), h^3, and the symbol formed
+    # per mode from |p|, with p = 0 set to zero.  An off-centre two-term
+    # kernel gives a complex spectrum and a sum in the outer product.
+    grid = Grid3(20.0, n)
+    kernels = (
+        (GaussianSpec(1.0, 1.0, (0.3, -0.2, 0.1)), GaussianSpec(-0.4, 2.0, (0.0, 0.0, 0.5))),
+        demo.kernels[1],
+    )
+    plan = SpectralPlan(demo.orders, kernels, demo.influxes, grid)
+    sign = 1.0 - 2.0 * (np.arange(n) % 2)
+    phase = sign[:, None, None] * sign[None, :, None] * sign[None, None, : n // 2 + 1]
+    p = _oracles.wavenumber_rows(grid)
+    nonzero = p > 0.0
+    for m, (kernel, s1, s2) in enumerate(zip(kernels, demo.orders.s1, demo.orders.s2)):
+        expected = np.fft.rfftn(problems.realize_gaussian_sum(kernel, grid).values) * phase * grid.cell_volume
+        expected[nonzero] /= p[nonzero] ** (2.0 * s1) + p[nonzero] ** (2.0 * s2)
+        expected[~nonzero] = 0.0
+        transfer = plan.scale_by_transfer(np.ones(plan.lattice_shape, dtype=complex), m)
+        assert transfer[0, 0, 0] == 0.0
+        assert np.linalg.norm(transfer - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 # At most this many stacked fields' worth of bytes are alive at once inside
@@ -205,26 +259,27 @@ def test_continuity_holds_little_beyond_one_solve(demo32):
 
 
 # Peak numpy memory of one demo solve at n = 64, in n^3 float64 arrays, plan
-# build included.  The live data are the plan (about 4.1: the transfer
-# and u0's values) and u_p with its half spectrum (4.1).  A Picard step
-# (10.6) holds z = u0 + v, over which g(z) is written slab by slab, the
-# previous spectrum and the new one beside the plan.  The residual stage,
-# the peak at 10.8, adds one component's g_m(u) and its
-# transforms, with u formed in u_p's values buffer, and sums u's H2 term
-# from its transforms of u; it forms the defect in place in the two
-# transforms, the symbol scaled in a slab at a time and f_hat rebuilt into
-# g_hat's buffer.  u's norms then add only its pointwise length.  Each
-# slab's symbol, its product with the transfer and its f_hat rows beside
-# the transforms (at n = 64 a slab is 31 of the 64 rows) read 11.0.
-# Cached H2 weights (0.51) read 11.5, at the residual stage; a plan that
-# kept |p| and the symbols (1.55) as well read 12.7, at a Picard step;
-# one that also kept u0's spectrum (2.1), with u's norms taken on that
-# plus u_p's spectrum, read 15.4, at u's norms; a whole-array pointwise stage (g(z) stacked beside z,
-# a full-size monomial buffer) and u's values beside u_p's read 16.6;
+# build included.  The live data are the plan (about 2.0: u0's values) and
+# u_p with its half spectrum (4.1).  A Picard step holds z = u0 + v, over
+# which g(z) is written slab by slab, the previous spectrum and the new one
+# beside the plan; the residual stage holds one component's g_m(u) and its
+# transforms, with u formed in u_p's values buffer, sums u's H2 term from
+# its transforms of u and forms the defect in place in the two transforms.
+# Both reach about 8.1 when they multiply by the transfer, which is formed
+# in slab buffers (a slab of coefficients, its shell index and its gathered
+# inverse symbol, 1.0 at n = 64, where a slab is 31 of the 64 rows): 9.24
+# measured for each.  A plan that kept the transfer (2.06) read 10.7, at
+# the residual stage (10.6 in a Picard step); with each slab's symbol, its
+# product with the transfer and its f_hat rows, 11.0; with cached H2
+# weights (0.51) as well, 11.5; a plan that also kept |p| and the symbols
+# (1.55) read 12.7, at a Picard step; one that also kept u0's spectrum
+# (2.1), with u's norms taken on that plus u_p's spectrum, read 15.4, at
+# u's norms; a whole-array pointwise stage (g(z) stacked beside z, a
+# full-size monomial buffer) and u's values beside u_p's read 16.6;
 # holding each iterate's values beside z and g(z), and the whole g(u) with
 # its spectrum in the residual, reached 18.3; a plan that also kept the
 # stacked influx spectra (2.1) reached 20.5.
-SOLVE_PEAK_ARRAYS = 11.9
+SOLVE_PEAK_ARRAYS = 10.3
 
 
 def test_solve_peak_stays_under_the_memory_ceiling(monkeypatch):
@@ -271,7 +326,7 @@ def test_residual_matches_batched_formula(demo32):
         shell = spectral._shell_rows(demo32.grid, slice(None))
         symbols = np.stack([plan.symbols[m][shell] for m in range(demo32.n_components)])
         lhs = symbols * coeff_u
-        rhs = eps * symbols * plan.transfer * coeff_g + influx_spectra
+        rhs = eps * symbols * _oracles.stored_transfer(plan) * coeff_g + influx_spectra
         batched = nonzero_mode_l2(lhs - rhs, demo32.grid) / plan.influx_l2
         assert abs(system_residual(u, demo32) - batched) <= 1e-12 * batched
 
@@ -305,12 +360,11 @@ def test_solve_leaves_no_influx_spectra_in_the_plan(demo32):
     for value in vars(plan).values():
         collect(value)
     large = [a for a in arrays if a.size >= np.prod(plan.lattice_shape)]
-    # the transfer and u0's values alone: u0 keeps no spectrum, f_hat is
-    # rebuilt when it is asked for, and neither |p|, a symbol nor an H2
-    # weight is kept
+    # u0's values alone: u0 keeps no spectrum, f_hat is rebuilt when it is
+    # asked for, the transfer is applied slab by slab from 1-D pieces, and
+    # neither |p|, a symbol nor an H2 weight is kept
     assert result.u0.spectrum is None
-    kept = (plan.transfer, plan.u0.values)
-    assert sorted(map(id, large)) == sorted(map(id, kept))
+    assert [id(a) for a in large] == [id(plan.u0.values)]
 
 
 def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
@@ -323,7 +377,8 @@ def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
         symbols = [np.concatenate([plan.symbols[m][shell] for shell in shells]) for m in range(demo32.n_components)]
         results = cli._cmd_solve_linear(demo32, None, None)[0]
         residuals = [(c["forward_residual"], c["regularity_residual"]) for c in results["components"]]
-        arrays = symbols + [plan.u0.values, plan.transfer]
+        transfers = [plan.scale_by_transfer(np.ones(plan.lattice_shape, dtype=complex), m) for m in range(2)]
+        arrays = symbols + [plan.u0.values] + transfers
         return [a.tobytes() for a in arrays], plan.kernel_constants, residuals
 
     try:
@@ -349,36 +404,38 @@ def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
 SOLVE_LINEAR_PEAK_ARRAYS = 7.2
 
 # The same for the `solve` subcommand, which reports the norms the solve
-# took and stores no u: its peak is the residual stage's, 10.7 measured,
-# 11.0 with slab-wise symbol and f_hat rows, 11.6 with cached H2 weights.
-# A plan that also kept |p| and the symbols read 12.6, at a Picard step;
-# one that also kept u0's spectrum, with u's norms taken on that plus
-# u_p's, read 15.4; keeping u's values and spectrum beside u_p and taking its norms
-# after the solve read 17.4.
-SOLVE_COMMAND_PEAK_ARRAYS = 12.0
+# took and stores no u: its peak is the solve's, 9.27 measured.  A plan that
+# kept the transfer read 10.7, 11.0 with slab-wise symbol and f_hat rows,
+# 11.6 with cached H2 weights.  A plan that also kept |p| and the symbols
+# read 12.6, at a Picard step; one that also kept u0's spectrum, with u's
+# norms taken on that plus u_p's, read 15.4; keeping u's values and
+# spectrum beside u_p and taking its norms after the solve read 17.4.
+SOLVE_COMMAND_PEAK_ARRAYS = 10.3
 
 # The same for `verify-bounds`, whose peak is the plan's kernel build on top
-# of u0: 5.6 measured, 6.2 with cached H2 weights, 7.5 while the plan also
-# kept |p| and the symbols and 9.6
-# while it also kept u0's spectrum.  Taking
-# |kernel| into a second array, the filtered spectrum and the centre phase
-# as whole-lattice temporaries reached 9.8.
-VERIFY_BOUNDS_PEAK_ARRAYS = 7.0
+# of u0, where H realizes one kernel sum and its term: 5.16 measured.  A
+# build that formed the transfer stack read 5.7, 6.2 with cached H2
+# weights, 7.5 while the plan also kept |p| and the symbols and 9.6 while
+# it also kept u0's spectrum.  Taking |kernel| into a second array, the
+# filtered spectrum and the centre phase as whole-lattice temporaries
+# reached 9.8.
+VERIFY_BOUNDS_PEAK_ARRAYS = 6.2
 
-# The same for `contraction --trials 2`: 13.6 measured after the other
-# subcommands, 14.1 the same way with cached H2 weights, which read 13.8,
-# or 14.3 when it is the process's first run and its peak also holds the
-# numpy.random import; 15.4 and 15.9 while the plan also kept |p| and the
-# symbols, 17.4 and 17.8
-# while it also kept u0's spectrum.
-CONTRACTION_PEAK_ARRAYS = 14.8
+# The same for `contraction --trials 2`: 11.26 measured after the other
+# subcommands, or 11.76 when it is the process's first run and its peak
+# also holds the numpy.random import.  A plan that kept the transfer read
+# 13.3 and 13.8; with cached H2 weights, 14.1 after the other subcommands;
+# 15.4 and 15.9 while the plan also kept |p| and the symbols, 17.4 and
+# 17.8 while it also kept u0's spectrum.
+CONTRACTION_PEAK_ARRAYS = 12.8
 
-# The same for `continuity`: 12.8 measured, the second solve's residual
-# stage beside the first solve's u_p spectrum; 13.1 with slab-wise symbol
-# and f_hat rows, 13.6 with cached H2 weights, 14.7 while the plan also
-# kept |p| and the symbols, 17.4 while it also kept u0's spectrum.
-# Keeping a stacked g(z) beside z in the Picard step read 20.7.
-CONTINUITY_PEAK_ARRAYS = 14.1
+# The same for `continuity`: 11.34 measured, the second solve's Picard step
+# or residual stage beside the first solve's u_p spectrum.  A plan that
+# kept the transfer read 12.8; 13.1 with slab-wise symbol and f_hat rows,
+# 13.6 with cached H2 weights, 14.7 while the plan also kept |p| and the
+# symbols, 17.4 while it also kept u0's spectrum.  Keeping a stacked g(z)
+# beside z in the Picard step read 20.7.
+CONTINUITY_PEAK_ARRAYS = 12.4
 
 
 def command_peak_arrays(argv, tmp_path):

@@ -21,7 +21,7 @@ from dualfrac import (
     realize_gaussian,
     serialize_problem,
 )
-from dualfrac.problems import ConfigError, realize_gaussian_sum
+from dualfrac.problems import CLEARANCE_WIDTHS, ConfigError, realize_gaussian_sum
 from dualfrac.spectral import spectrum_l2
 
 
@@ -286,6 +286,20 @@ def test_clearance_warning_reports_truncation():
     grid = Grid3(10.0, 16)
     with pytest.warns(UserWarning, match="truncated mass"):
         realize_gaussian(GaussianSpec(1.0, 0.05, (0.0, 0.0, 0.0)), grid)
+
+
+@pytest.mark.parametrize(
+    "spec", [GaussianSpec(1.0, 1e-300), GaussianSpec(1.0, 1.0, (1e100, 0.0, 0.0))], ids=["tiny_width", "far_centre"]
+)
+def test_clearance_warning_stays_one_short_line(spec):
+    # a tiny width needs a clearance of about 1e150 and a far centre leaves a
+    # margin of about -1e100: fixed-point formats printed them in full
+    grid = Grid3(10.0, 16)
+    with pytest.warns(UserWarning, match="face clearance") as record:
+        realize_gaussian(spec, grid)
+    message = str(record[0].message)
+    assert "\n" not in message and len(message) < 200
+    assert f"< {CLEARANCE_WIDTHS / np.sqrt(spec.width):.3g};" in message
 
 
 def test_analytic_l1_saturates_beyond_the_float_range():

@@ -289,6 +289,16 @@ def test_scaling_by_the_inverse_symbol_is_a_plain_division(n, lead):
     assert np.all(coeff == expected)
 
 
+def test_scaling_by_a_short_shell_table_raises(grid16):
+    # the gather clips its indices, so a table missing the outer shell must
+    # be refused rather than read at its last entry
+    table = spectral._shell_wavenumbers(grid16)
+    coeff = np.ones((16, 16, 9), dtype=complex)
+    with pytest.raises(ValueError, match="shell table"):
+        spectral._scale_by_shells(coeff, table[:-1], grid16)
+    assert np.all(coeff == 1.0)
+
+
 # --- convolution --------------------------------------------------------------
 
 
