@@ -2,9 +2,10 @@
 
 Everything here is a closed-form or quadrature-free computation.  The
 coupling threshold and the contraction-factor constant share one bracket
-B*; it is evaluated under all four pairings of the extreme first orders
-and maximized, which can only strengthen the sufficient condition.  By
-construction ``epsilon_max * sigma == rho / (u0_h2 + 1)`` exactly.
+B*, a max over the pairings of the extreme first orders that on the
+window (1/4, 3/4) always sits at one pairing (see ``_bracket``); orders
+outside the window are refused.  By construction
+``epsilon_max * sigma == rho / (u0_h2 + 1)`` exactly.
 
 rho and u0 are the problem's: rho is ``ProblemSpec.rho`` and u0 the linear
 response that the problem's :class:`~dualfrac.spectral.SpectralPlan`
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-from .problems import Nonlinearity, ProblemSpec
+from .problems import NONLINEAR_S1_HIGH, NONLINEAR_S1_LOW, ConfigError, Nonlinearity, ProblemSpec
 from .spectral import spectral_plan
 
 __all__ = [
@@ -102,52 +103,47 @@ def embedding_constant() -> float:
 def c2_ball_norm(g: Nonlinearity, radius: float) -> float:
     """Coefficient-rule upper bound for the C2 norm of g on the ball |z| <= radius.
 
-    Each monomial's sup, first partials and second partials are bounded by
-    powers of the radius; mixed partials are counted once per ordered index
-    pair.  The bound is exact for a single monomial restricted to a
-    coordinate axis.
+    A monomial ``c z^p`` of degree d contributes
+    ``|c| (r^d + d r^{d-1} + d (d-1) r^{d-2})``: its first-partial powers
+    p_j sum to d, and its second-partial counts over ordered index pairs
+    (``p_j (p_j - 1)`` on the diagonal, ``p_j p_l`` off it) to d (d - 1).
+    The bound is exact for a single monomial restricted to a coordinate
+    axis, and 0 for a trivial coupling.
     """
     if not radius > 0:
         raise ValueError(f"ball radius must be positive, got {radius}")
-    n = g.n_components
     total = 0.0
-    for comp in g.components:
-        for mono in comp:
-            if mono.degree < 2:
-                raise ValueError("couplings with constant or linear terms are not admissible")
-        sup = sum(abs(m.coeff) * radius**m.degree for m in comp)
-        first = 0.0
-        for j in range(n):
-            first += sum(
-                abs(m.coeff) * m.powers[j] * radius ** (m.degree - 1)
-                for m in comp
-                if m.powers[j] > 0
-            )
-        second = 0.0
-        for j in range(n):
-            for l in range(n):
-                for m in comp:
-                    count = m.powers[j] * (m.powers[j] - 1) if j == l else m.powers[j] * m.powers[l]
-                    if count > 0:
-                        second += abs(m.coeff) * count * radius ** (m.degree - 2)
-        total += sup + first + second
+    for mono in (mono for comp in g.components for mono in comp):
+        d = mono.degree
+        if d < 2:
+            raise ValueError("couplings with constant or linear terms are not admissible")
+        total += abs(mono.coeff) * (radius**d + d * radius ** (d - 1) + d * (d - 1) * radius ** (d - 2))
     return total
 
 
 def _bracket(ctx: BoundsContext) -> float:
-    """Conservative bracket B*: max over the four extreme-order pairings."""
-    u1 = ctx.u0_h2 + 1.0
-    best = -math.inf
-    for a in (ctx.s1_min, ctx.S1_max):
-        for b in (ctx.s1_min, ctx.S1_max):
-            term = (
-                ctx.H**2
-                * u1 ** (8.0 * a / 3.0 - 2.0)
-                * 3.0
-                / ((3.0 - 4.0 * a) * (2.0 * math.pi**2) ** (4.0 * b / 3.0) * (4.0 * b) ** (4.0 * b / 3.0))
-            )
-            best = max(best, term)
-    value = best + ctx.Q**2
+    """Conservative bracket B*: Q^2 plus the max over the extreme first orders' pairings of a kernel term.
+
+    The term ``H^2 u1^{8a/3-2} 3 / ((3-4a) (8 pi^2 b)^{4b/3})``, with
+    ``u1 = u0_h2 + 1 >= 1``, grows with a on the window (1/4, 3/4), as
+    ``u1^{8a/3}`` and ``3/(3-4a)`` do, and falls with b, as
+    ``(8 pi^2 b)^{4b/3}`` grows for b above ``1/(8 pi^2 e)`` (about
+    0.0047).  So the max is the one term at (a, b) = (S1_max, s1_min).
+    First orders outside the window raise a ConfigError naming orders.s1.
+    """
+    if not NONLINEAR_S1_LOW < ctx.s1_min <= ctx.S1_max < NONLINEAR_S1_HIGH:
+        window = f"({NONLINEAR_S1_LOW}, {NONLINEAR_S1_HIGH})"
+        raise ConfigError(
+            "orders.s1",
+            f"the certificate needs every first order in {window}; got s1_min={ctx.s1_min}, S1_max={ctx.S1_max}",
+        )
+    a, b = ctx.S1_max, ctx.s1_min
+    value = ctx.Q**2 + (
+        ctx.H**2
+        * (ctx.u0_h2 + 1.0) ** (8.0 * a / 3.0 - 2.0)
+        * 3.0
+        / ((3.0 - 4.0 * a) * (2.0 * math.pi**2) ** (4.0 * b / 3.0) * (4.0 * b) ** (4.0 * b / 3.0))
+    )
     if not value > 0:
         raise ArithmeticError("contraction bracket came out nonpositive")
     return value

@@ -4,8 +4,8 @@ Exit codes: 0 when every assertion in the run passes, 1 on an assertion or
 runtime failure, 2 on a usage error.  Reports are deterministic under a
 fixed seed except for the wall-clock field.  The environment variable
 ``FRAC_THREADS`` caps the worker count used for independent sub-runs.
-While a subcommand runs, the package's logged warnings go to stderr with
-the subcommand's name in front.
+While a subcommand runs, the package's logged warnings and Python
+warnings (each distinct one once) go to stderr with its name in front.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -462,11 +463,16 @@ def run_command(argv) -> int:
     handler.setLevel(logging.WARNING)
     handler.setFormatter(logging.Formatter(f"{args.command}: %(levelname)s: %(message)s"))
     logger = logging.getLogger("dualfrac")
-    logger.addHandler(handler)
-    try:
-        return _run(args)
-    finally:
-        logger.removeHandler(handler)
+    # Python warnings go to the logger, under the caller's filters; entering
+    # catch_warnings clears the record of warnings shown, so each run shows
+    # a distinct one once, and leaving it restores showwarning.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: logger.warning("%s", message)
+        logger.addHandler(handler)
+        try:
+            return _run(args)
+        finally:
+            logger.removeHandler(handler)
 
 
 def _run(args) -> int:

@@ -432,12 +432,8 @@ def continuity_experiment(
     threshold does not depend on the coupling, so the bounds are built once.
     """
     i_radius = _ball_radius(problem)
-    m_shared = max(
-        c2_ball_norm(g1, i_radius) if not g1.is_trivial else 0.0,
-        c2_ball_norm(g2, i_radius) if not g2.is_trivial else 0.0,
-    )
-    diff = g1 - g2
-    diff_c2 = 0.0 if diff.is_trivial else c2_ball_norm(diff, i_radius)
+    m_shared = max(c2_ball_norm(g1, i_radius), c2_ball_norm(g2, i_radius))
+    diff_c2 = c2_ball_norm(g1 - g2, i_radius)
     if m_shared == 0.0:
         return problem.coupling, 0.0, 0.0
 

@@ -104,12 +104,13 @@ def _axis_factors(spec: GaussianSpec, grid: Grid3) -> tuple[np.ndarray, np.ndarr
     clearance = CLEARANCE_WIDTHS / math.sqrt(spec.width)
     margin = min(half - abs(c) for c in spec.center)
     if margin < clearance:
-        # erfc along the tightest axis estimates the mass escaping the box
+        # erfc along the tightest axis estimates the mass escaping the box;
+        # warned from this line for every caller, so repeats are not shown
         lost = spec.analytic_l1() * math.erfc(math.sqrt(spec.width) * max(margin, 0.0))
         warnings.warn(
             f"gaussian at {spec.center} with width {spec.width} has face clearance "
             f"{margin:.3g} < {clearance:.3g}; estimated truncated mass {lost:.3e}",
-            stacklevel=3,
+            stacklevel=1,
         )
     ex, ey, ez = (np.exp(-spec.width * (grid.axis - c) ** 2) for c in spec.center)
     return ex, ey, ez

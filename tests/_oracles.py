@@ -14,8 +14,12 @@ it applied the transfer slab by slab.
 and :func:`sampled_solvability_report` is the zero-mode report from
 sums over a sampled right side.  :func:`wavenumber_rows` is |p| formed
 per mode from the frequency axes, independent of the package's shell
-tables.
+tables.  :func:`four_pairing_bracket` and :func:`index_pair_c2_ball_norm`
+are the certificate's bracket and C2 ball bound as loops, before they were
+put in closed form.
 """
+
+import math
 
 import numpy as np
 
@@ -182,3 +186,41 @@ def sampled_solvability_report(f, s1):
     mean = float(g.cell_volume * np.sum(f.values))
     f_l2 = float(np.sqrt(g.cell_volume * np.sum(f.values**2)))
     return poisson._zero_mode_report(mean, f_l2, s1)
+
+
+def four_pairing_bracket(ctx):
+    """The bracket B*: the kernel term's max over the four pairings (a, b) of s1_min and S1_max, plus Q^2."""
+    u1 = ctx.u0_h2 + 1.0
+    best = -math.inf
+    for a in (ctx.s1_min, ctx.S1_max):
+        for b in (ctx.s1_min, ctx.S1_max):
+            term = (
+                ctx.H**2
+                * u1 ** (8.0 * a / 3.0 - 2.0)
+                * 3.0
+                / ((3.0 - 4.0 * a) * (2.0 * math.pi**2) ** (4.0 * b / 3.0) * (4.0 * b) ** (4.0 * b / 3.0))
+            )
+            best = max(best, term)
+    return best + ctx.Q**2
+
+
+def index_pair_c2_ball_norm(g, radius):
+    """The coefficient-rule C2 bound on the ball, summed per variable index and per ordered index pair."""
+    n = g.n_components
+    total = 0.0
+    for comp in g.components:
+        sup = sum(abs(m.coeff) * radius**m.degree for m in comp)
+        first = 0.0
+        for j in range(n):
+            first += sum(
+                abs(m.coeff) * m.powers[j] * radius ** (m.degree - 1) for m in comp if m.powers[j] > 0
+            )
+        second = 0.0
+        for j in range(n):
+            for l in range(n):
+                for m in comp:
+                    count = m.powers[j] * (m.powers[j] - 1) if j == l else m.powers[j] * m.powers[l]
+                    if count > 0:
+                        second += abs(m.coeff) * count * radius ** (m.degree - 2)
+        total += sup + first + second
+    return total

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from dualfrac import (
@@ -27,6 +29,7 @@ from dualfrac import (
     solve_linear_system,
     vector_norms,
 )
+from dualfrac.bounds import _bracket
 from dualfrac.spectral import spectral_plan
 
 
@@ -227,6 +230,30 @@ def test_c2_norm_rejects_nonpositive_radius(demo):
         c2_ball_norm(demo.nonlinearity, 0.0)
 
 
+def _random_coupling(rng):
+    # N <= 3 components of up to three monomials each, degrees 2 to 8
+    n = int(rng.integers(1, 4))
+    comps = []
+    for _ in range(n):
+        terms = {}
+        for _ in range(int(rng.integers(0, 4))):
+            powers = rng.multinomial(int(rng.integers(2, 9)), [1.0 / n] * n)
+            terms[tuple(int(p) for p in powers)] = float(rng.standard_normal())
+        comps.append(tuple(Monomial(p, c) for p, c in terms.items()))
+    return Nonlinearity(tuple(comps))
+
+
+def test_c2_norm_closed_form_matches_the_index_pair_sums():
+    # per monomial the first-partial powers sum to d and the ordered
+    # second-partial counts to d (d - 1)
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        g = _random_coupling(rng)
+        radius = float(rng.uniform(0.05, 3.0))
+        expected = _oracles.index_pair_c2_ball_norm(g, radius)
+        assert c2_ball_norm(g, radius) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 def test_low_degree_monomials_rejected_at_construction():
     with pytest.raises(ValueError, match="degree"):
         Nonlinearity(((Monomial((1, 0), 1.0),), ()))
@@ -307,6 +334,32 @@ def test_conservative_bracket_dominates_every_pairing():
                 / ((3 - 4 * a) * (2 * np.pi**2) ** (4 * b / 3) * (4 * b) ** (4 * b / 3))
             )
             assert sigma_sq >= term + ctx.Q**2 - 1e-12
+
+
+WINDOW_ORDER = st.floats(0.25, 0.75, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    orders=st.lists(WINDOW_ORDER, min_size=2, max_size=2).map(sorted),
+    u0_h2=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+    H=st.floats(1e-3, 1e3),
+    Q=st.floats(0.0, 1e3),
+)
+@example(orders=[0.5, 0.5], u0_h2=0.0, H=1.0, Q=1.0)
+@example(orders=[0.3, 0.7], u0_h2=0.0, H=3.0, Q=0.0)
+def test_bracket_is_the_four_pairing_max_at_its_maximiser(orders, u0_h2, H, Q):
+    # lemma: inside the window the kernel term grows with a and falls with
+    # b, so the max over the four pairings is the term at (S1_max, s1_min)
+    ctx = make_context(u0_h2=u0_h2, H=H, Q=Q, s1=orders[0], S1=orders[1])
+    assert _bracket(ctx) == pytest.approx(_oracles.four_pairing_bracket(ctx), rel=4e-16, abs=0.0)
+
+
+@pytest.mark.parametrize("s1, S1", [(0.5, 0.75), (0.25, 0.5), (0.2, 0.5), (0.4, 0.8)])
+def test_bracket_refuses_first_orders_outside_the_window(s1, S1):
+    # at S1_max = 0.75 the term's 3 / (3 - 4a) would divide by zero
+    with pytest.raises(ValueError, match=r"^orders\.s1: the certificate needs every first order in \(0\.25, 0\.75\)"):
+        make_context(s1=s1, S1=S1)
 
 
 # --- continuity right side ---------------------------------------------------

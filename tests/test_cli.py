@@ -343,7 +343,8 @@ def test_config_box_outside_the_float_range_exits_2_naming_the_grid(tmp_path, ca
 @pytest.mark.parametrize(
     "sub, group", [("solve-linear", "influxes"), ("verify-bounds", "influxes"), ("verify-bounds", "kernels")]
 )
-def test_vanishing_gaussian_width_warns_and_runs_on(sub, group, tmp_path):
+@pytest.mark.filterwarnings("default::UserWarning")
+def test_vanishing_gaussian_width_warns_and_runs_on(sub, group, tmp_path, capsys):
     # the clearance warning's truncated mass |A| (pi / a)^{3/2} erfc(...)
     # exceeds the float range below a ~ 1e-205: it reads inf, not an error
     raw = json.loads(demo_config_text())
@@ -351,9 +352,58 @@ def test_vanishing_gaussian_width_warns_and_runs_on(sub, group, tmp_path):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(raw))
     spectral._cached_plan.cache_clear()  # a cached plan samples no Gaussian, so would not warn
-    with pytest.warns(UserWarning, match="truncated mass inf"):
-        code = run_command([sub, "--config", str(path), "--grid", "16", "--out", str(tmp_path / "out")])
+    code = run_command([sub, "--config", str(path), "--grid", "16", "--out", str(tmp_path / "out")])
     assert code == 0
+    assert "truncated mass inf" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+@pytest.mark.parametrize(
+    "sub, warned",
+    [("solve-linear", 1), ("verify-bounds", 2), ("solve", 2), ("contraction", 2), ("sweep-epsilon", 2), ("continuity", 2)],
+)
+def test_each_clearance_warning_reaches_stderr_once_per_run_prefixed(sub, warned, tmp_path, capsys):
+    # kernel 0 and influx 1 sit one unit from a face: the plan's spectra,
+    # H's realization and the influx moments each sample them, yet each
+    # distinct warning is one line; solve-linear samples no kernel
+    raw = json.loads(demo_config_text())
+    raw["kernels"][0][0]["center"] = [9.0, 0.0, 0.0]
+    raw["influxes"][1][0]["center"] = [9.0, 0.0, 0.0]
+    path = tmp_path / "near_face.json"
+    path.write_text(json.dumps(raw))
+    extra = ["--trials", "2"] if sub == "contraction" else []
+    for run in range(2):
+        spectral._cached_plan.cache_clear()  # a cached plan samples no Gaussian, so would not warn
+        code = run_command([sub, "--config", str(path), *extra, "--grid", "16", "--out", str(tmp_path / str(run))])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "UserWarning" not in err
+        lines = [line for line in err.splitlines() if "face clearance" in line]
+        assert len(lines) == len(set(lines)) == warned
+        assert all(line.startswith(f"{sub}: WARNING: gaussian at (9.0, 0.0, 0.0) ") for line in lines)
+    assert not logging.getLogger("dualfrac").handlers
+
+
+WINDOW_CASES = [("verify-bounds", [0.4, 0.8]), ("verify-bounds", [0.2, 0.5])] + [
+    (sub, [0.4, 0.75]) for sub in ("verify-bounds", "contraction", "sweep-epsilon", "continuity")
+]
+
+
+@pytest.mark.parametrize("sub, s1", WINDOW_CASES, ids=[f"{sub}-{a}-{b}" for sub, (a, b) in WINDOW_CASES])
+def test_first_orders_outside_the_window_are_named_not_certified(sub, s1, tmp_path, capsys):
+    # uncoupled, so the config loads and only the certificate reads the
+    # first orders; at 0.75 its 3 / (3 - 4a) would divide by zero
+    raw = json.loads(demo_config_text())
+    raw["epsilon"] = [0.0, 0.0]
+    raw["orders"]["s1"] = s1
+    path = tmp_path / "orders.json"
+    path.write_text(json.dumps(raw))
+    code = run_command(small([sub, "--config", str(path)], tmp_path, n=16))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: orders.s1: the certificate needs every first order in (0.25, 0.75)" in err
+    assert "division by zero" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_warnings_name_the_subcommand_and_leave_no_handler(tmp_path, capsys):

@@ -412,13 +412,14 @@ SOLVE_LINEAR_PEAK_ARRAYS = 7.2
 # spectrum beside u_p and taking its norms after the solve read 17.4.
 SOLVE_COMMAND_PEAK_ARRAYS = 10.3
 
-# The same for `verify-bounds`, whose peak is the plan's kernel build on top
-# of u0, where H realizes one kernel sum and its term: 5.16 measured.  A
-# build that formed the transfer stack read 5.7, 6.2 with cached H2
-# weights, 7.5 while the plan also kept |p| and the symbols and 9.6 while
-# it also kept u0's spectrum.  Taking |kernel| into a second array, the
-# filtered spectrum and the centre phase as whole-lattice temporaries
-# reached 9.8.
+# The same for `verify-bounds`, whose peak is the plan's u0 build, 5.18
+# arrays (the run reads 5.2 to 5.3); the kernel build, where H realizes one
+# kernel sum and its term, peaks at 4.21 on top of the 2.09 arrays u0
+# leaves held.  A kernel build that formed the transfer stack set the peak
+# at 5.7, 6.2 with cached H2 weights, 7.5 while the plan also kept |p| and
+# the symbols and 9.6 while it also kept u0's spectrum.  Taking |kernel|
+# into a second array, the filtered spectrum and the centre phase as
+# whole-lattice temporaries reached 9.8.
 VERIFY_BOUNDS_PEAK_ARRAYS = 6.2
 
 # The same for `contraction --trials 2`: 11.26 measured after the other
