@@ -3,8 +3,11 @@
 Everything here is a closed-form or quadrature-free computation.  The
 coupling threshold and the contraction-factor constant share one bracket
 B*, a max over the pairings of the extreme first orders that on the
-window (1/4, 3/4) always sits at one pairing (see ``_bracket``); orders
-outside the window are refused.  By construction
+window (1/4, 3/4) always sits at one pairing (see ``_bracket``).  First
+orders outside the window are refused there with the ``orders.s1``
+ConfigError of :mod:`dualfrac.problems`, which a coupled config already
+gets at load; an uncoupled config loads with any orders, so the
+certificate is where the solves refuse them.  By construction
 ``epsilon_max * sigma == rho / (u0_h2 + 1)`` exactly.
 
 rho and u0 are the problem's: rho is ``ProblemSpec.rho`` and u0 the linear
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-from .problems import NONLINEAR_S1_HIGH, NONLINEAR_S1_LOW, ConfigError, Nonlinearity, ProblemSpec
+from .problems import NONLINEAR_S1_HIGH, NONLINEAR_S1_LOW, Nonlinearity, ProblemSpec, _check_s1_window
 from .spectral import spectral_plan
 
 __all__ = [
@@ -71,7 +74,7 @@ def phi_minimum(alpha: float, s: float) -> tuple[float, float]:
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if not 0.25 < s < 0.75:
+    if not NONLINEAR_S1_LOW < s < NONLINEAR_S1_HIGH:
         raise ValueError(f"the minimized profile requires s in (1/4, 3/4), got {s}")
     r_star = (4.0 * s / (alpha * (3.0 - 4.0 * s))) ** (1.0 / 3.0)
     phi_star = (
@@ -108,15 +111,14 @@ def c2_ball_norm(g: Nonlinearity, radius: float) -> float:
     p_j sum to d, and its second-partial counts over ordered index pairs
     (``p_j (p_j - 1)`` on the diagonal, ``p_j p_l`` off it) to d (d - 1).
     The bound is exact for a single monomial restricted to a coordinate
-    axis, and 0 for a trivial coupling.
+    axis, and 0 for a trivial coupling.  d >= 2 holds for every monomial,
+    as :class:`~dualfrac.problems.Nonlinearity` refuses lower degrees.
     """
     if not radius > 0:
         raise ValueError(f"ball radius must be positive, got {radius}")
     total = 0.0
     for mono in (mono for comp in g.components for mono in comp):
         d = mono.degree
-        if d < 2:
-            raise ValueError("couplings with constant or linear terms are not admissible")
         total += abs(mono.coeff) * (radius**d + d * radius ** (d - 1) + d * (d - 1) * radius ** (d - 2))
     return total
 
@@ -129,14 +131,12 @@ def _bracket(ctx: BoundsContext) -> float:
     ``u1^{8a/3}`` and ``3/(3-4a)`` do, and falls with b, as
     ``(8 pi^2 b)^{4b/3}`` grows for b above ``1/(8 pi^2 e)`` (about
     0.0047).  So the max is the one term at (a, b) = (S1_max, s1_min).
-    First orders outside the window raise a ConfigError naming orders.s1.
+    First orders outside the window raise the ConfigError naming
+    orders.s1 that a coupled config gets at load
+    (:func:`~dualfrac.problems._check_s1_window`); an uncoupled config
+    loads with any orders, so this is where it is refused.
     """
-    if not NONLINEAR_S1_LOW < ctx.s1_min <= ctx.S1_max < NONLINEAR_S1_HIGH:
-        window = f"({NONLINEAR_S1_LOW}, {NONLINEAR_S1_HIGH})"
-        raise ConfigError(
-            "orders.s1",
-            f"the certificate needs every first order in {window}; got s1_min={ctx.s1_min}, S1_max={ctx.S1_max}",
-        )
+    _check_s1_window((ctx.s1_min, ctx.S1_max))
     a, b = ctx.S1_max, ctx.s1_min
     value = ctx.Q**2 + (
         ctx.H**2

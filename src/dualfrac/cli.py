@@ -299,6 +299,12 @@ def _cmd_sweep_epsilon(problem, args, dump):
         return res.u_p_norms.h2
 
     norms = _parallel_map(solve_at, eps_values)
+    for eps, norm in zip(eps_values, norms):
+        if norm == 0.0:
+            # as when the coupling reads only components whose u0 is zero
+            raise ValueError(
+                f"up_h2_norm is 0 at epsilon={eps:.17g}: u_p vanishes, so the scaling slope is undefined"
+            )
     slope = float(np.polyfit(np.log(eps_values), np.log(norms), 1)[0])
     series = [
         {"epsilon": e, "up_h2_norm": n} for e, n in zip(eps_values, norms)

@@ -9,6 +9,16 @@ product H2 norm and plain Picard iteration converges geometrically.
 Both rho and u0 come from the problem: rho is ``ProblemSpec.rho``, whose
 constructor rejects values outside (0, 1], and u0 is the problem's plan
 u0 (:func:`~dualfrac.poisson.solve_linear_system`).
+
+No function here checks the fractional orders.  A coupled problem's first
+orders lie in the window (1/4, 3/4), as :class:`~dualfrac.problems.ProblemSpec`
+refuses any other, with or without ``with_epsilon``/``with_nonlinearity``.
+An uncoupled problem takes any orders, and its solution map is zero: tau
+multiplies by a zero coupling factor or evaluates an empty coupling.  The
+solve still refuses such orders, through the certificate it builds
+(:func:`~dualfrac.bounds.build_bounds_context`), with the same
+``orders.s1`` error.  :func:`apply_tau` and :func:`measure_contraction`
+build no certificate: there they give a zero field and ratios of 0.
 """
 
 from __future__ import annotations
@@ -28,12 +38,7 @@ from .bounds import (
 )
 from .grid import NormReport, VectorField
 from .poisson import solve_linear_system
-from .problems import (
-    NONLINEAR_S1_HIGH,
-    NONLINEAR_S1_LOW,
-    Nonlinearity,
-    ProblemSpec,
-)
+from .problems import Nonlinearity, ProblemSpec
 from .spectral import (  # noqa: F401  (forward_transform stays importable from here)
     _band_limit,
     _h2_gap,
@@ -98,15 +103,6 @@ class FixedPointResult:
         return self.u0 + self.u_p
 
 
-def _check_nonlinear_orders(problem: ProblemSpec) -> None:
-    if not problem.orders.in_nonlinear_window():
-        raise ValueError(
-            "coupled solving requires every first order strictly inside "
-            f"({NONLINEAR_S1_LOW}, {NONLINEAR_S1_HIGH}) with s1 < s2 < 1; "
-            f"got s1={problem.orders.s1}"
-        )
-
-
 def _check_field(v: VectorField, problem: ProblemSpec) -> None:
     if v.grid != problem.grid:
         raise ValueError("field does not live on the problem grid")
@@ -127,7 +123,6 @@ def apply_tau(v: VectorField, problem: ProblemSpec) -> VectorField:
     ball the coupling bound was sized on.  Each full-size intermediate is
     released as soon as it is consumed.
     """
-    _check_nonlinear_orders(problem)
     _check_field(v, problem)
     u0 = solve_linear_system(problem)
     coeff = _tau_spectrum(u0.values + v.values, problem, _ball_radius(problem))
@@ -204,7 +199,6 @@ def solve_fixed_point(
     certified threshold only logs a warning: the threshold is sufficient,
     not necessary.
     """
-    _check_nonlinear_orders(problem)
     u0 = solve_linear_system(problem)
     # a trivial coupling leaves nothing to bound; size the ball nominally
     ctx = build_bounds_context(problem, M=1.0 if problem.nonlinearity.is_trivial else None)
@@ -330,7 +324,6 @@ def measure_contraction(problem: ProblemSpec, trials: int, seed: int) -> list[fl
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    _check_nonlinear_orders(problem)
     u0 = solve_linear_system(problem)
     grid = problem.grid
     radius = _ball_radius(problem)

@@ -7,6 +7,10 @@ solvable for any integrable right side, while for s1 at or above 3/4 a
 square-integrable solution exists only when the right side has zero total
 mass.  On the lattice the zero mode is dropped (and its mass logged) or the
 solve is rejected, depending on the chosen policy.
+
+The order rules are :mod:`dualfrac.problems`'s: 3/4 is its
+``CRITICAL_ORDER``, and the solvers check ``0 < s1 < s2 < 1`` by building
+a one-component :class:`~dualfrac.problems.FractionalOrders`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grid import Grid3, ScalarField, VectorField
-from .problems import GaussianSpec
+from .problems import CRITICAL_ORDER, FractionalOrders, GaussianSpec
 from .spectral import (
     TWO_PI_32,
     _gaussian_axis_spectra,
@@ -51,9 +55,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# Threshold separating the unconditional regime from the zero-mean-required one.
-CRITICAL_ORDER = 0.75
 
 # A mean integral h^3 sum(f) below this fraction of ||f||_L2 counts as zero
 # (_is_zero_mean): analytically zero-mean fields only miss by rounding.
@@ -89,13 +90,6 @@ def _is_zero_mean(mean: float, f_l2: float) -> bool:
     return abs(mean) <= ORTHOGONALITY_RTOL * f_l2
 
 
-def _validate_orders(s1: float, s2: float) -> None:
-    if not 0.0 < s1 < s2 < 1.0:
-        raise ValueError(
-            f"fractional orders must satisfy 0 < s1 < s2 < 1, got s1={s1}, s2={s2}"
-        )
-
-
 def solve_double_fractional(
     f: ScalarField,
     s1: float,
@@ -108,8 +102,10 @@ def solve_double_fractional(
     under the ``drop`` policy (the dropped mass is logged) or, under
     ``reject_if_nonzero``, causes an error when the right side's mean
     integral is not zero by the zero-mode report's test (:func:`_is_zero_mean`).
+    Orders outside 0 < s1 < s2 < 1 raise the ``ValueError`` of
+    :class:`~dualfrac.problems.FractionalOrders`.
     """
-    _validate_orders(s1, s2)
+    FractionalOrders((s1,), (s2,))
     if zero_mode_policy not in ZERO_MODE_POLICIES:
         raise ValueError(f"unknown zero_mode_policy {zero_mode_policy!r}")
 
@@ -136,9 +132,8 @@ def _zero_mode_report(mean: float, f_l2: float, s1: float) -> SolvabilityReport:
 
     The CLI feeds it the moments of a Gaussian sum
     (:func:`~dualfrac.problems._gaussian_sum_moments`), so no influx is sampled.
+    s1 is not checked: it is a validated problem's or a sweep case's.
     """
-    if not 0.0 < s1 < 1.0:
-        raise ValueError(f"first fractional order must lie in (0, 1), got {s1}")
     regime = "unconditional" if s1 < CRITICAL_ORDER else "orthogonality_required"
     growth = 0.0
     if s1 > CRITICAL_ORDER and not _is_zero_mean(mean, f_l2):
@@ -158,7 +153,7 @@ def regularity_check(u0: ScalarField, f: ScalarField, s1: float, s2: float) -> f
     ``[-Lap + (-Lap)^{1+s2-s1}] u0 = (-Lap)^{1-s1} f``; both sides are
     evaluated spectrally and compared on the nonzero modes.
     """
-    _validate_orders(s1, s2)
+    FractionalOrders((s1,), (s2,))
     if u0.grid != f.grid:
         raise ValueError("u0 and f live on different grids")
     cu = _rfft(u0.values)
@@ -247,7 +242,7 @@ def box_length_sweep(
     the shell index) and ``u_l2_sq`` is the sum over the shells ``k^2 > 0``
     of ``hist / symbol^2``.
     """
-    _validate_orders(s1, s2)
+    FractionalOrders((s1,), (s2,))
     points = []
     for L in box_lengths:
         n = int(round(L / spacing))

@@ -40,10 +40,13 @@ __all__ = [
     "solvability_sweep_cases",
 ]
 
-# Window of first orders inside which the nonlinear solver's contraction
-# machinery applies; the linear solver alone accepts any 0 < s1 < s2 < 1.
+# The paper's critical first order 3/4: at and above it the linear problem
+# is solvable only for a zero-mean right side (dualfrac.poisson), and below
+# it, down to 1/4, lies the open window of first orders that the fixed-point
+# certificate needs.  The linear solver alone accepts any 0 < s1 < s2 < 1.
+CRITICAL_ORDER = 0.75
 NONLINEAR_S1_LOW = 0.25
-NONLINEAR_S1_HIGH = 0.75
+NONLINEAR_S1_HIGH = CRITICAL_ORDER
 
 # Distance (in Gaussian widths) a center must keep from every box face for
 # the truncated tail mass to stay at spectral-accuracy level.
@@ -56,6 +59,22 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+def _check_s1_window(s1) -> None:
+    """Raise a ConfigError naming ``orders.s1`` unless every first order in s1 lies in the open window.
+
+    The one statement of the window rule: a coupled :class:`ProblemSpec`
+    checks its orders with it, and the certificate
+    (:func:`~dualfrac.bounds._bracket`) its extreme first orders.
+    """
+    lo, hi = min(s1), max(s1)
+    if not NONLINEAR_S1_LOW < lo <= hi < NONLINEAR_S1_HIGH:
+        raise ConfigError(
+            "orders.s1",
+            "the certificate needs every first order in the open window "
+            f"({NONLINEAR_S1_LOW}, {NONLINEAR_S1_HIGH}); got s1_min={lo}, S1_max={hi}",
+        )
 
 
 @dataclass(frozen=True)
@@ -343,9 +362,6 @@ class FractionalOrders:
     def s1_max(self) -> float:
         return max(self.s1)
 
-    def in_nonlinear_window(self) -> bool:
-        return all(NONLINEAR_S1_LOW < a < NONLINEAR_S1_HIGH for a in self.s1)
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -354,9 +370,13 @@ class ProblemSpec:
     Every diffusion coefficient is one, so the spec has no field for them;
     couplings scale the kernels through the per-component factors ``epsilon``.
     ``rho`` is the radius of the H2 ball the solutions are certified on.  A
-    bad ``epsilon``, ``rho``, all-zero ``influxes`` or an ``orders.s1``
-    outside the nonlinear window raises :class:`ConfigError` naming the
-    field, as it is named in the JSON configuration.
+    bad ``epsilon``, ``rho``, all-zero ``influxes`` or, for a coupled spec,
+    an ``orders.s1`` outside the window (1/4, 3/4) raises
+    :class:`ConfigError` naming the field, as it is named in the JSON
+    configuration.  :meth:`with_epsilon` and :meth:`with_nonlinearity`
+    build through ``dataclasses.replace``, which runs these checks again,
+    so no coupled spec leaves the window.  An uncoupled spec takes any
+    orders: its solution map is zero.
     """
 
     n_components: int
@@ -391,12 +411,8 @@ class ProblemSpec:
             not fs for fs in self.influxes
         ):
             raise ConfigError("influxes", "at least one influx must be nontrivial")
-        if self.is_nonlinear and not self.orders.in_nonlinear_window():
-            raise ConfigError(
-                "orders.s1",
-                "nonlinear solving requires every first order in the open window "
-                f"({NONLINEAR_S1_LOW}, {NONLINEAR_S1_HIGH}); got s1={self.orders.s1}"
-            )
+        if self.is_nonlinear:
+            _check_s1_window(self.orders.s1)
 
     @property
     def is_nonlinear(self) -> bool:

@@ -358,7 +358,8 @@ def test_bracket_is_the_four_pairing_max_at_its_maximiser(orders, u0_h2, H, Q):
 @pytest.mark.parametrize("s1, S1", [(0.5, 0.75), (0.25, 0.5), (0.2, 0.5), (0.4, 0.8)])
 def test_bracket_refuses_first_orders_outside_the_window(s1, S1):
     # at S1_max = 0.75 the term's 3 / (3 - 4a) would divide by zero
-    with pytest.raises(ValueError, match=r"^orders\.s1: the certificate needs every first order in \(0\.25, 0\.75\)"):
+    message = r"^orders\.s1: the certificate needs every first order in the open window \(0\.25, 0\.75\); got s1_min="
+    with pytest.raises(ValueError, match=message):
         make_context(s1=s1, S1=S1)
 
 

@@ -384,7 +384,7 @@ def test_each_clearance_warning_reaches_stderr_once_per_run_prefixed(sub, warned
     assert not logging.getLogger("dualfrac").handlers
 
 
-WINDOW_CASES = [("verify-bounds", [0.4, 0.8]), ("verify-bounds", [0.2, 0.5])] + [
+WINDOW_CASES = [(sub, s1) for sub in ("verify-bounds", "solve") for s1 in ([0.4, 0.8], [0.2, 0.5])] + [
     (sub, [0.4, 0.75]) for sub in ("verify-bounds", "contraction", "sweep-epsilon", "continuity")
 ]
 
@@ -392,7 +392,8 @@ WINDOW_CASES = [("verify-bounds", [0.4, 0.8]), ("verify-bounds", [0.2, 0.5])] + 
 @pytest.mark.parametrize("sub, s1", WINDOW_CASES, ids=[f"{sub}-{a}-{b}" for sub, (a, b) in WINDOW_CASES])
 def test_first_orders_outside_the_window_are_named_not_certified(sub, s1, tmp_path, capsys):
     # uncoupled, so the config loads and only the certificate reads the
-    # first orders; at 0.75 its 3 / (3 - 4a) would divide by zero
+    # first orders; at 0.75 its 3 / (3 - 4a) would divide by zero.  Every
+    # certificate-building subcommand, solve included, prints the one message.
     raw = json.loads(demo_config_text())
     raw["epsilon"] = [0.0, 0.0]
     raw["orders"]["s1"] = s1
@@ -401,7 +402,10 @@ def test_first_orders_outside_the_window_are_named_not_certified(sub, s1, tmp_pa
     code = run_command(small([sub, "--config", str(path)], tmp_path, n=16))
     assert code == 1
     err = capsys.readouterr().err
-    assert "error: orders.s1: the certificate needs every first order in (0.25, 0.75)" in err
+    window = "error: orders.s1: the certificate needs every first order in the open window (0.25, 0.75)"
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"{window}; got s1_min={min(s1)}, S1_max={max(s1)}"
+    ]
     assert "division by zero" not in err
     assert not (tmp_path / "out" / "report.json").exists()
 
@@ -449,6 +453,24 @@ def test_sweep_epsilon_series(demo_config, tmp_path):
     assert len(series) == 5
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert abs(report["results"]["slope"] - 1.0) <= 0.05
+
+
+def test_sweep_epsilon_names_the_epsilon_where_u_p_vanishes(tmp_path, capsys):
+    # component 1 has no influx, so u0_1 = 0, and the coupling reads z2 alone:
+    # u_p is zero at every epsilon and log(0) would leave the slope undefined
+    raw = json.loads(demo_config_text())
+    raw["influxes"][1] = []
+    raw["g"] = [{"monomials": [{"powers": [0, 2], "coeff": c}]} for c in (0.5, 0.4)]
+    path = tmp_path / "vanish.json"
+    path.write_text(json.dumps(raw))
+    code = run_command(small(["sweep-epsilon", "--config", str(path)], tmp_path, n=16))
+    assert code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert re.fullmatch(
+        r"error: up_h2_norm is 0 at epsilon=\S+: u_p vanishes, so the scaling slope is undefined", errors[0]
+    )
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_contraction_command(demo_config, tmp_path):

@@ -82,11 +82,22 @@ def test_tau_matches_direct_quadrature_oracle():
     assert num / den <= 0.01
 
 
-def test_tau_rejects_orders_outside_window(demo32):
+@pytest.mark.parametrize("uncouple", ["zero-epsilon", "trivial-coupling"])
+def test_tau_of_an_uncoupled_problem_is_zero_whatever_its_orders(demo32, uncouple):
+    # s1 = 0.8 lies outside the window, which only a coupled spec must keep;
+    # uncoupled, tau is exactly zero and the solve refuses through its certificate
     bad_orders = FractionalOrders((0.8, 0.5), (0.9, 0.9))
-    p = dataclasses.replace(demo32.with_epsilon(0.0), orders=bad_orders)
-    with pytest.raises(ValueError, match="first order"):
-        apply_tau(VectorField.zeros(p.grid, 2), p)
+    if uncouple == "zero-epsilon":
+        p = dataclasses.replace(demo32.with_epsilon(0.0), orders=bad_orders)
+    else:
+        p = dataclasses.replace(demo32.with_nonlinearity(Nonlinearity(((), ()))), orders=bad_orders)
+    assert not p.is_nonlinear
+    out = apply_tau(VectorField.zeros(p.grid, 2), p)
+    assert np.all(out.values == 0.0)
+    assert np.all(out.spectrum == 0.0)
+    with pytest.raises(ConfigError, match=r"^orders\.s1: .*\(0\.25, 0\.75\)") as excinfo:
+        solve_fixed_point(p)
+    assert excinfo.value.path == "orders.s1"
 
 
 def test_tau_grid_mismatch(demo32):

@@ -93,6 +93,8 @@ def test_order_validation():
             solve_double_fractional(f, s1, s2)
         with pytest.raises(ValueError, match="orders"):
             box_length_sweep(UNIT_GAUSSIAN, s1, s2, 0.625, [10.0])
+        with pytest.raises(ValueError, match="orders"):
+            regularity_check(f, f, s1, s2)
 
 
 def test_reject_if_nonzero_policy(grid16):
@@ -167,11 +169,6 @@ def test_solvability_subcritical_unconditional(grid64):
     rep = _oracles.sampled_solvability_report(gaussian(grid64), 0.5)
     assert rep.regime == "unconditional"
     assert rep.predicted_low_freq_growth == 0.0
-
-
-def test_solvability_order_validation(grid16):
-    with pytest.raises(ValueError):
-        _oracles.sampled_solvability_report(ScalarField.zeros(grid16), 1.2)
 
 
 @pytest.mark.parametrize("n", [32, 64])

@@ -4,14 +4,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualfrac import (
+    FractionalOrders,
     GaussianSpec,
     Grid3,
     Monomial,
     Nonlinearity,
+    ProblemSpec,
     Spectrum,
     demo_config_text,
     eval_nonlinearity,
@@ -109,7 +111,12 @@ def _set_s1(doc, value):
         (_set_rho, 1.5, "rho", r"must lie in \(0, 1\], got 1\.5"),
         (_set_rho, -1, "rho", r"must lie in \(0, 1\], got -1\.0"),
         (_set_epsilon, -0.001, "epsilon", "coupling factors must be nonnegative"),
-        (_set_s1, 0.2, "orders.s1", "nonlinear solving requires every first order in the open window"),
+        (
+            _set_s1,
+            0.2,
+            "orders.s1",
+            r"the certificate needs every first order in the open window \(0\.25, 0\.75\); got s1_min=0\.2, S1_max=0\.5$",
+        ),
     ],
     ids=["rho-0", "rho-1.5", "rho-negative", "epsilon-negative", "s1-below-window"],
 )
@@ -119,6 +126,60 @@ def test_range_error_names_its_field(mutate, value, path, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(path)}: {message}") as excinfo:
         load_problem(json.dumps(doc))
     assert excinfo.value.path == path
+
+
+DEMO_SPEC = load_problem(demo_config_text())
+FIRST_ORDERS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([0.25, 0.75, np.nextafter(0.25, 1.0), np.nextafter(0.75, 0.0)]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    s1=st.lists(FIRST_ORDERS, min_size=2, max_size=2),
+    epsilon=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=2, max_size=2),
+    trivial=st.booleans(),
+    route=st.sampled_from(["construct", "with_epsilon", "with_nonlinearity"]),
+)
+@example(s1=[0.4, 0.75], epsilon=[0.0, 1e-3], trivial=False, route="with_epsilon")
+@example(s1=[0.25, 0.5], epsilon=[1e-3, 0.0], trivial=False, route="construct")
+@example(s1=[0.8, 0.5], epsilon=[1e-3, 1e-3], trivial=True, route="construct")
+def test_a_spec_is_refused_exactly_when_coupled_outside_the_window(s1, epsilon, trivial, route):
+    # the invariant that lets the solution map and the solves leave the
+    # orders unchecked: no coupled spec, however built, has an s1 outside
+    # (1/4, 3/4), and an uncoupled one takes any 0 < s1 < s2 < 1
+    s2 = [0.5 * (1.0 + a) for a in s1]
+    assume(all(a < b < 1.0 for a, b in zip(s1, s2)))
+    g = Nonlinearity(((), ())) if trivial else DEMO_SPEC.nonlinearity
+    coupled = any(e > 0.0 for e in epsilon) and not trivial
+    outside = not all(0.25 < a < 0.75 for a in s1)
+
+    def spec(eps, nonlinearity):
+        return ProblemSpec(
+            n_components=2,
+            orders=FractionalOrders(tuple(s1), tuple(s2)),
+            epsilon=tuple(eps),
+            kernels=DEMO_SPEC.kernels,
+            influxes=DEMO_SPEC.influxes,
+            nonlinearity=nonlinearity,
+            grid=DEMO_SPEC.grid,
+            rho=DEMO_SPEC.rho,
+        )
+
+    def build():
+        if route == "with_epsilon":
+            return spec([0.0, 0.0], g).with_epsilon(epsilon)
+        if route == "with_nonlinearity":
+            return spec(epsilon, Nonlinearity(((), ()))).with_nonlinearity(g)
+        return spec(epsilon, g)
+
+    if coupled and outside:
+        with pytest.raises(ConfigError, match=r"^orders\.s1: .*\(0\.25, 0\.75\)") as excinfo:
+            build()
+        assert excinfo.value.path == "orders.s1"
+    else:
+        assert build().is_nonlinear == coupled
 
 
 def test_malformed_json_rejected():
