@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-from .problems import NONLINEAR_S1_HIGH, NONLINEAR_S1_LOW, Nonlinearity, ProblemSpec, _check_s1_window
+from .problems import NONLINEAR_S1_HIGH, NONLINEAR_S1_LOW, ConfigError, Nonlinearity, ProblemSpec, _check_s1_window
 from .spectral import spectral_plan
 
 __all__ = [
@@ -180,24 +180,39 @@ def _ball_radius(problem: ProblemSpec) -> float:
     return embedding_constant() * (spectral_plan(problem).u0_norms.h2 + 1.0)
 
 
+def _in_range(value: float, name: str, field: str) -> float:
+    """``value`` if finite; else a ConfigError naming the constant and the config field it is sized by."""
+    if not math.isfinite(value):
+        raise ConfigError(field, f"certificate constant {name} is outside the float range")
+    return value
+
+
 def build_bounds_context(problem: ProblemSpec, M: float | None = None) -> BoundsContext:
     """Assemble the full constant set for a problem, on its rho ball around its u0.
 
     The coupling ball radius M defaults to the coefficient-rule bound of the
     problem's own coupling on the ball the solutions live in; pass M to
-    share a radius across couplings.
+    share a radius across couplings.  A constant that overflows or is not
+    finite raises :class:`~dualfrac.problems.ConfigError` naming it and the
+    configuration field it is sized by: ``influxes`` for u0_h2, ``g`` for
+    M, ``kernels`` for H and Q, and ``$``, the whole configuration, for
+    sigma, their product.
     """
+    u0_h2 = _in_range(spectral_plan(problem).u0_norms.h2, "u0_h2", "influxes")
     i_radius = _ball_radius(problem)
     if M is None:
         if problem.nonlinearity.is_trivial:
             raise ValueError("cannot size the coupling ball for a trivial nonlinearity; pass M")
         M = c2_ball_norm(problem.nonlinearity, i_radius)
-    h_const, q_const = kernel_constants(problem)
+    try:
+        h_const, q_const = kernel_constants(problem)
+    except OverflowError:  # a kernel norm squared
+        raise ConfigError("kernels", "certificate constant H or Q is outside the float range") from None
     ctx = BoundsContext(
-        u0_h2=spectral_plan(problem).u0_norms.h2,
-        M=M,
-        H=h_const,
-        Q=q_const,
+        u0_h2=u0_h2,
+        M=_in_range(M, "M", "g"),
+        H=_in_range(h_const, "H", "kernels"),
+        Q=_in_range(q_const, "Q", "kernels"),
         s1_min=problem.orders.s1_min,
         S1_max=problem.orders.s1_max,
         rho=problem.rho,
@@ -207,4 +222,4 @@ def build_bounds_context(problem: ProblemSpec, M: float | None = None) -> Bounds
         sigma=0.0,
         epsilon=problem.coupling,
     )
-    return replace(ctx, epsilon_max=epsilon_threshold(ctx), sigma=sigma_value(ctx))
+    return replace(ctx, epsilon_max=epsilon_threshold(ctx), sigma=_in_range(sigma_value(ctx), "sigma", "$"))

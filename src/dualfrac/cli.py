@@ -35,7 +35,7 @@ except ImportError:
 
 from .bounds import build_bounds_context
 from .fieldio import write_snapshot
-from .fixed_point import continuity_experiment, measure_contraction, solve_fixed_point
+from .fixed_point import CONTINUITY_TOL, continuity_experiment, measure_contraction, solve_fixed_point
 from .grid import Grid3, VectorField
 from .poisson import (
     _check_h2,
@@ -57,16 +57,6 @@ from .problems import (
 from .spectral import _rfft, spectral_plan, vector_norms
 
 __all__ = ["run_command", "write_report", "main"]
-
-SUBCOMMANDS = (
-    "solve-linear",
-    "solve",
-    "verify-bounds",
-    "contraction",
-    "sweep-epsilon",
-    "continuity",
-    "solvability",
-)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -296,6 +286,9 @@ def _cmd_sweep_epsilon(problem, args, dump):
 
     def solve_at(eps):
         res = solve_fixed_point(problem.with_epsilon(eps), tol=args.tol, max_iter=args.max_iter)
+        if not res.converged:
+            # one Picard step from zero is exactly linear in epsilon, so the slope would pass
+            raise RuntimeError(f"fixed point failed to converge at epsilon={eps:.17g}")
         return res.u_p_norms.h2
 
     norms = _parallel_map(solve_at, eps_values)
@@ -374,6 +367,7 @@ _HANDLERS = {
     "continuity": _cmd_continuity,
     "solvability": _cmd_solvability,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def _positive_float(text: str) -> float:
@@ -420,7 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="problem JSON path, or 'demo' for the bundled problem")
         p.add_argument("--out", default="reports", help="output directory (default: reports)")
         p.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for randomized experiments")
-        p.add_argument("--tol", type=_positive_float, default=1e-10, help="fixed-point step tolerance")
+        tol_help = "fixed-point step tolerance"
+        if name == "continuity":
+            tol_help = f"recorded in the report only: continuity always solves at {CONTINUITY_TOL:g}"
+        p.add_argument("--tol", type=_positive_float, default=1e-10, help=tol_help)
         p.add_argument("--max-iter", type=_int_at_least(1), default=200, help="fixed-point iteration cap")
         p.add_argument("--dump-fields", action="store_true", help="write field snapshots next to the report")
         p.add_argument("--grid", type=_even_points, default=None, help="override points per axis (even, >= 2)")
@@ -523,7 +520,7 @@ def _run(args) -> int:
     }
     try:
         paths = write_report(report, out_dir, series)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a non-finite number in the report
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

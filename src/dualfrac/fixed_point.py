@@ -409,7 +409,6 @@ def continuity_experiment(
     problem: ProblemSpec,
     g1: Nonlinearity,
     g2: Nonlinearity,
-    tol: float = CONTINUITY_TOL,
     max_iter: int = 200,
     threshold_fraction: float | None = None,
 ) -> tuple[float, float, float]:
@@ -419,7 +418,8 @@ def continuity_experiment(
     distance between the two assembled solutions (they share u0, so it is
     taken by Plancherel from the two perturbations' carried spectra) and the
     continuity bound computed with the shared coupling-ball radius on the
-    problem's rho ball.  lhs <= rhs must hold whenever the coupling sits
+    problem's rho ball.  Both solves run to the step tolerance
+    :data:`CONTINUITY_TOL`.  lhs <= rhs must hold whenever the coupling sits
     inside the certified regime.  With ``threshold_fraction`` the coupling
     is first set to that fraction of the shared-ball threshold; the
     threshold does not depend on the coupling, so the bounds are built once.
@@ -444,7 +444,7 @@ def continuity_experiment(
 
     spectra = []  # the solutions share u0: keep only each solve's u_p spectrum
     for g_j in (g1, g2):
-        res = solve_fixed_point(problem.with_nonlinearity(g_j), tol=tol, max_iter=max_iter)
+        res = solve_fixed_point(problem.with_nonlinearity(g_j), tol=CONTINUITY_TOL, max_iter=max_iter)
         if not res.converged:
             raise RuntimeError("fixed point failed to converge during the continuity experiment")
         spectra.append(res.u_p.spectrum)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grid import Grid3, ScalarField, VectorField
-from .problems import CRITICAL_ORDER, FractionalOrders, GaussianSpec
+from .problems import CRITICAL_ORDER, FractionalOrders, GaussianSpec, _gaussian_sum_moments
 from .spectral import (
     TWO_PI_32,
     _gaussian_axis_spectra,
@@ -229,18 +229,20 @@ def box_length_sweep(
 
     The number of points per axis is ``round(L / spacing)`` and must come
     out even.  The drop policy applies.  ``u_l2_sq`` is the Plancherel sum
-    of ``|f_hat / symbol|^2`` over the nonzero modes and ``mean_integral``
-    is ``h^3 * Re f_hat(0)``, so u is never brought back to real space.
+    of ``|f_hat / symbol|^2`` over the nonzero modes, so u is never brought
+    back to real space.  ``mean_integral`` is the zero-mode report's mean
+    ``h^3 sum(f)`` (:func:`~dualfrac.problems._gaussian_sum_moments`), so
+    the point on a problem's own box reads the mean its report reads.
 
     Nothing of box size is held: each box is swept in slabs of
     x-frequency rows of about :data:`~dualfrac.spectral.SLAB_BYTES` of
     coefficients, built from the Gaussians' 1-D factor transforms (one
     ``fft`` and one ``rfft`` call per box), so the sweep's memory is O(n^2)
     of the largest box.  Nothing is divided on the lattice: the symbol
-    depends on the shell ``k^2`` alone, so each slab's Plancherel-weighted
-    ``|f_hat|^2`` is added into a per-shell histogram (``np.bincount`` on
-    the shell index) and ``u_l2_sq`` is the sum over the shells ``k^2 > 0``
-    of ``hist / symbol^2``.
+    depends on the shell ``k^2`` alone, so a box needs only the per-shell
+    histogram of the Plancherel-weighted ``|f_hat|^2`` (:func:`_shell_power`),
+    and ``u_l2_sq`` is the sum over the shells ``k^2 > 0`` of
+    ``hist / symbol^2``.
     """
     FractionalOrders((s1,), (s2,))
     points = []
@@ -249,15 +251,18 @@ def box_length_sweep(
         if n % 2 != 0:
             raise ValueError(f"box length {L} with spacing {spacing} gives odd n={n}")
         grid = Grid3(float(L), n)
-        hist, mean = _shell_power(influx, grid)
+        mean = _gaussian_sum_moments(influx, grid)[0]
+        if mean != 0.0:
+            logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
+        hist = _shell_power(influx, grid)
         symbol = two_exponent_symbol(_shell_wavenumbers(grid), s1, s2)
         u_l2_sq = float(np.sum(hist[1:] / (symbol[1:] * symbol[1:])))
         points.append(BoxSweepPoint(float(L), n, u_l2_sq, mean))
     return points
 
 
-def _shell_power(influx: Sequence[GaussianSpec], grid: Grid3) -> tuple[np.ndarray, float]:
-    """Per-shell sums of the Plancherel-weighted ``|f_hat|^2`` of a sampled Gaussian sum, and its mean integral.
+def _shell_power(influx: Sequence[GaussianSpec], grid: Grid3) -> np.ndarray:
+    """Per-shell sums of the Plancherel-weighted ``|f_hat|^2`` of a sampled Gaussian sum.
 
     Entry ``k^2`` of the histogram sums ``w |f_hat|^2`` over the modes of
     that shell.  The spectrum is built slab by slab in one reused buffer,
@@ -274,26 +279,17 @@ def _shell_power(influx: Sequence[GaussianSpec], grid: Grid3) -> tuple[np.ndarra
     hist = np.zeros(3 * (n // 2) ** 2 + 1)
     for rows in slabs:
         m = rows.stop - rows.start
-        coeff = _gaussian_rows(axes, rows, slab[:m])
-        if rows.start == 0:
-            mean = grid.cell_volume * float(coeff[0, 0, 0].real)
-            if mean != 0.0:
-                logger.debug("dropping zero-frequency mass %.6e from the right side", abs(mean) / TWO_PI_32)
-        pairs = coeff.view(np.float64)
+        pairs = _gaussian_rows(axes, rows, slab[:m]).view(np.float64)
         np.multiply(pairs, pairs, out=pairs)
         w = np.add(pairs[..., 0::2], pairs[..., 1::2], out=power[:m])
         w *= weights
         hist += np.bincount(_shell_rows(grid, rows).ravel(), w.ravel(), minlength=len(hist))
-    return hist, mean
+    return hist
 
 
 def fit_growth_exponent(points: Iterable[BoxSweepPoint]) -> float:
-    """Least-squares slope of log(u_l2_sq) against log(box_length)."""
+    """Least-squares slope of log(u_l2_sq) against log(box_length), by ``np.polyfit`` as the epsilon sweep fits it."""
     pts = list(points)
     if len(pts) < 2:
         raise ValueError("need at least two sweep points to fit a slope")
-    x = np.log([p.box_length for p in pts])
-    y = np.log([p.u_l2_sq for p in pts])
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(coef[0])
+    return float(np.polyfit(np.log([p.box_length for p in pts]), np.log([p.u_l2_sq for p in pts]), 1)[0])

@@ -369,6 +369,8 @@ class ProblemSpec:
 
     Every diffusion coefficient is one, so the spec has no field for them;
     couplings scale the kernels through the per-component factors ``epsilon``.
+    The component count is that of ``orders`` (:attr:`n_components`), which
+    refuses empty orders; every other per-component entry must match it.
     ``rho`` is the radius of the H2 ball the solutions are certified on.  A
     bad ``epsilon``, ``rho``, all-zero ``influxes`` or, for a coupled spec,
     an ``orders.s1`` outside the window (1/4, 3/4) raises
@@ -379,7 +381,6 @@ class ProblemSpec:
     orders: its solution map is zero.
     """
 
-    n_components: int
     orders: FractionalOrders
     epsilon: tuple[float, ...]
     kernels: tuple[tuple[GaussianSpec, ...], ...]
@@ -390,15 +391,11 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         n = self.n_components
-        if n < 1:
-            raise ValueError("need at least one component")
         eps = tuple(float(e) for e in self.epsilon)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "kernels", tuple(tuple(k) for k in self.kernels))
         object.__setattr__(self, "influxes", tuple(tuple(f) for f in self.influxes))
 
-        if self.orders.n_components != n:
-            raise ValueError("orders length does not match the number of components")
         if len(eps) != n or len(self.kernels) != n or len(self.influxes) != n:
             raise ValueError("epsilon, kernels and influxes must each have one entry per component")
         if self.nonlinearity.n_components != n:
@@ -413,6 +410,10 @@ class ProblemSpec:
             raise ConfigError("influxes", "at least one influx must be nontrivial")
         if self.is_nonlinear:
             _check_s1_window(self.orders.s1)
+
+    @property
+    def n_components(self) -> int:
+        return self.orders.n_components
 
     @property
     def is_nonlinear(self) -> bool:
@@ -451,6 +452,20 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+def _object(raw, path: str, allowed, required=()) -> dict:
+    """``raw`` if it is a JSON object with only ``allowed`` keys and every ``required`` one.
+
+    The one check of every object in a configuration, so each is refused in
+    the same words at its own path.
+    """
+    _expect(isinstance(raw, dict), path, "expected an object")
+    unknown = set(raw) - set(allowed)
+    _expect(not unknown, path, f"unknown keys {sorted(unknown)}")
+    missing = set(required) - set(raw)
+    _expect(not missing, path, f"missing keys {sorted(missing)}")
+    return raw
+
+
 def _is_int(v) -> bool:
     """A JSON integer; ``true`` and ``false`` are not, though Python counts them as ints."""
     return isinstance(v, int) and not isinstance(v, bool)
@@ -476,11 +491,8 @@ def _float_list(raw, path: str, n: int) -> list[float]:
 
 
 def _parse_gaussian(raw, path: str) -> GaussianSpec:
-    _expect(isinstance(raw, dict), path, "expected a gaussian object")
-    unknown = set(raw) - {"A", "a", "center"}
-    _expect(not unknown, path, f"unknown keys {sorted(unknown)}")
-    for key in ("A", "a", "center"):
-        _expect(key in raw, path, f"missing key {key!r}")
+    keys = ("A", "a", "center")
+    _object(raw, path, keys, keys)
     amplitude, width = _number(raw["A"], f"{path}.A"), _number(raw["a"], f"{path}.a")
     center = _float_list(raw["center"], f"{path}.center", 3)
     try:
@@ -503,18 +515,12 @@ def _parse_nonlinearity(raw, path: str, n: int) -> Nonlinearity:
     comps = []
     for m, entry in enumerate(raw):
         cpath = f"{path}[{m}]"
-        _expect(isinstance(entry, dict), cpath, "expected an object with 'monomials'")
-        unknown = set(entry) - {"monomials"}
-        _expect(not unknown, cpath, f"unknown keys {sorted(unknown)}")
-        monos_raw = entry.get("monomials", [])
+        monos_raw = _object(entry, cpath, ("monomials",)).get("monomials", [])
         _expect(isinstance(monos_raw, list), f"{cpath}.monomials", "expected a list")
         monos = []
         for i, mdef in enumerate(monos_raw):
             mpath = f"{cpath}.monomials[{i}]"
-            _expect(isinstance(mdef, dict), mpath, "expected an object")
-            unknown = set(mdef) - {"powers", "coeff"}
-            _expect(not unknown, mpath, f"unknown keys {sorted(unknown)}")
-            _expect("powers" in mdef and "coeff" in mdef, mpath, "needs 'powers' and 'coeff'")
+            _object(mdef, mpath, ("powers", "coeff"), ("powers", "coeff"))
             powers = mdef["powers"]
             _expect(
                 isinstance(powers, list) and len(powers) == n and all(_is_int(p) for p in powers),
@@ -543,19 +549,12 @@ def load_problem(config_text: str) -> ProblemSpec:
         raw = json.loads(config_text)
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON: {exc}") from exc
-    _expect(isinstance(raw, dict), "$", "top level must be an object")
-    unknown = set(raw) - _TOP_KEYS
-    _expect(not unknown, "$", f"unknown keys {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(raw)
-    _expect(not missing, "$", f"missing keys {sorted(missing)}")
+    _object(raw, "$", _TOP_KEYS, _REQUIRED_KEYS)
 
     n = raw["N"]
     _expect(_is_int(n) and n >= 1, "N", "expected a positive integer")
 
-    grid_raw = raw.get("grid", {"L": DEFAULT_BOX_LENGTH, "n": DEFAULT_POINTS})
-    _expect(isinstance(grid_raw, dict), "grid", "expected an object")
-    unknown = set(grid_raw) - {"L", "n"}
-    _expect(not unknown, "grid", f"unknown keys {sorted(unknown)}")
+    grid_raw = _object(raw.get("grid", {}), "grid", ("L", "n"))
     L = _number(grid_raw.get("L", DEFAULT_BOX_LENGTH), "grid.L")
     npts = grid_raw.get("n", DEFAULT_POINTS)
     _expect(_is_int(npts), "grid.n", "expected an integer")
@@ -564,11 +563,7 @@ def load_problem(config_text: str) -> ProblemSpec:
     except ValueError as exc:
         raise ConfigError("grid", str(exc)) from exc
 
-    orders_raw = raw["orders"]
-    _expect(isinstance(orders_raw, dict), "orders", "expected an object")
-    unknown = set(orders_raw) - {"s1", "s2"}
-    _expect(not unknown, "orders", f"unknown keys {sorted(unknown)}")
-    _expect("s1" in orders_raw and "s2" in orders_raw, "orders", "needs 's1' and 's2'")
+    orders_raw = _object(raw["orders"], "orders", ("s1", "s2"), ("s1", "s2"))
     s1 = _float_list(orders_raw["s1"], "orders.s1", n)
     s2 = _float_list(orders_raw["s2"], "orders.s2", n)
     try:
@@ -585,7 +580,6 @@ def load_problem(config_text: str) -> ProblemSpec:
 
     try:
         return ProblemSpec(
-            n_components=n,
             orders=orders,
             epsilon=tuple(epsilon),
             kernels=kernels,

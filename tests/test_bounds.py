@@ -95,7 +95,6 @@ def single_kernel_problem(kernels, s1=0.4, s2=0.8, grid=None):
     grid = grid or Grid3(20.0, 64)
     n = len(kernels)
     return ProblemSpec(
-        n_components=n,
         orders=FractionalOrders(tuple(s1 for _ in range(n)), tuple(s2 for _ in range(n))),
         epsilon=tuple(0.0 for _ in range(n)),
         kernels=tuple((k,) for k in kernels),

@@ -503,6 +503,76 @@ def test_solvability_command(demo_config, tmp_path):
     assert len(series) == 10  # header + 3 cases x 3 boxes
 
 
+def test_solvability_base_box_reads_the_mean_of_its_zero_mode_report(tmp_path):
+    # points[1] is the sweep on the problem's own grid, and the zero-mode
+    # report is taken there: both state the one mean (f, 1)
+    assert run_command(["solvability", "--config", "demo", "--grid", "32", "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    for case in report["results"]["cases"]:
+        assert case["points"][1]["box_length"] == report["args"]["box"]
+        assert case["points"][1]["mean_integral"] == case["solvability"]["mean_integral"]
+    dipole = {c["case"]: c for c in report["results"]["cases"]}["supercritical_dipole"]
+    assert dipole["points"][1]["mean_integral"] == 0.0
+
+
+def test_sweep_epsilon_refuses_a_solve_that_did_not_converge(tmp_path, capsys):
+    # one Picard step from zero is exactly linear in epsilon, so the slope
+    # check alone would pass though no solve converged
+    code = run_command(["sweep-epsilon", "--config", "demo", "--max-iter", "1", *small([], tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: fixed point failed to converge at epsilon=")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "leaf, value, message",
+    [
+        (("kernels", 0, 0, "A"), 1e154, "error: kernels: certificate constant H or Q is outside the float range"),
+        (("g", 0, "monomials", 0, "coeff"), 1e308, "error: g: certificate constant M is outside the float range"),
+        # M is finite here, sigma = M (u0_h2 + 1) sqrt(B*) is not
+        (("g", 0, "monomials", 0, "coeff"), 5e307, "error: $: certificate constant sigma is outside the float range"),
+        pytest.param(
+            ("influxes", 0, 0, "A"),
+            1e154,
+            "error: influxes: certificate constant u0_h2 is outside the float range",
+            # an overflowing H2 row power times p_x = 0 gives nan, with a warning
+            marks=pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning"),
+        ),
+    ],
+    ids=["kernel-amplitude", "coupling-coefficient", "coupling-times-kernels", "influx-amplitude"],
+)
+def test_certificate_constant_outside_the_float_range_is_named(leaf, value, message, tmp_path, capsys):
+    raw = json.loads(demo_config_text())
+    node = raw
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    code = run_command(small(["verify-bounds", "--config", str(path)], tmp_path, n=16))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [message]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_a_non_finite_report_number_ends_the_run_with_one_error_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(cli._HANDLERS, "solve-linear", lambda problem, args, dump: ({"x": float("inf")}, [], None, None))
+    assert run_command(small(["solve-linear", "--config", "demo"], tmp_path, n=16)) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: cannot write report: cannot serialize non-finite float inf"]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_continuity_tol_help_says_what_it_solves_at(capsys):
+    assert run_command(["continuity", "--help"]) == 0
+    assert "continuity always solves at 1e-11" in " ".join(capsys.readouterr().out.split())
+
+
 def test_determinism_modulo_wall_clock(demo_config, tmp_path):
     outs = []
     for name in ("a", "b"):

@@ -34,7 +34,6 @@ from dualfrac.spectral import _irfft, _rfft, _row_slabs, h2_distance, spectral_p
 def single_component_problem(grid=None, eps=0.01):
     grid = grid or Grid3(10.0, 16)
     return ProblemSpec(
-        n_components=1,
         orders=FractionalOrders((0.4,), (0.8,)),
         epsilon=(eps,),
         kernels=((GaussianSpec(1.0, 1.0),),),

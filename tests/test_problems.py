@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import re
 
@@ -157,7 +158,6 @@ def test_a_spec_is_refused_exactly_when_coupled_outside_the_window(s1, epsilon, 
 
     def spec(eps, nonlinearity):
         return ProblemSpec(
-            n_components=2,
             orders=FractionalOrders(tuple(s1), tuple(s2)),
             epsilon=tuple(eps),
             kernels=DEMO_SPEC.kernels,
@@ -192,6 +192,72 @@ def test_missing_required_key_rejected():
     del doc["orders"]
     with pytest.raises(ConfigError, match="missing keys"):
         load_problem(json.dumps(doc))
+
+
+# Every object of a configuration: where it sits in the demo, the path an
+# error names it by, and its required keys.
+CONFIG_OBJECTS = [
+    ((), "$", ("N", "orders", "epsilon", "kernels", "influxes", "g")),
+    (("grid",), "grid", ()),
+    (("orders",), "orders", ("s1", "s2")),
+    (("kernels", 1, 0), "kernels[1][0]", ("A", "a", "center")),
+    (("g", 0), "g[0]", ()),
+    (("g", 1, "monomials", 0), "g[1].monomials[0]", ("powers", "coeff")),
+]
+OBJECT_FAULTS = [
+    (where, path, fault)
+    for where, path, required in CONFIG_OBJECTS
+    for fault in ["not an object", "unknown key"] + [f"missing {key}" for key in required]
+]
+
+
+@pytest.mark.parametrize("where, path, fault", OBJECT_FAULTS, ids=[f"{p}-{f}" for _, p, f in OBJECT_FAULTS])
+def test_every_config_object_is_refused_in_one_wording_at_its_path(where, path, fault):
+    doc = demo_dict()
+    obj = doc
+    for key in where:
+        obj = obj[key]
+    if fault == "not an object":
+        if where:
+            _set_leaf(doc, where, [1.0])
+        else:
+            doc = [1.0]
+        message = "expected an object"
+    elif fault == "unknown key":
+        obj["extra"] = 1
+        message = "unknown keys ['extra']"
+    else:
+        key = fault.removeprefix("missing ")
+        del obj[key]
+        message = f"missing keys [{key!r}]"
+    with pytest.raises(ConfigError) as excinfo:
+        load_problem(json.dumps(doc))
+    assert excinfo.value.path == path
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("field", ["epsilon", "kernels", "influxes", "g", "orders.s1", "orders.s2"])
+def test_a_list_whose_length_is_not_n_is_refused_naming_it(field):
+    for extra in (False, True):
+        doc = demo_dict()
+        *parents, last = field.split(".")
+        obj = doc
+        for key in parents:
+            obj = obj[key]
+        if extra:
+            obj[last].append(copy.deepcopy(obj[last][0]))
+        else:
+            obj[last].pop()
+        with pytest.raises(ConfigError) as excinfo:
+            load_problem(json.dumps(doc))
+        assert excinfo.value.path == field
+
+
+def test_n_components_is_the_orders_count(demo):
+    # the component count is stated once, by the orders
+    assert "n_components" not in {f.name for f in dataclasses.fields(ProblemSpec)}
+    assert demo.n_components == demo.orders.n_components == 2
+    assert demo.with_epsilon(0.0).n_components == 2
 
 
 def test_grid_defaults_applied():
