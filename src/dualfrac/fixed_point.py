@@ -8,7 +8,10 @@ the certified threshold the map contracts on the radius-rho ball in the
 product H2 norm and plain Picard iteration converges geometrically.
 Both rho and u0 come from the problem: rho is ``ProblemSpec.rho``, whose
 constructor rejects values outside (0, 1], and u0 is the problem's plan
-u0 (:func:`~dualfrac.poisson.solve_linear_system`).
+u0 (:func:`~dualfrac.poisson.solve_linear_system`).  The Picard path holds
+no real-space u0: each ``u0 + v`` is one inverse transform of
+``u0_hat + v_hat`` (:meth:`~dualfrac.spectral.SpectralPlan.u0_plus`) from
+the iterate's half spectrum.
 
 No function here checks the fractional orders.  A coupled problem's first
 orders lie in the window (1/4, 3/4), as :class:`~dualfrac.problems.ProblemSpec`
@@ -40,6 +43,7 @@ from .grid import NormReport, VectorField
 from .poisson import solve_linear_system
 from .problems import Nonlinearity, ProblemSpec
 from .spectral import (  # noqa: F401  (forward_transform stays importable from here)
+    SpectralPlan,
     _band_limit,
     _h2_gap,
     _h2_power,
@@ -79,14 +83,15 @@ class FixedPointResult:
     """Converged state of the Picard iteration.
 
     ``u_p_norms`` is ``vector_norms(u_p)`` and ``u_norms`` is
-    ``vector_norms(u)``; u itself is not stored, and :attr:`u` forms it on
-    request.  u0 is the plan's, values only; u_p carries its half
-    spectrum.  ``converged`` implies the final step norm and the relative
-    system residual are both at or below the configured tolerance and that
-    u_p stayed inside the radius-rho ball.
+    ``vector_norms(u)``.  u_p carries its half spectrum; neither u nor u0
+    is stored.  :attr:`u` forms u on request as the solve formed it for its
+    residual, and :attr:`u0` reads the plan's u0, whose values the plan
+    builds when no caller holds them.  ``converged`` implies the final step norm and
+    the relative system residual are both at or below the configured
+    tolerance and that u_p stayed inside the radius-rho ball.
     """
 
-    u0: VectorField
+    plan: SpectralPlan
     u_p: VectorField
     u_p_norms: NormReport
     u_norms: NormReport
@@ -98,9 +103,14 @@ class FixedPointResult:
     bounds: BoundsContext
 
     @property
+    def u0(self) -> VectorField:
+        """The plan's u0: values only, read-only."""
+        return self.plan.u0
+
+    @property
     def u(self) -> VectorField:
-        """The assembled solution ``u0 + u_p``: values only, as u0 carries no spectrum."""
-        return self.u0 + self.u_p
+        """The assembled solution ``u0 + u_p``, values only: one inverse transform of ``u0_hat + u_p``'s spectrum."""
+        return VectorField(self.u_p.grid, self.plan.u0_plus(self.u_p.spectrum))
 
 
 def _check_field(v: VectorField, problem: ProblemSpec) -> None:
@@ -114,7 +124,9 @@ def apply_tau(v: VectorField, problem: ProblemSpec) -> VectorField:
     """One application of the solution map: v -> solve(eps_m * H_m * g_m(u0 + v)).
 
     u0 is the problem's plan u0.  The coupling is evaluated pointwise on
-    ``u0 + v``; convolution with each kernel and inversion of the linear
+    ``u0 + v``, formed from v's carried half spectrum (one transform of v
+    when it carries none) by :meth:`~dualfrac.spectral.SpectralPlan.u0_plus`,
+    as the Picard loop forms it; convolution with each kernel and inversion of the linear
     operator (drop zero-mode policy) are one multiplication by each
     component's transfer on the half lattice
     (:meth:`~dualfrac.spectral.SpectralPlan.scale_by_transfer`), between one
@@ -124,8 +136,10 @@ def apply_tau(v: VectorField, problem: ProblemSpec) -> VectorField:
     released as soon as it is consumed.
     """
     _check_field(v, problem)
-    u0 = solve_linear_system(problem)
-    coeff = _tau_spectrum(u0.values + v.values, problem, _ball_radius(problem))
+    spectrum = _rfft(v.values) if v.spectrum is None else v.spectrum
+    coeff = _tau_spectrum(spectral_plan(problem).u0_plus(spectrum), problem, _ball_radius(problem))
+    if not np.isfinite(coeff).all():
+        raise ValueError("image of the solution map is not finite")
     return VectorField(problem.grid, _irfft(coeff, problem.grid), coeff)
 
 
@@ -139,12 +153,14 @@ def _tau_spectrum(z: np.ndarray, problem: ProblemSpec, ball_radius: float) -> np
     slab by slab (:meth:`~dualfrac.spectral.SpectralPlan.scale_by_transfer`).
     z is overwritten with g(z) (:func:`_coupling_in_place`), which is
     transformed from that buffer; the caller drops z when the step returns.
+    A finite g(z) whose image overflows gives non-finite coefficients, with
+    no numpy warning: every caller tests the image.
     """
     max_sq, not_finite = _coupling_in_place(z, problem.nonlinearity)
     max_len = math.sqrt(max_sq)
     if max_len > ball_radius:
         logger.warning(
-            "pointwise argument length %.6f left the coupling ball of radius %.6f; "
+            "pointwise argument length %.6g left the coupling ball of radius %.6g; "
             "the coefficient bound no longer covers these values",
             max_len,
             ball_radius,
@@ -152,10 +168,12 @@ def _tau_spectrum(z: np.ndarray, problem: ProblemSpec, ball_radius: float) -> np
     if not_finite:
         raise ValueError(f"coupling output for component {min(not_finite)} is not finite")
     coeff = _rfft(z)
-    coeff *= np.asarray(problem.epsilon)[:, None, None, None]
     plan = spectral_plan(problem)
-    for m, c in enumerate(coeff):
-        plan.scale_by_transfer(c, m)
+    # an image that overflows is the callers' to test, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff *= np.asarray(problem.epsilon)[:, None, None, None]
+        for m, c in enumerate(coeff):
+            plan.scale_by_transfer(c, m)
     return coeff
 
 
@@ -168,18 +186,20 @@ def _coupling_in_place(z: np.ndarray, nonlinearity: Nonlinearity) -> tuple[float
     components that are not finite, and writes g back over that slab of z:
     bitwise ``eval_components(z)``, with no stacked g(z) beside z.  Returns
     the largest |z|^2 (NaN if any is, as ``np.max`` over the whole array
-    gives) and the components whose g is not finite somewhere.
+    gives) and the components whose g is not finite somewhere.  Overflow
+    is not warned about: the caller tests what it returns.
     """
     max_sq = 0.0
     not_finite = set()
     for rows in _row_slabs(z.shape[1]):
         z_rows = z[:, rows]
-        term = np.einsum("i...,i...->...", z_rows, z_rows)
-        max_sq = np.maximum(max_sq, np.max(term))
         g_rows = np.empty(z_rows.shape)
-        for m, acc in enumerate(g_rows):
-            if not np.isfinite(nonlinearity.eval_component(z_rows, m, acc, term)).all():
-                not_finite.add(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = np.einsum("i...,i...->...", z_rows, z_rows)
+            max_sq = np.maximum(max_sq, np.max(term))
+            for m, acc in enumerate(g_rows):
+                if not np.isfinite(nonlinearity.eval_component(z_rows, m, acc, term)).all():
+                    not_finite.add(m)
         z_rows[...] = g_rows
     return float(max_sq), not_finite
 
@@ -197,9 +217,25 @@ def solve_fixed_point(
     ball is the problem's: the bounds are ``build_bounds_context(problem)``
     and u_p must end inside radius ``problem.rho``.  A coupling above the
     certified threshold only logs a warning: the threshold is sufficient,
-    not necessary.
+    not necessary.  A step whose coupling output or step norm is not
+    finite raises a ``ValueError`` that names the step and, above the
+    threshold, the coupling against it.
+
+    The iterate is its half spectrum alone, and no real-space u0 is held
+    through the loop.  From v = 0 the first z is a copy of the linear
+    solve's u0, read before the bounds so that one pass builds u0's values
+    and the norms they read; from v0 the bounds read u0's norms alone, in
+    a pass that drops its values.  Every later z is formed by
+    :meth:`~dualfrac.spectral.SpectralPlan.u0_plus`, and a step holds z,
+    the iterate's spectrum and the new one.  The residual stage holds u,
+    formed the same way, u_p's spectrum and one component's transforms;
+    u_p's values are built after it.  v0 is read, never written.
     """
-    u0 = solve_linear_system(problem)
+    plan = spectral_plan(problem)
+    z = None
+    if v0 is None:
+        # the plan drops u0 once no caller holds it: only the copy is kept
+        z = np.array(solve_linear_system(problem).values)
     # a trivial coupling leaves nothing to bound; size the ball nominally
     ctx = build_bounds_context(problem, M=1.0 if problem.nonlinearity.is_trivial else None)
     if ctx.epsilon > ctx.epsilon_max:
@@ -212,35 +248,37 @@ def solve_fixed_point(
 
     grid = problem.grid
     if v0 is None:
-        v = VectorField.zeros(grid, problem.n_components)
+        spectrum = np.zeros((problem.n_components,) + plan.lattice_shape, dtype=np.complex128)
     else:
         _check_field(v0, problem)
-        # the iterates are the loop's own, so the caller's values are copied;
-        # the step norms are taken from carried half spectra
-        values = v0.values.copy()
-        v = VectorField(grid, values, _rfft(values) if v0.spectrum is None else v0.spectrum)
-        start_norm = vector_norms(v).h2
-        if start_norm > problem.rho:
+        spectrum = _rfft(v0.values) if v0.spectrum is None else v0.spectrum
+        start_norm = math.sqrt(sum(_h2_power(spectrum, grid)))
+        if not start_norm <= problem.rho:  # a norm that overflowed to nan warns too
             logger.warning(
-                "starting point has H2 norm %.6f outside the radius-%s ball; "
+                "starting point has H2 norm %.6g outside the radius-%s ball; "
                 "behavior out there is uncharacterized",
                 start_norm,
                 problem.rho,
             )
 
-    # Each z = u0 + v is formed in the iterate's values buffer, which the
-    # step overwrites and the loop drops on return.  The step norm is taken,
-    # and the previous spectrum dropped, before the inverse transform.
+    # The iterate is its half spectrum alone.  Each later z = u0 + v is one
+    # inverse transform of u0_hat + v_hat, which the step overwrites with
+    # g(z); z is dropped before the step norm is taken, and the previous
+    # spectrum once it is.
     step_norms: list[float] = []
-    for _ in range(max_iter):
-        z = np.add(u0.values, v.values, out=v.values)
-        spectrum = v.spectrum
-        del v
-        coeff = _tau_spectrum(z, problem, ctx.I_radius)
-        del z
+    for k in range(1, max_iter + 1):
+        if z is None:
+            z = plan.u0_plus(spectrum)
+        try:
+            coeff = _tau_spectrum(z, problem, ctx.I_radius)
+        except ValueError as exc:
+            raise _step_error(k, str(exc), ctx) from None
+        z = None
         step = _h2_gap(coeff, spectrum, grid)
-        del spectrum
-        v = VectorField(grid, _irfft(coeff, grid), coeff)
+        spectrum = coeff
+        if not math.isfinite(step):
+            # the weights are positive: the sum is finite when every coefficient is
+            raise _step_error(k, "the H2 step norm is not finite", ctx)
         step_norms.append(step)
         if step <= tol:
             break
@@ -256,24 +294,21 @@ def solve_fixed_point(
             )
 
     ratios = [b / a for a, b in zip(step_norms, step_norms[1:]) if a > 0.0]
-    u_p_norms = vector_norms(v)
-    # u is formed in the iterate's values buffer and dropped once its
-    # residual and norms are taken, the H2 terms of its norms from the
-    # residual's own transforms of u; u_p's values are then rebuilt from
-    # its carried spectrum, as the loop made them
-    spectrum = v.spectrum
-    u = VectorField(grid, np.add(u0.values, v.values, out=v.values))
-    del v
+    # u is formed as each z was, and dropped once its residual and norms are
+    # taken, the H2 terms of its norms from the residual's own transforms of
+    # u; u_p's values are then built from its spectrum
+    u = VectorField(grid, plan.u0_plus(spectrum))
     residual, l2_sq, lap_sq = _residual_and_h2_terms(u, problem)
     u_norms = _norms_with_h2_terms(u, l2_sq, lap_sq)
     del u
-    v = VectorField(grid, _irfft(spectrum, grid), spectrum)
+    u_p = VectorField(grid, _irfft(spectrum, grid), spectrum)
+    u_p_norms = vector_norms(u_p)
     converged = bool(
         step_norms and step_norms[-1] <= tol and residual <= tol and u_p_norms.h2 <= problem.rho * (1 + 1e-12)
     )
     return FixedPointResult(
-        u0=u0,
-        u_p=v,
+        plan=plan,
+        u_p=u_p,
         u_p_norms=u_p_norms,
         u_norms=u_norms,
         iterations=len(step_norms),
@@ -283,6 +318,13 @@ def solve_fixed_point(
         converged=converged,
         bounds=ctx,
     )
+
+
+def _step_error(k: int, what: str, ctx: BoundsContext) -> ValueError:
+    """The error of Picard step ``k``, naming the coupling when it lies above the certified threshold."""
+    if ctx.epsilon > ctx.epsilon_max:
+        what += f" (coupling {ctx.epsilon:.6g} exceeds the certified threshold {ctx.epsilon_max:.6g})"
+    return ValueError(f"Picard step {k}: {what}")
 
 
 def sample_ball(
@@ -357,7 +399,9 @@ def system_residual(u: VectorField, problem: ProblemSpec) -> float:
     modes (matching the drop zero-mode policy), normalized by the L2 norm
     of the influx vector.  u and g(u) are transformed afresh from their
     real-space values, whatever spectrum u carries, so the residual checks
-    the values a report is written from.  It works one component at a
+    the values a report is written from: :func:`solve_fixed_point` forms u,
+    as :attr:`FixedPointResult.u` does, by one inverse transform of
+    ``u0_hat + u_p_hat``.  It works one component at a
     time: g_m(u) is evaluated slab by slab over x rows, as in
     :func:`_tau_spectrum`, so its monomial buffer is slab-sized
     (:meth:`Nonlinearity.eval_component`), then transformed, and its values

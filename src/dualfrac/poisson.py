@@ -199,10 +199,12 @@ def solve_linear_system(problem) -> VectorField:
 
     The drop zero-mode policy applies.  The result is the problem's shared
     :class:`~dualfrac.spectral.SpectralPlan` u0: it carries no spectrum
-    (its norms are the plan's ``u0_norms``, taken from the division
-    spectrum before the plan dropped it) and its values are read-only
-    (writing into them raises ``ValueError``), so every caller sees the
-    same u0; copy to edit.
+    (its norms are the plan's ``u0_norms``, taken on each component's
+    division spectrum in the pass that builds the values) and its values
+    are read-only (writing into them raises ``ValueError``), so every
+    caller sees the same u0 while one holds it; copy to edit.  The plan
+    keeps u0 only while a caller holds it, so a caller that reads u0's
+    norms after its values holds u0 across both, and one pass builds them.
     """
     return spectral_plan(problem).u0
 

@@ -9,9 +9,12 @@ a :class:`VectorField`; the public :class:`Spectrum` transforms only add
 the continuum normalization and the mirrored upper half of the ``fftn``
 layout.  The ball sampler's band limit runs the same passes pruned to the
 modes it keeps (:func:`_band_limit`).  :class:`SpectralPlan` holds the
-per-problem kernel pieces, from which it applies the transfer slab by slab
-(:meth:`SpectralPlan.scale_by_transfer`), and the linear response u0, as
-values and norms.  No array of lattice size derived from |p| is kept.  On
+per-problem 1-D pieces, from which it applies the transfer slab by slab
+(:meth:`SpectralPlan.scale_by_transfer`) and forms the linear response u0's
+spectrum inside an inverse transform (:meth:`SpectralPlan.u0_plus`), so
+``u0 + v`` is one inverse transform of ``u0_hat + v_hat`` and u0's values
+exist only when they are read.  No array of lattice size derived from |p|
+is kept.  On
 the lattice ``|p|^2 = (2 pi / L)^2 k^2`` with ``k^2`` an integer shell of
 at most ``3 (n/2)^2``, so every |p|-dependent factor (a symbol, Q's filter,
 the regularity identity's powers) is a 1-D table over the shells, made from
@@ -25,7 +28,8 @@ sums are separable, so their spectra are outer products of 1-D transforms
 (:func:`_gaussian_axis_spectra`, :func:`_gaussian_rows`), never a 3-D
 transform of samples; the plan keeps only the influxes' and the kernels'
 1-D axis spectra, rebuilds one influx spectrum when asked for it and forms
-the transfer one slab at a time when it applies it.  Plans are immutable:
+the transfer and u0's spectrum one slab at a time when it applies them.
+Plans are immutable:
 every piece is computed once, on first use and under the plan's lock, and
 its arrays are read-only, so one plan is safe to share across the
 ``sweep-epsilon`` thread pool.
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -219,20 +224,24 @@ def _irfft(coeff: np.ndarray, grid: Grid3) -> np.ndarray:
 
     The passes of ``numpy.fft.irfftn``, bitwise the same values, run one
     leading component at a time: each component is copied into one work
-    buffer, its complex passes run in place there, and the last pass writes
-    straight into the preallocated output.  Callers keep ``coeff`` as the
-    result's carried spectrum, and the transient copy is one component's,
-    not the whole stack's.
+    buffer, where :func:`_irfft_in_place` inverts it into the preallocated
+    output.  Callers keep ``coeff`` as the result's carried spectrum, and the
+    transient copy is one component's, not the whole stack's.
     """
     lead = coeff.shape[:-3]
     out = np.empty(lead + grid.shape)
     work = np.empty_like(coeff[(0,) * len(lead)])
     for i in np.ndindex(lead):
         np.copyto(work, coeff[i])
-        np.fft.ifft(work, axis=-3, out=work)
-        np.fft.ifft(work, axis=-2, out=work)
-        np.fft.irfft(work, n=grid.shape[-1], axis=-1, out=out[i])
+        _irfft_in_place(work, grid, out[i])
     return out
+
+
+def _irfft_in_place(work: np.ndarray, grid: Grid3, out: np.ndarray) -> np.ndarray:
+    """``irfftn`` of one component's coefficients into ``out``; the complex passes overwrite ``work``."""
+    np.fft.ifft(work, axis=-3, out=work)
+    np.fft.ifft(work, axis=-2, out=work)
+    return np.fft.irfft(work, n=grid.shape[-1], axis=-1, out=out)
 
 
 def _band_limit(values: np.ndarray, grid: Grid3) -> np.ndarray:
@@ -346,8 +355,9 @@ def _h2_power(coeff: np.ndarray, grid: Grid3) -> tuple[float, float]:
     sums with the weights w, w t and w t^2, and the first of them is the
     row's L2 term: no |p|-derived array of lattice size is formed.  Leading
     axes (stacked components) are summed too.  The rows are added by
-    ``np.sum``, so an overflowing term gives a non-finite result that
-    callers can test, where ``math.fsum`` would raise.
+    ``np.sum``, so an overflowing term gives a non-finite result, formed
+    without a numpy warning, that callers can test, where ``math.fsum``
+    would raise.
     """
     n = grid.points_per_axis
     p_sq = grid.frequency_axis**2
@@ -358,7 +368,10 @@ def _h2_power(coeff: np.ndarray, grid: Grid3) -> tuple[float, float]:
     l2_rows = _row_power(coeff, w)
     t_rows = _row_power(coeff, np.multiply(w, t, out=w))
     tt_rows = _row_power(coeff, np.multiply(w, t, out=w))
-    return float(np.sum(l2_rows)), float(np.sum(p_sq**2 * l2_rows + 2.0 * p_sq * t_rows + tt_rows))
+    # an overflowing row power meets p_x = 0 as 0 * inf: the nan is the caller's to test
+    with np.errstate(over="ignore", invalid="ignore"):
+        lap_rows = p_sq**2 * l2_rows + 2.0 * p_sq * t_rows + tt_rows
+    return float(np.sum(l2_rows)), float(np.sum(lap_rows))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -521,19 +534,23 @@ def _relative(defect: float, reference: float) -> float:
 class SpectralPlan:
     """Spectral data of one ``(orders, kernels, influxes, grid)`` on the half lattice.
 
-    The one lattice-size array it keeps is u0's values.  No symbol of
-    lattice size is kept: each component's is a 1-D table over the shells
-    ``k^2`` (:attr:`symbols`), which every reader, the plan's divisions by
-    its inverse included, applies with :func:`_scale_by_shells`.  u0 is kept
-    as values alone, with its norms; its spectrum, the influx spectra
-    divided by the symbols, lives only while u0 is built.  The influx
-    spectra are not kept either; the plan caches only the influx Gaussians'
-    1-D axis spectra, from which u0 is built and :meth:`influx_spectrum`
-    rebuilds one component's f_hat on request.  Nor is the transfer kept:
-    the plan caches the kernels' sign-flipped 1-D axis spectra and the
-    inverse-symbol tables, and :meth:`scale_by_transfer` forms the transfer
-    from them one slab at a time as it multiplies a spectrum by it.
-    Couplings and nonlinearities are not part of the plan, so
+    Between calls it keeps no array of lattice size but u0's values while a
+    caller holds them.  No symbol of lattice size is kept: each component's is
+    a 1-D table over the shells ``k^2`` (:attr:`symbols`), which every
+    reader, the plan's divisions by its inverse (:attr:`inverse_symbols`)
+    included, applies with :func:`_scale_by_shells` or gathers slab by slab
+    (:func:`_shell_factors`).  Neither u0 nor the influx spectra are kept:
+    the plan caches the influx Gaussians' 1-D axis spectra, from which
+    :meth:`influx_spectrum` rebuilds one component's f_hat on request and
+    :meth:`u0_plus` forms u0's spectrum, f_hat / symbol, one component at a
+    time in an inverse transform's work buffer.  So ``u0 + v`` is one
+    inverse transform of ``u0_hat + v_hat``, and u0's values (:attr:`u0`)
+    are built only when they are read, with their norms in the same pass;
+    :attr:`u0_norms` read first builds them in a transient buffer.  Nor is
+    the transfer kept: the plan caches the kernels' sign-flipped 1-D axis
+    spectra, and :meth:`scale_by_transfer` forms the transfer from them and
+    the inverse-symbol tables one slab at a time as it multiplies a spectrum
+    by it.  Couplings and nonlinearities are not part of the plan, so
     ``with_epsilon``/``with_nonlinearity`` variants of a problem share one.
     Pieces are built on first use: a linear solve realizes nothing, and no
     piece realizes the influxes in real space.
@@ -553,6 +570,7 @@ class SpectralPlan:
         n = grid.points_per_axis
         self.lattice_shape = (n, n, n // 2 + 1)
         self._lock = threading.RLock()
+        self._u0_ref: weakref.ref | None = None
 
     @_once
     def symbols(self) -> tuple[np.ndarray, ...]:
@@ -563,6 +581,11 @@ class SpectralPlan:
         """
         p = _shell_wavenumbers(self.grid)
         return tuple(_frozen(two_exponent_symbol(p, s1, s2)) for s1, s2 in zip(self.orders.s1, self.orders.s2))
+
+    @_once
+    def inverse_symbols(self) -> tuple[np.ndarray, ...]:
+        """:func:`_inverse_symbol` of each of :attr:`symbols`, read-only: the division by the operator, p = 0 dropped."""
+        return tuple(_frozen(_inverse_symbol(symbol)) for symbol in self.symbols)
 
     @_once
     def _influx_axis_spectra(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -578,20 +601,90 @@ class SpectralPlan:
         """
         return _gaussian_rows(self._influx_axis_spectra[m], out=out)
 
+    def _u0_spectrum(
+        self, m: int, out: np.ndarray, add: np.ndarray | None = None, influx_rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Write u0's half spectrum for component ``m``, f_hat / symbol with p = 0 dropped, into ``out``.
+
+        It is formed one slab of rows at a time (:func:`_shell_factors`):
+        the slab's f_hat rows (:func:`_gaussian_rows`), scaled by the
+        inverse symbol, plus the slab of ``add`` when one is given.  With
+        ``influx_rows`` each row's Plancherel power of f_hat
+        (:func:`_row_power`) is written there first, for the influx norm.
+        """
+        g = self.grid
+        if influx_rows is not None:
+            w = _plancherel_weights(g)
+        for rows, factor in _shell_factors(self.inverse_symbols[m], g):
+            c = _gaussian_rows(self._influx_axis_spectra[m], rows, out=out[rows])
+            if influx_rows is not None:
+                influx_rows[rows] = _row_power(c, w)
+            c *= factor
+            if add is not None:
+                c += add[rows]
+        return out
+
+    def u0_plus(self, coeff: np.ndarray | None = None) -> np.ndarray:
+        """Real values of ``u0 + v`` from v's stacked half spectrum ``coeff``; u0's own when it is None.
+
+        One inverse transform of ``u0_hat + v_hat`` per component: u0_hat
+        is formed, and v_hat added, slab by slab in the transform's work
+        buffer (:meth:`_u0_spectrum`), which :func:`_irfft_in_place` then
+        inverts into the component's values.  So no u0 of lattice size is
+        read or kept, and the transient beside the result is one
+        component's spectrum.  A new writable array on every call.
+        """
+        out = np.empty((len(self.influxes),) + self.grid.shape)
+        work = np.empty(self.lattice_shape, dtype=np.complex128)
+        for m, values in enumerate(out):
+            self._u0_spectrum(m, work, None if coeff is None else coeff[m])
+            _irfft_in_place(work, self.grid, values)
+        return out
+
+    def _linear_pass(self) -> tuple[np.ndarray, float, NormReport]:
+        # u0's values, bitwise as u0_plus() forms them, the influx norm from
+        # the per-row powers of f_hat, and u0's norms, whose H2 terms are
+        # each component's u0_hat's before its inverse transform overwrites it
+        g = self.grid
+        values = np.empty((len(self.influxes),) + g.shape)
+        work = np.empty(self.lattice_shape, dtype=np.complex128)
+        influx_rows = np.empty((len(self.influxes), g.points_per_axis))
+        l2_sq = lap_sq = 0.0
+        for m, out in enumerate(values):
+            self._u0_spectrum(m, work, influx_rows=influx_rows[m])
+            terms = _h2_power(work, g)
+            l2_sq += terms[0]
+            lap_sq += terms[1]
+            _irfft_in_place(work, g, out)
+        del work
+        norms = _norms_with_h2_terms(VectorField(g, values), l2_sq, lap_sq)
+        return values, math.sqrt(np.sum(influx_rows)), norms
+
     @_once
-    def _linear_pieces(self) -> tuple[float, VectorField, NormReport]:
-        # One stack of influx spectra gives the influx norm, then is scaled
-        # in place by the inverse symbols, zero mode dropped, to become u0's
-        # spectrum, which gives u0's values and norms and is then dropped.
-        coeff = np.empty((len(self.influxes),) + self.lattice_shape, dtype=np.complex128)
-        for m, acc in enumerate(coeff):
-            self.influx_spectrum(m, out=acc)
-        influx_l2 = math.sqrt(np.sum(_row_power(coeff, _plancherel_weights(self.grid))))
-        for acc, symbol in zip(coeff, self.symbols):
-            _scale_by_shells(acc, _inverse_symbol(symbol), self.grid)
-        values = _frozen(_irfft(coeff, self.grid))
-        norms = vector_norms(VectorField(self.grid, values, coeff))
-        return influx_l2, VectorField(self.grid, values), norms
+    def _linear_pieces(self) -> tuple[float, NormReport]:
+        # read while no caller holds u0: its values are built for the pass and dropped
+        return self._linear_pass()[1:]
+
+    @property
+    def u0(self) -> VectorField:
+        """Linear response to the influxes, zero mode dropped; values only, read-only.
+
+        Bitwise ``u0_plus()``.  Built on read, with its norms in the same
+        pass unless they were taken before, and kept by the plan only while
+        a caller holds it (a weak reference): a plan that no caller reads
+        u0 from holds no lattice-size array between calls.
+        """
+        with self._lock:
+            u0 = None if self._u0_ref is None else self._u0_ref()
+            if u0 is None:
+                if "_linear_pieces" in self.__dict__:
+                    values = self.u0_plus()
+                else:
+                    values, *pieces = self._linear_pass()
+                    self.__dict__["_linear_pieces"] = tuple(pieces)
+                u0 = VectorField(self.grid, _frozen(values))
+                self._u0_ref = weakref.ref(u0)
+            return u0
 
     @property
     def influx_l2(self) -> float:
@@ -599,24 +692,19 @@ class SpectralPlan:
         return self._linear_pieces[0]
 
     @property
-    def u0(self) -> VectorField:
-        """Linear response to the influxes, zero mode dropped; values only, read-only."""
+    def u0_norms(self) -> NormReport:
+        """:func:`vector_norms` of u0, its H2 terms taken on u0_hat, component by component."""
         return self._linear_pieces[1]
 
-    @property
-    def u0_norms(self) -> NormReport:
-        """:func:`vector_norms` of u0, taken on its division spectrum before that is dropped."""
-        return self._linear_pieces[2]
-
     @_once
-    def _kernel_pieces(self) -> tuple[tuple[float, float], tuple, tuple[np.ndarray, ...]]:
+    def _kernel_pieces(self) -> tuple[tuple[float, float], tuple]:
         # H is a real-space L1 norm: each kernel is realized, one at a time,
         # for it alone, and its |values| taken in place.  Q and the transfer
         # read the separable spectra, where the centred kernel contributes
         # h^3 * phase * c_h (continuum convolution theorem); the phase's
-        # exact axis sign flips go on the 1-D spectra, which are kept with
-        # the inverse-symbol tables.  Q's filtered spectra are formed one
-        # component at a time in one reused buffer.
+        # exact axis sign flips go on the 1-D spectra, which are kept.  Q's
+        # filtered spectra are formed one component at a time in one reused
+        # buffer.
         g = self.grid
         h_sq = 0.0
         for k in self.kernels:
@@ -633,8 +721,7 @@ class SpectralPlan:
         for s1, axes in zip(self.orders.s1, signed):
             _gaussian_rows(axes, out=filtered)
             q_sq += nonzero_mode_l2(_scale_by_shells(filtered, p ** (2.0 * (1.0 - s1)), g), g) ** 2
-        inverse = tuple(_frozen(_inverse_symbol(symbol)) for symbol in self.symbols)
-        return (math.sqrt(h_sq), math.sqrt(q_sq)), signed, inverse
+        return (math.sqrt(h_sq), math.sqrt(q_sq)), signed
 
     @property
     def kernel_constants(self) -> tuple[float, float]:
@@ -653,10 +740,10 @@ class SpectralPlan:
         the inverse-symbol shell table, so no transfer of lattice size exists
         and concurrent calls share nothing they write.
         """
-        _, signed, inverse = self._kernel_pieces
+        signed = self._kernel_pieces[1]
         g = self.grid
         buffer = np.empty((_row_slabs(g.points_per_axis)[0].stop,) + self.lattice_shape[1:], dtype=np.complex128)
-        for rows, factor in _shell_factors(inverse[m], g):
+        for rows, factor in _shell_factors(self.inverse_symbols[m], g):
             t = _gaussian_rows(signed[m], rows, out=buffer[: len(factor)])
             t *= g.cell_volume
             t *= factor

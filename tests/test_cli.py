@@ -431,16 +431,25 @@ def test_assertion_failure_exits_1(demo_config, tmp_path, capsys):
     assert report["passed"] is False
 
 
-def test_dump_fields_snapshots(demo_config, tmp_path):
+def test_dump_fields_snapshots(demo_config, demo32, tmp_path):
     code = run_command(
         small(["solve", "--config", str(demo_config), "--dump-fields"], tmp_path)
     )
     assert code == 0
-    snap = tmp_path / "out" / "u_0.fsf"
-    assert snap.exists()
-    field, component = read_snapshot(snap)
-    assert component == 0
-    assert field.grid.points_per_axis == 32
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    # the snapshots are bitwise the fields the solve checked: u as formed
+    # for its residual, the plan's u0 and u_p; their L2 norms are the report's
+    result = fixed_point.solve_fixed_point(demo32)
+    fields = {"u": result.u, "u0": result.u0, "u_p": result.u_p}
+    for name, field in fields.items():
+        l2_sq = 0.0
+        for m in range(demo32.n_components):
+            snap, component = read_snapshot(tmp_path / "out" / f"{name}_{m}.fsf")
+            assert component == m
+            assert snap.grid == demo32.grid
+            assert np.array_equal(snap.values.view(np.uint64), field.values[m].view(np.uint64))
+            l2_sq += demo32.grid.cell_volume * np.sum(snap.values**2)
+        assert np.sqrt(l2_sq) == pytest.approx(report[f"{name}_norms"]["l2"], rel=1e-12)
 
 
 def test_sweep_epsilon_series(demo_config, tmp_path):
@@ -534,13 +543,7 @@ def test_sweep_epsilon_refuses_a_solve_that_did_not_converge(tmp_path, capsys):
         (("g", 0, "monomials", 0, "coeff"), 1e308, "error: g: certificate constant M is outside the float range"),
         # M is finite here, sigma = M (u0_h2 + 1) sqrt(B*) is not
         (("g", 0, "monomials", 0, "coeff"), 5e307, "error: $: certificate constant sigma is outside the float range"),
-        pytest.param(
-            ("influxes", 0, 0, "A"),
-            1e154,
-            "error: influxes: certificate constant u0_h2 is outside the float range",
-            # an overflowing H2 row power times p_x = 0 gives nan, with a warning
-            marks=pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning"),
-        ),
+        (("influxes", 0, 0, "A"), 1e154, "error: influxes: certificate constant u0_h2 is outside the float range"),
     ],
     ids=["kernel-amplitude", "coupling-coefficient", "coupling-times-kernels", "influx-amplitude"],
 )
@@ -647,3 +650,57 @@ def test_continuity_command(demo_config, tmp_path):
     assert len(pairs) == 5
     for entry in pairs:
         assert entry["lhs"] <= entry["rhs"]
+
+
+def config_with(tmp_path, leaf, value):
+    raw = json.loads(demo_config_text())
+    node = raw
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize(
+    "sub, message",
+    [
+        ("solve-linear", "error: influxes: the H2 norm of u0_0 is outside the float range"),
+        ("verify-bounds", "error: influxes: certificate constant u0_h2 is outside the float range"),
+        ("solve", "error: influxes: certificate constant u0_h2 is outside the float range"),
+    ],
+)
+def test_overflowing_influx_is_named_with_no_numpy_warning(sub, message, tmp_path, capsys):
+    # the H2 row powers overflow and meet p_x = 0 as 0 * inf; that nan is
+    # tested, so no numpy warning comes before the one error line
+    path = config_with(tmp_path, ("influxes", 0, 0, "A"), 1e154)
+    assert run_command(small([sub, "--config", str(path)], tmp_path, n=16)) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_coupling_far_outside_its_certificate_names_the_picard_step(tmp_path, capsys):
+    # H is finite, so the certificate builds, with a threshold near 1e-152;
+    # the second step's image overflows
+    path = config_with(tmp_path, ("kernels", 0, 0, "A"), 1e150)
+    assert run_command(small(["solve", "--config", str(path)], tmp_path, n=16)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3, lines
+    number = r"[-+0-9.e]{1,13}"  # no %f run of digits
+    assert re.fullmatch(
+        rf"solve: WARNING: coupling {number} exceeds the certified threshold {number}; "
+        "the contraction guarantee is void for this run",
+        lines[0],
+    )
+    assert re.fullmatch(
+        rf"solve: WARNING: pointwise argument length {number} left the coupling ball of radius {number}; "
+        "the coefficient bound no longer covers these values",
+        lines[1],
+    )
+    assert re.fullmatch(
+        rf"error: Picard step 2: the H2 step norm is not finite "
+        rf"\(coupling 0\.00637 exceeds the certified threshold {number}\)",
+        lines[2],
+    )
+    assert not (tmp_path / "out" / "report.json").exists()

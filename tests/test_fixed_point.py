@@ -126,9 +126,11 @@ def test_demo_fixed_point_converges(demo32):
     certified = res.bounds.epsilon * res.bounds.sigma
     assert certified < 1.0
     assert all(r <= certified for r in res.contraction_estimates)
-    # assembled solution is exactly u0 + u_p
-    for cu, c0, cp in zip(res.u.components, res.u0.components, res.u_p.components):
-        assert np.all(cu.values == c0.values + cp.values)
+    # the assembled solution is one inverse transform of u0_hat + u_p_hat:
+    # u0 + u_p up to the rounding of the transforms
+    u, u0 = res.u, res.u0
+    assert np.array_equal(u.values, res.plan.u0_plus(res.u_p.spectrum))
+    assert np.max(np.abs(u.values - (u0.values + res.u_p.values))) <= 16 * np.spacing(np.max(np.abs(u.values)))
 
 
 @pytest.mark.parametrize(
@@ -259,12 +261,19 @@ def test_residual_in_slabs_is_bitwise_the_whole_array_residual(demo64, monkeypat
 def test_solution_is_u0_plus_u_p_bitwise(demo64):
     res = solve_fixed_point(demo64)
     u = res.u
-    assert np.array_equal(bits(u.values), bits(res.u0.values + res.u_p.values))
+    # u is one inverse transform of u0_hat + u_p_hat, as the solve formed it
+    # for its residual; the plan's u0 is the same transform of u0_hat alone
+    plan = spectral_plan(demo64)
+    assert np.array_equal(bits(u.values), bits(plan.u0_plus(res.u_p.spectrum)))
+    assert np.array_equal(bits(res.u0.values), bits(plan.u0_plus()))
+    # so u is u0 + u_p up to the transforms' rounding: a few ulps of max |u|
+    gap = np.max(np.abs(u.values - (res.u0.values + res.u_p.values)))
+    assert 0.0 < gap <= 16 * np.spacing(np.max(np.abs(u.values)))
     # u0 is values only, so u carries no spectrum, and its norms transform
     # it one component at a time, as the solve's residual did
     assert res.u0.spectrum is None and u.spectrum is None
     assert res.u_norms == vector_norms(u)
-    # u_p's values were overwritten with u, then rebuilt from u_p's spectrum
+    # u_p's values are built from u_p's spectrum
     assert np.array_equal(bits(res.u_p.values), bits(_irfft(res.u_p.spectrum, demo64.grid)))
 
 
@@ -281,7 +290,7 @@ def test_u_norms_agree_with_the_summed_spectrum_formula(demo, n):
 
 
 def test_solve_makes_one_transform_per_step_and_residual_operand(demo32, monkeypatch):
-    counts = {"_rfft": 0, "_irfft": 0}
+    counts = {"_rfft": 0, "_irfft_in_place": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -293,14 +302,16 @@ def test_solve_makes_one_transform_per_step_and_residual_operand(demo32, monkeyp
     wrappers = {name: counting(name, getattr(spectral, name)) for name in counts}
     for module in (spectral, fixed_point, poisson):
         for name, wrapper in wrappers.items():
-            monkeypatch.setattr(module, name, wrapper)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     spectral._cached_plan.cache_clear()
     res = solve_fixed_point(demo32)
     assert res.converged and res.iterations == 4
     # forward: one per Picard step and, in the residual, one of g_m(u) and
-    # one of u_m per component, which also give u's H2 term; inverse: u0's
-    # in the plan, one per step and u_p's values rebuilt at the end
-    assert counts == {"_rfft": 4 + 2 * 2, "_irfft": 1 + 4 + 1}
+    # one of u_m per component, which also give u's H2 term; inverse, one
+    # component at a time: u0's, the first z, then u0 + v's for each later
+    # step, u's for the residual and u_p's values at the end
+    assert counts == {"_rfft": 4 + 2 * 2, "_irfft_in_place": 2 * (1 + 3 + 1 + 1)}
 
 
 def test_out_of_certificate_coupling_warns(demo32, caplog):
@@ -309,6 +320,36 @@ def test_out_of_certificate_coupling_warns(demo32, caplog):
         res = solve_fixed_point(strong, tol=1e-10, max_iter=60)
     assert any("guarantee is void" in r.message for r in caplog.records)
     assert res.final_residual <= 1e-8
+
+
+def test_non_finite_coupling_names_the_picard_step(demo32, caplog):
+    # |z|^2 overflows at the starting point: the first step's g(z) is not
+    # finite; the coupling sits inside the certificate, so no threshold is named
+    v0 = VectorField(demo32.grid, np.full((2,) + demo32.grid.shape, 1e200))
+    with caplog.at_level(logging.WARNING, logger="dualfrac.fixed_point"):
+        with pytest.raises(ValueError, match=r"^Picard step 1: coupling output for component 0 is not finite$"):
+            solve_fixed_point(demo32, v0=v0)
+    # the warnings print %.6g numbers, not runs of digits
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(m.startswith("starting point has H2 norm nan outside") for m in messages)
+    assert any(m.startswith("pointwise argument length inf left the coupling ball") for m in messages)
+
+
+def test_non_finite_step_norm_names_the_picard_step(demo32, monkeypatch):
+    step = fixed_point._tau_spectrum
+
+    def overflowing(z, problem, radius):
+        coeff = step(z, problem, radius)
+        if overflowing.calls == 2:
+            coeff[1, 2, 3, 4] = np.inf
+        overflowing.calls += 1
+        return coeff
+
+    overflowing.calls = 0
+    monkeypatch.setattr(fixed_point, "_tau_spectrum", overflowing)
+    above = demo32.with_epsilon(2.0 * build_bounds_context(demo32).epsilon_max)
+    with pytest.raises(ValueError, match=r"^Picard step 3: the H2 step norm is not finite \(coupling \S+ exceeds the certified threshold \S+\)$"):
+        solve_fixed_point(above)
 
 
 def test_contraction_ratio_stabilizes(demo32):
@@ -366,15 +407,21 @@ def test_measured_ratios_deterministic_under_seed(demo32):
 
 
 def test_measured_ratios_use_carried_spectra_without_difference_fields(demo32, monkeypatch):
-    # the same draws and taus: the reference spectral gaps, and the gaps
-    # taken from real-space differences
+    # the same draws and taus: the reference spectral gaps of the images of
+    # u0 + v formed in real space, as the ratios form them, and the gaps
+    # taken from real-space differences of apply_tau's images, which form
+    # u0 + v from v's spectrum
     rng = np.random.default_rng(9)
+    u0 = solve_linear_system(demo32)
     expected, differenced = [], []
     for _ in range(3):
         v1 = sample_ball(demo32.grid, 2, 1.0, rng)
         v2 = sample_ball(demo32.grid, 2, 1.0, rng)
+        c1, c2 = (
+            fixed_point._tau_spectrum(u0.values + v.values, demo32, _ball_radius(demo32)) for v in (v1, v2)
+        )
+        expected.append(fixed_point._h2_gap(c1, c2, demo32.grid) / h2_distance(v1, v2))
         t1, t2 = apply_tau(v1, demo32), apply_tau(v2, demo32)
-        expected.append(h2_distance(t1, t2) / h2_distance(v1, v2))
         differenced.append(vector_norms(t1 - t2).h2 / vector_norms(v1 - v2).h2)
 
     def no_difference(self, other):

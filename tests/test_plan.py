@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -154,7 +155,8 @@ def test_plan_pieces_built_once_under_concurrent_access(demo, realize_calls):
     expected = coeff * _oracles.stored_transfer(plan)
     for i, r in enumerate(results):
         assert np.array_equal(r[3].view(np.uint64), expected[i % 2].view(np.uint64))
-    (_, signed, inverse), u0 = first[:2]
+    (_, signed), u0 = first[:2]
+    inverse = plan.inverse_symbols
     # only the kernel constant H samples the kernels; u0 realizes nothing
     assert len(realize_calls) == sum(len(k) for k in demo.kernels)
     assert not any(a.flags.writeable for axes in signed for a in axes)
@@ -162,6 +164,28 @@ def test_plan_pieces_built_once_under_concurrent_access(demo, realize_calls):
     assert not u0.values.flags.writeable
     with pytest.raises(ValueError):
         u0.components[0].values[0, 0, 0] = 1.0
+
+
+def test_u0_dropped_by_every_caller_is_rebuilt_alike_under_concurrent_access(demo):
+    # each task drops u0 at once, so builds race: every build must give the
+    # same values, and the norms must come from one pass
+    plan = SpectralPlan(demo.orders, demo.kernels, demo.influxes, Grid3(20.0, 16))
+    expected = plan.u0_plus()
+
+    def work(_):
+        return plan.u0.values.copy(), plan.u0_norms
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, i) for i in range(32)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(previous)
+    assert all(np.array_equal(values, expected) for values, _ in results)
+    assert all(norms is results[0][1] for _, norms in results)
+    assert plan._u0_ref() is None
 
 
 @pytest.mark.parametrize("n", [16, 32, 96])
@@ -259,27 +283,29 @@ def test_continuity_holds_little_beyond_one_solve(demo32):
 
 
 # Peak numpy memory of one demo solve at n = 64, in n^3 float64 arrays, plan
-# build included.  The live data are the plan (about 2.0: u0's values) and
-# u_p with its half spectrum (4.1).  A Picard step holds z = u0 + v, over
-# which g(z) is written slab by slab, the previous spectrum and the new one
-# beside the plan; the residual stage holds one component's g_m(u) and its
-# transforms, with u formed in u_p's values buffer, sums u's H2 term from
-# its transforms of u and forms the defect in place in the two transforms.
-# Both reach about 8.1 when they multiply by the transfer, which is formed
+# build included.  The plan holds no lattice-size array: the live data are
+# the iterate's half spectrum (2.06) and, at the end, u_p's values (2.0).  A
+# Picard step holds z, formed as one inverse transform of u0_hat + v_hat,
+# over which g(z) is written slab by slab, the previous spectrum and the new
+# one; the residual stage holds u, formed the same way, u_p's spectrum and
+# one component's g_m(u) and its transforms, sums u's H2 term from its
+# transforms of u and forms the defect in place in the two transforms.
+# Both reach about 7.1 when they multiply by the transfer, which is formed
 # in slab buffers (a slab of coefficients, its shell index and its gathered
-# inverse symbol, 1.0 at n = 64, where a slab is 31 of the 64 rows): 9.24
-# measured for each.  A plan that kept the transfer (2.06) read 10.7, at
-# the residual stage (10.6 in a Picard step); with each slab's symbol, its
-# product with the transfer and its f_hat rows, 11.0; with cached H2
-# weights (0.51) as well, 11.5; a plan that also kept |p| and the symbols
-# (1.55) read 12.7, at a Picard step; one that also kept u0's spectrum
-# (2.1), with u's norms taken on that plus u_p's spectrum, read 15.4, at
-# u's norms; a whole-array pointwise stage (g(z) stacked beside z, a
-# full-size monomial buffer) and u's values beside u_p's read 16.6;
-# holding each iterate's values beside z and g(z), and the whole g(u) with
-# its spectrum in the residual, reached 18.3; a plan that also kept the
-# stacked influx spectra (2.1) reached 20.5.
-SOLVE_PEAK_ARRAYS = 10.3
+# inverse symbol, 1.0 at n = 64, where a slab is 31 of the 64 rows): 7.30
+# measured for each.  A plan that kept u0's values (2.0), added in real
+# space to each iterate's values, read 9.24 at both stages; one that also
+# kept the transfer (2.06) read 10.7, at the residual stage (10.6 in a
+# Picard step); with each slab's symbol, its product with the transfer and
+# its f_hat rows, 11.0; with cached H2 weights (0.51) as well, 11.5; a plan
+# that also kept |p| and the symbols (1.55) read 12.7, at a Picard step;
+# one that also kept u0's spectrum (2.1), with u's norms taken on that plus
+# u_p's spectrum, read 15.4, at u's norms; a whole-array pointwise stage
+# (g(z) stacked beside z, a full-size monomial buffer) and u's values
+# beside u_p's read 16.6; holding each iterate's values beside z and g(z),
+# and the whole g(u) with its spectrum in the residual, reached 18.3; a
+# plan that also kept the stacked influx spectra (2.1) reached 20.5.
+SOLVE_PEAK_ARRAYS = 8.3
 
 
 def test_solve_peak_stays_under_the_memory_ceiling(monkeypatch):
@@ -342,9 +368,8 @@ def test_plan_u0_norms_are_computed_once_and_only_for_its_own_u0(demo32):
     assert plan.u0_norms == vector_norms(VectorField(demo32.grid, plan.u0.values, division))
 
 
-def test_solve_leaves_no_influx_spectra_in_the_plan(demo32):
-    result = solve_fixed_point(demo32)
-    plan = spectral_plan(demo32)
+def plan_arrays(plan):
+    """Every array the plan holds, through its cached pieces."""
     arrays = []
 
     def collect(value):
@@ -356,15 +381,37 @@ def test_solve_leaves_no_influx_spectra_in_the_plan(demo32):
         elif isinstance(value, tuple):
             for v in value:
                 collect(v)
+        elif isinstance(value, weakref.ref):
+            collect(value())
 
     for value in vars(plan).values():
         collect(value)
-    large = [a for a in arrays if a.size >= np.prod(plan.lattice_shape)]
-    # u0's values alone: u0 keeps no spectrum, f_hat is rebuilt when it is
-    # asked for, the transfer is applied slab by slab from 1-D pieces, and
-    # neither |p|, a symbol nor an H2 weight is kept
-    assert result.u0.spectrum is None
-    assert [id(a) for a in large] == [id(plan.u0.values)]
+    return arrays
+
+
+def lattice_size_arrays(plan):
+    return [a for a in plan_arrays(plan) if a.size >= np.prod(plan.lattice_shape)]
+
+
+def test_solve_leaves_no_influx_spectra_in_the_plan(demo32, tmp_path):
+    result = solve_fixed_point(demo32)
+    plan = spectral_plan(demo32)
+    # none at all: u0's values are formed inside each step's inverse
+    # transform and the solve holds none, f_hat is rebuilt when it is asked
+    # for, the transfer is applied slab by slab from 1-D pieces, and neither
+    # |p|, a symbol nor an H2 weight is kept
+    assert lattice_size_arrays(plan) == []
+    # reading u0 builds its values, which the plan keeps while they are held
+    u0 = result.u0
+    assert u0.spectrum is None
+    assert [id(a) for a in lattice_size_arrays(plan)] == [id(u0.values)]
+    del u0
+    assert lattice_size_arrays(plan) == []
+    # the threaded sweep leaves none either: its solves run on the same plan
+    run = ["sweep-epsilon", "--config", "demo", "--grid", "32", "--out", str(tmp_path)]
+    assert cli.run_command(run) == 0
+    assert spectral_plan(demo32) is plan
+    assert lattice_size_arrays(plan) == []
 
 
 def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
@@ -391,11 +438,12 @@ def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
 
 
 # Peak numpy memory of `solve-linear --dump-fields` on the demo at n = 64, in
-# n^3 float64 arrays, plan build included: the plan's u0 build, u0's
-# division spectrum inverted into its values; 5.3 measured.  The checks
-# that follow hold the plan (u0's values, 2.0) plus one component's two
-# half-lattice buffers, u_hat and f_hat (which also holds the forward
-# defect), and slab-sized gathers of the shell tables.  Cached H2 weights
+# n^3 float64 arrays, plan build included: the plan's u0 build, each
+# component's division spectrum formed in one work buffer and inverted into
+# u0's values; 5.28 measured.  The checks that follow hold u0's values
+# (2.0) plus one component's two half-lattice buffers, u_hat and f_hat
+# (which also holds the forward defect), and slab-sized gathers of the
+# shell tables.  Cached H2 weights
 # (0.51) read 5.8; a plan that also kept |p| and the symbols read 7.3; one
 # that also kept u0's spectrum read 9.5; a third buffer for the defect and
 # whole-lattice symbol temporaries reached 10.5; sampling the influxes,
@@ -404,23 +452,25 @@ def test_one_row_slabs_give_bitwise_the_default_slabs(demo32, monkeypatch):
 SOLVE_LINEAR_PEAK_ARRAYS = 7.2
 
 # The same for the `solve` subcommand, which reports the norms the solve
-# took and stores no u: its peak is the solve's, 9.27 measured.  A plan that
-# kept the transfer read 10.7, 11.0 with slab-wise symbol and f_hat rows,
-# 11.6 with cached H2 weights.  A plan that also kept |p| and the symbols
-# read 12.6, at a Picard step; one that also kept u0's spectrum, with u's
-# norms taken on that plus u_p's, read 15.4; keeping u's values and
-# spectrum beside u_p and taking its norms after the solve read 17.4.
-SOLVE_COMMAND_PEAK_ARRAYS = 10.3
+# took and stores no u: its peak is the solve's, 7.28 measured.  A plan
+# that kept u0's values read 9.27; one that also kept the transfer read
+# 10.7, 11.0 with slab-wise symbol and f_hat rows, 11.6 with cached H2
+# weights.  A plan that also kept |p| and the symbols read 12.6, at a
+# Picard step; one that also kept u0's spectrum, with u's norms taken on
+# that plus u_p's, read 15.4; keeping u's values and spectrum beside u_p and
+# taking its norms after the solve read 17.4.
+SOLVE_COMMAND_PEAK_ARRAYS = 8.3
 
-# The same for `verify-bounds`, whose peak is the plan's u0 build, 5.18
-# arrays (the run reads 5.2 to 5.3); the kernel build, where H realizes one
-# kernel sum and its term, peaks at 4.21 on top of the 2.09 arrays u0
-# leaves held.  A kernel build that formed the transfer stack set the peak
-# at 5.7, 6.2 with cached H2 weights, 7.5 while the plan also kept |p| and
-# the symbols and 9.6 while it also kept u0's spectrum.  Taking |kernel|
-# into a second array, the filtered spectrum and the centre phase as
-# whole-lattice temporaries reached 9.8.
-VERIFY_BOUNDS_PEAK_ARRAYS = 6.2
+# The same for `verify-bounds`, 3.69 measured: the bounds read u0's norms,
+# whose pass builds u0's values in a buffer it drops, and the kernel build,
+# where H realizes one kernel sum and its term, no longer has u0's values
+# (2.09) beside it.  A plan that kept u0's values read 5.18 (the run read
+# 5.2 to 5.3), at its u0 build.  A kernel build that formed the transfer
+# stack set the peak at 5.7, 6.2 with cached H2 weights, 7.5 while the plan
+# also kept |p| and the symbols and 9.6 while it also kept u0's spectrum.
+# Taking |kernel| into a second array, the filtered spectrum and the centre
+# phase as whole-lattice temporaries reached 9.8.
+VERIFY_BOUNDS_PEAK_ARRAYS = 4.7
 
 # The same for `contraction --trials 2`: 11.26 measured after the other
 # subcommands, or 11.76 when it is the process's first run and its peak
@@ -430,13 +480,14 @@ VERIFY_BOUNDS_PEAK_ARRAYS = 6.2
 # 17.8 while it also kept u0's spectrum.
 CONTRACTION_PEAK_ARRAYS = 12.8
 
-# The same for `continuity`: 11.34 measured, the second solve's Picard step
+# The same for `continuity`: 9.34 measured, the second solve's Picard step
 # or residual stage beside the first solve's u_p spectrum.  A plan that
-# kept the transfer read 12.8; 13.1 with slab-wise symbol and f_hat rows,
-# 13.6 with cached H2 weights, 14.7 while the plan also kept |p| and the
-# symbols, 17.4 while it also kept u0's spectrum.  Keeping a stacked g(z)
-# beside z in the Picard step read 20.7.
-CONTINUITY_PEAK_ARRAYS = 12.4
+# kept u0's values read 11.34; one that also kept the transfer read 12.8;
+# 13.1 with slab-wise symbol and f_hat rows, 13.6 with cached H2 weights,
+# 14.7 while the plan also kept |p| and the symbols, 17.4 while it also
+# kept u0's spectrum.  Keeping a stacked g(z) beside z in the Picard step
+# read 20.7.
+CONTINUITY_PEAK_ARRAYS = 10.4
 
 
 def command_peak_arrays(argv, tmp_path):
@@ -472,3 +523,45 @@ def test_contraction_peak_stays_under_the_memory_ceiling(tmp_path):
 
 def test_continuity_peak_stays_under_the_memory_ceiling(tmp_path):
     assert command_peak_arrays(["continuity"], tmp_path) <= CONTINUITY_PEAK_ARRAYS
+
+
+@pytest.mark.parametrize(
+    "argv, plain_builds",
+    [
+        (["solve-linear", "--dump-fields"], 0),
+        (["verify-bounds"], 0),
+        (["solve"], 0),
+        (["solve", "--dump-fields"], 0),
+        (["contraction", "--trials", "2"], 0),
+        # each solve's first z from v = 0 is u0's values
+        (["sweep-epsilon"], 4),
+        (["continuity"], 2 * len(problems.continuity_pairs(problems.demo_problem().nonlinearity))),
+        (["solvability"], 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_no_subcommand_builds_u0_twice(argv, plain_builds, tmp_path, monkeypatch):
+    # one pass builds u0's values with its norms; a subcommand that reads
+    # u0's values (solve-linear, contraction, --dump-fields) reads them
+    # before its norms, so that pass is the only build
+    monkeypatch.setenv("FRAC_THREADS", "1")
+    counts = {"pass": 0, "plain": 0}
+    linear_pass, u0_plus = SpectralPlan._linear_pass, SpectralPlan.u0_plus
+
+    def counting_pass(self):
+        counts["pass"] += 1
+        return linear_pass(self)
+
+    def counting_u0_plus(self, coeff=None):
+        counts["plain"] += coeff is None
+        return u0_plus(self, coeff)
+
+    monkeypatch.setattr(SpectralPlan, "_linear_pass", counting_pass)
+    monkeypatch.setattr(SpectralPlan, "u0_plus", counting_u0_plus)
+    spectral._cached_plan.cache_clear()
+    run = [argv[0], "--config", "demo", "--grid", "16", "--out", str(tmp_path)] + argv[1:]
+    try:
+        assert cli.run_command(run) == 0
+    finally:
+        spectral._cached_plan.cache_clear()
+    assert counts == {"pass": 0 if argv[0] == "solvability" else 1, "plain": plain_builds}
