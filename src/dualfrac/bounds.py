@@ -10,9 +10,10 @@ gets at load; an uncoupled config loads with any orders, so the
 certificate is where the solves refuse them.  By construction
 ``epsilon_max * sigma == rho / (u0_h2 + 1)`` exactly.
 
-rho and u0 are the problem's: rho is ``ProblemSpec.rho`` and u0 the linear
-response that the problem's :class:`~dualfrac.spectral.SpectralPlan`
-holds, so no function here takes either as a parameter.
+rho and u0 are the problem's: rho is ``ProblemSpec.rho``, and u0, the
+linear response, enters only through ``||u0||_H2``, which the problem's
+:class:`~dualfrac.spectral.SpectralPlan` gives (``u0_h2``), so no function
+here takes either as a parameter.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def continuity_rhs(ctx: BoundsContext, g_diff_c2: float) -> float:
 
 def _ball_radius(problem: ProblemSpec) -> float:
     """Radius ``c_e (||u0||_H2 + 1)`` of the pointwise ball the coupling bound M is sized on."""
-    return embedding_constant() * (spectral_plan(problem).u0_norms.h2 + 1.0)
+    return embedding_constant() * (spectral_plan(problem).u0_h2 + 1.0)
 
 
 def _in_range(value: float, name: str, field: str) -> float:
@@ -198,7 +199,7 @@ def build_bounds_context(problem: ProblemSpec, M: float | None = None) -> Bounds
     M, ``kernels`` for H and Q, and ``$``, the whole configuration, for
     sigma, their product.
     """
-    u0_h2 = _in_range(spectral_plan(problem).u0_norms.h2, "u0_h2", "influxes")
+    u0_h2 = _in_range(spectral_plan(problem).u0_h2, "u0_h2", "influxes")
     i_radius = _ball_radius(problem)
     if M is None:
         if problem.nonlinearity.is_trivial:

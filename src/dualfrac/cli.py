@@ -186,6 +186,7 @@ def _parallel_map(fn, items):
 def _cmd_solve_linear(problem, args, dump):
     plan = spectral_plan(problem)
     u0 = solve_linear_system(problem)
+    u0_norms = plan.u0_norms(u0)
     grid = problem.grid
     components = []
     checks = []
@@ -219,7 +220,7 @@ def _cmd_solve_linear(problem, args, dump):
         checks.append(Check(f"regularity_residual_{m}", reg_residual, "<=", 1e-10))
     results = {
         "components": components,
-        "u0_norms": plan.u0_norms.as_dict(),
+        "u0_norms": u0_norms.as_dict(),
     }
     if dump:
         for m, comp in enumerate(u0.components):
@@ -228,9 +229,6 @@ def _cmd_solve_linear(problem, args, dump):
 
 
 def _cmd_solve(problem, args, dump):
-    # the snapshots' u0 is held from before the solve, whose bounds read its
-    # norms, so that one pass builds u0's values and norms
-    u0 = solve_linear_system(problem) if dump else None
     result = solve_fixed_point(problem, tol=args.tol, max_iter=args.max_iter)
     up_norms = result.u_p_norms
     results = {
@@ -239,7 +237,7 @@ def _cmd_solve(problem, args, dump):
         "contraction_estimates": list(result.contraction_estimates),
         "final_residual": result.final_residual,
         "converged": result.converged,
-        "u0_norms": spectral_plan(problem).u0_norms.as_dict(),
+        "u0_norms": result.u0_norms.as_dict(),
         "u_p_norms": up_norms.as_dict(),
         "u_norms": result.u_norms.as_dict(),
     }
@@ -249,7 +247,7 @@ def _cmd_solve(problem, args, dump):
         Check("u_p_inside_ball", up_norms.h2, "<=", problem.rho),
     ]
     if dump:
-        fields = zip(u0.components, result.u_p.components, result.u.components)
+        fields = zip(result.u0.components, result.u_p.components, result.u.components)
         for m, (u0_m, up_m, u_m) in enumerate(fields):
             dump(f"u0_{m}.fsf", u0_m, m)
             dump(f"u_p_{m}.fsf", up_m, m)
@@ -275,12 +273,8 @@ def _cmd_verify_bounds(problem, args, dump):
 
 
 def _cmd_contraction(problem, args, dump):
-    # u0's values, which the draws are added to, are held from before the
-    # bounds read its norms, so that one pass builds both
-    u0 = solve_linear_system(problem)
     ctx = build_bounds_context(problem)
     ratios = measure_contraction(problem, args.trials, args.seed)
-    del u0
     results = {"ratios": ratios, "max_ratio": max(ratios)}
     checks = [
         Check("max_ratio_below_certified", max(ratios), "<=", ctx.epsilon * ctx.sigma),

@@ -82,17 +82,19 @@ CONTINUITY_TOL = 1e-11
 class FixedPointResult:
     """Converged state of the Picard iteration.
 
+    ``u0_norms`` is the plan's ``u0_norms`` of the u0 the solve read,
     ``u_p_norms`` is ``vector_norms(u_p)`` and ``u_norms`` is
     ``vector_norms(u)``.  u_p carries its half spectrum; neither u nor u0
     is stored.  :attr:`u` forms u on request as the solve formed it for its
-    residual, and :attr:`u0` reads the plan's u0, whose values the plan
-    builds when no caller holds them.  ``converged`` implies the final step norm and
-    the relative system residual are both at or below the configured
-    tolerance and that u_p stayed inside the radius-rho ball.
+    residual, and :attr:`u0` builds the plan's u0 afresh.  ``converged``
+    implies the final step norm and the relative system residual are both
+    at or below the configured tolerance and that u_p stayed inside the
+    radius-rho ball.
     """
 
     plan: SpectralPlan
     u_p: VectorField
+    u0_norms: NormReport
     u_p_norms: NormReport
     u_norms: NormReport
     iterations: int
@@ -104,7 +106,7 @@ class FixedPointResult:
 
     @property
     def u0(self) -> VectorField:
-        """The plan's u0: values only, read-only."""
+        """A fresh build of the plan's u0, values only."""
         return self.plan.u0
 
     @property
@@ -222,20 +224,16 @@ def solve_fixed_point(
     threshold, the coupling against it.
 
     The iterate is its half spectrum alone, and no real-space u0 is held
-    through the loop.  From v = 0 the first z is a copy of the linear
-    solve's u0, read before the bounds so that one pass builds u0's values
-    and the norms they read; from v0 the bounds read u0's norms alone, in
-    a pass that drops its values.  Every later z is formed by
+    through the loop.  The solve reads u0 once, after the bounds, and
+    takes the result's ``u0_norms`` from it; from v = 0 that u0's own
+    buffer is the first z, and from a v0 start it is dropped once its
+    norms are taken.  Every later z is formed by
     :meth:`~dualfrac.spectral.SpectralPlan.u0_plus`, and a step holds z,
     the iterate's spectrum and the new one.  The residual stage holds u,
     formed the same way, u_p's spectrum and one component's transforms;
     u_p's values are built after it.  v0 is read, never written.
     """
     plan = spectral_plan(problem)
-    z = None
-    if v0 is None:
-        # the plan drops u0 once no caller holds it: only the copy is kept
-        z = np.array(solve_linear_system(problem).values)
     # a trivial coupling leaves nothing to bound; size the ball nominally
     ctx = build_bounds_context(problem, M=1.0 if problem.nonlinearity.is_trivial else None)
     if ctx.epsilon > ctx.epsilon_max:
@@ -247,6 +245,10 @@ def solve_fixed_point(
         )
 
     grid = problem.grid
+    u0 = solve_linear_system(problem)
+    u0_norms = plan.u0_norms(u0)
+    z = u0.values if v0 is None else None
+    del u0
     if v0 is None:
         spectrum = np.zeros((problem.n_components,) + plan.lattice_shape, dtype=np.complex128)
     else:
@@ -309,6 +311,7 @@ def solve_fixed_point(
     return FixedPointResult(
         plan=plan,
         u_p=u_p,
+        u0_norms=u0_norms,
         u_p_norms=u_p_norms,
         u_norms=u_norms,
         iterations=len(step_norms),

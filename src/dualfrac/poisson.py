@@ -197,14 +197,9 @@ def _regularity_defect(cu: np.ndarray, cf: np.ndarray, grid: Grid3, s1: float, s
 def solve_linear_system(problem) -> VectorField:
     """Solve the uncoupled linear problems for every component influx.
 
-    The drop zero-mode policy applies.  The result is the problem's shared
-    :class:`~dualfrac.spectral.SpectralPlan` u0: it carries no spectrum
-    (its norms are the plan's ``u0_norms``, taken on each component's
-    division spectrum in the pass that builds the values) and its values
-    are read-only (writing into them raises ``ValueError``), so every
-    caller sees the same u0 while one holds it; copy to edit.  The plan
-    keeps u0 only while a caller holds it, so a caller that reads u0's
-    norms after its values holds u0 across both, and one pass builds them.
+    The drop zero-mode policy applies.  The result is the problem's
+    :attr:`~dualfrac.spectral.SpectralPlan.u0`: values only, built for this
+    call, and the caller's to keep or write.
     """
     return spectral_plan(problem).u0
 

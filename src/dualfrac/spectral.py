@@ -12,10 +12,10 @@ modes it keeps (:func:`_band_limit`).  :class:`SpectralPlan` holds the
 per-problem 1-D pieces, from which it applies the transfer slab by slab
 (:meth:`SpectralPlan.scale_by_transfer`) and forms the linear response u0's
 spectrum inside an inverse transform (:meth:`SpectralPlan.u0_plus`), so
-``u0 + v`` is one inverse transform of ``u0_hat + v_hat`` and u0's values
-exist only when they are read.  No array of lattice size derived from |p|
-is kept.  On
-the lattice ``|p|^2 = (2 pi / L)^2 k^2`` with ``k^2`` an integer shell of
+``u0 + v`` is one inverse transform of ``u0_hat + v_hat``, and every
+reader owns the u0 it reads: the plan builds u0's values afresh for each
+read and keeps only its norms' terms.  No array of lattice size is kept.
+On the lattice ``|p|^2 = (2 pi / L)^2 k^2`` with ``k^2`` an integer shell of
 at most ``3 (n/2)^2``, so every |p|-dependent factor (a symbol, Q's filter,
 the regularity identity's powers) is a 1-D table over the shells, made from
 :func:`_shell_wavenumbers`, that :func:`_scale_by_shells` applies in
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import threading
-import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -534,22 +533,24 @@ def _relative(defect: float, reference: float) -> float:
 class SpectralPlan:
     """Spectral data of one ``(orders, kernels, influxes, grid)`` on the half lattice.
 
-    Between calls it keeps no array of lattice size but u0's values while a
-    caller holds them.  No symbol of lattice size is kept: each component's is
-    a 1-D table over the shells ``k^2`` (:attr:`symbols`), which every
-    reader, the plan's divisions by its inverse (:attr:`inverse_symbols`)
-    included, applies with :func:`_scale_by_shells` or gathers slab by slab
-    (:func:`_shell_factors`).  Neither u0 nor the influx spectra are kept:
-    the plan caches the influx Gaussians' 1-D axis spectra, from which
-    :meth:`influx_spectrum` rebuilds one component's f_hat on request and
-    :meth:`u0_plus` forms u0's spectrum, f_hat / symbol, one component at a
-    time in an inverse transform's work buffer.  So ``u0 + v`` is one
-    inverse transform of ``u0_hat + v_hat``, and u0's values (:attr:`u0`)
-    are built only when they are read, with their norms in the same pass;
-    :attr:`u0_norms` read first builds them in a transient buffer.  Nor is
-    the transfer kept: the plan caches the kernels' sign-flipped 1-D axis
-    spectra, and :meth:`scale_by_transfer` forms the transfer from them and
-    the inverse-symbol tables one slab at a time as it multiplies a spectrum
+    It keeps 1-D pieces and scalars only, no array of lattice size.  Each
+    component's symbol is a 1-D table over the shells ``k^2``
+    (:attr:`symbols`), which every reader, the plan's divisions by its
+    inverse (:attr:`inverse_symbols`) included, applies with
+    :func:`_scale_by_shells` or gathers slab by slab
+    (:func:`_shell_factors`).  The influxes are kept as their Gaussians'
+    1-D axis spectra, from which :meth:`influx_spectrum` rebuilds one
+    component's f_hat on request and :meth:`u0_plus` forms u0's spectrum,
+    f_hat / symbol, one component at a time in an inverse transform's work
+    buffer, so ``u0 + v`` is one inverse transform of ``u0_hat + v_hat``.
+    Every reader owns the u0 it reads: :attr:`u0` builds fresh writable
+    values on every read.  u0 enters the certificate only through
+    :attr:`u0_h2`, which one pass takes with the influx norm from each
+    u0_hat, with no inverse transform; :meth:`u0_norms` adds the L1 and
+    Linf of a u0 the caller holds.  Nor is the transfer kept: the plan
+    caches the kernels' sign-flipped 1-D axis spectra, and
+    :meth:`scale_by_transfer` forms the transfer from them and the
+    inverse-symbol tables one slab at a time as it multiplies a spectrum
     by it.  Couplings and nonlinearities are not part of the plan, so
     ``with_epsilon``/``with_nonlinearity`` variants of a problem share one.
     Pieces are built on first use: a linear solve realizes nothing, and no
@@ -570,7 +571,6 @@ class SpectralPlan:
         n = grid.points_per_axis
         self.lattice_shape = (n, n, n // 2 + 1)
         self._lock = threading.RLock()
-        self._u0_ref: weakref.ref | None = None
 
     @_once
     def symbols(self) -> tuple[np.ndarray, ...]:
@@ -641,50 +641,28 @@ class SpectralPlan:
             _irfft_in_place(work, self.grid, values)
         return out
 
-    def _linear_pass(self) -> tuple[np.ndarray, float, NormReport]:
-        # u0's values, bitwise as u0_plus() forms them, the influx norm from
-        # the per-row powers of f_hat, and u0's norms, whose H2 terms are
-        # each component's u0_hat's before its inverse transform overwrites it
+    @_once
+    def _linear_pieces(self) -> tuple[float, float, float]:
+        # the influx norm from the per-row powers of f_hat, and u0's two H2
+        # terms, summed in component order from each u0_hat in one work
+        # buffer: no inverse transform
         g = self.grid
-        values = np.empty((len(self.influxes),) + g.shape)
         work = np.empty(self.lattice_shape, dtype=np.complex128)
         influx_rows = np.empty((len(self.influxes), g.points_per_axis))
         l2_sq = lap_sq = 0.0
-        for m, out in enumerate(values):
-            self._u0_spectrum(m, work, influx_rows=influx_rows[m])
-            terms = _h2_power(work, g)
+        for m in range(len(self.influxes)):
+            terms = _h2_power(self._u0_spectrum(m, work, influx_rows=influx_rows[m]), g)
             l2_sq += terms[0]
             lap_sq += terms[1]
-            _irfft_in_place(work, g, out)
-        del work
-        norms = _norms_with_h2_terms(VectorField(g, values), l2_sq, lap_sq)
-        return values, math.sqrt(np.sum(influx_rows)), norms
-
-    @_once
-    def _linear_pieces(self) -> tuple[float, NormReport]:
-        # read while no caller holds u0: its values are built for the pass and dropped
-        return self._linear_pass()[1:]
+        return math.sqrt(np.sum(influx_rows)), l2_sq, lap_sq
 
     @property
     def u0(self) -> VectorField:
-        """Linear response to the influxes, zero mode dropped; values only, read-only.
+        """Linear response to the influxes, zero mode dropped: values only, ``u0_plus()``.
 
-        Bitwise ``u0_plus()``.  Built on read, with its norms in the same
-        pass unless they were taken before, and kept by the plan only while
-        a caller holds it (a weak reference): a plan that no caller reads
-        u0 from holds no lattice-size array between calls.
+        A fresh writable field on every read, which its reader owns.
         """
-        with self._lock:
-            u0 = None if self._u0_ref is None else self._u0_ref()
-            if u0 is None:
-                if "_linear_pieces" in self.__dict__:
-                    values = self.u0_plus()
-                else:
-                    values, *pieces = self._linear_pass()
-                    self.__dict__["_linear_pieces"] = tuple(pieces)
-                u0 = VectorField(self.grid, _frozen(values))
-                self._u0_ref = weakref.ref(u0)
-            return u0
+        return VectorField(self.grid, self.u0_plus())
 
     @property
     def influx_l2(self) -> float:
@@ -692,9 +670,14 @@ class SpectralPlan:
         return self._linear_pieces[0]
 
     @property
-    def u0_norms(self) -> NormReport:
-        """:func:`vector_norms` of u0, its H2 terms taken on u0_hat, component by component."""
-        return self._linear_pieces[1]
+    def u0_h2(self) -> float:
+        """``||u0||_H2``, by Plancherel on u0_hat: bitwise ``u0_norms(u0).h2``."""
+        _, l2_sq, lap_sq = self._linear_pieces
+        return float(np.sqrt(l2_sq + lap_sq))
+
+    def u0_norms(self, u0: VectorField) -> NormReport:
+        """:func:`vector_norms` of the caller's u0: L1 and Linf from its values, L2 and H2 from u0_hat."""
+        return _norms_with_h2_terms(u0, *self._linear_pieces[1:])
 
     @_once
     def _kernel_pieces(self) -> tuple[tuple[float, float], tuple]:

@@ -392,9 +392,9 @@ def test_continuity_rhs_void_outside_contraction():
 
 def test_build_bounds_context_for_demo(demo32):
     ctx = build_bounds_context(demo32)
-    # the plan's u0 norms, taken on u0's division spectrum; a fresh
-    # transform of u0's values gives them to rounding
-    assert ctx.u0_h2 == spectral_plan(demo32).u0_norms.h2 > 0
+    # the plan's u0 H2 norm, taken on u0's division spectrum; a fresh
+    # transform of u0's values gives it to rounding
+    assert ctx.u0_h2 == spectral_plan(demo32).u0_h2 > 0
     assert abs(ctx.u0_h2 - vector_norms(solve_linear_system(demo32)).h2) <= 1e-15 * ctx.u0_h2
     assert ctx.rho == demo32.rho
     assert ctx.H > 0 and ctx.Q > 0

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import pytest
 
-from dualfrac import VectorField, cli, fixed_point, spectral
+from dualfrac import VectorField, bounds, cli, fixed_point, spectral
 from dualfrac.cli import run_command
 from dualfrac.problems import solvability_sweep_cases
 
@@ -32,6 +32,32 @@ def sigma_divided_by(factor):
             return replace(ctx, sigma=ctx.sigma / factor)
 
         monkeypatch.setattr(cli, "build_bounds_context", wrong)
+
+    return inject
+
+
+def sigma_value_scaled_by(factor):
+    """The certificate's sigma, too large by ``factor``, where epsilon_max's shared bracket stays right."""
+
+    def inject(monkeypatch):
+        sigma = bounds.sigma_value
+        monkeypatch.setattr(bounds, "sigma_value", lambda ctx: factor * sigma(ctx))
+
+    return inject
+
+
+def kernel_constant_negated(index):
+    """The aggregate kernel constant H (``index`` 0) or Q (1), with its sign flipped."""
+
+    def inject(monkeypatch):
+        constants = bounds.kernel_constants
+
+        def wrong(problem):
+            values = list(constants(problem))
+            values[index] = -values[index]
+            return tuple(values)
+
+        monkeypatch.setattr(bounds, "kernel_constants", wrong)
 
     return inject
 
@@ -152,6 +178,9 @@ def sweep_s1_replaced(label, s1, box=None):
 INJECTIONS = [
     ("contraction", "sigma / 1e6", sigma_divided_by(1e6), {"max_ratio_below_certified"}),
     ("contraction", "tau * 1e6", tau_scaled_by(1e6), {"max_ratio_below_certified", "max_ratio_strict"}),
+    ("verify-bounds", "sigma * 2", sigma_value_scaled_by(2.0), {"duality_identity"}),
+    ("verify-bounds", "H -> -H", kernel_constant_negated(0), {"kernel_l1_positive"}),
+    ("verify-bounds", "Q -> -Q", kernel_constant_negated(1), {"kernel_filtered_positive"}),
     ("solve", "step norm + 1e-9", step_norm_raised_by(1e-9), {"converged"}),
     ("solve", "tau * 1.01", tau_scaled_by(1.01), {"converged", "final_residual"}),
     ("solve", "rho / 1e6", rho_divided_by(1e6), {"converged", "u_p_inside_ball"}),

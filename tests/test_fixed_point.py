@@ -194,6 +194,15 @@ def test_loop_is_bitwise_the_apply_tau_reference(demo32, start, max_iter):
         assert np.array_equal(v0.values, start_values)
 
 
+@pytest.mark.parametrize("start", ["zero", "v0"])
+def test_result_u0_norms_are_the_plans_norms_of_its_u0(demo32, start):
+    v0 = None if start == "zero" else sample_ball(demo32.grid, 2, 0.5, np.random.default_rng(22))
+    res = solve_fixed_point(demo32, v0=v0)
+    plan = spectral_plan(demo32)
+    assert res.u0_norms == plan.u0_norms(plan.u0)
+    assert res.u0_norms.h2 == plan.u0_h2 > 0
+
+
 # --- slab boundaries: at n = 64 the pointwise stages run in three slabs of x rows
 
 

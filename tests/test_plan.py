@@ -1,7 +1,7 @@
 import sys
 import tracemalloc
-import weakref
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -128,9 +128,12 @@ def test_plan_data_makes_no_3d_transform(demo, monkeypatch):
     # influxes and again for the kernels; the transfer is applied from them
     assert calls == ["fft", "rfft"] * 2
     calls.clear()
-    plan.influx_l2
-    # the influx norm comes with u0, from the cached axis spectra: only u0's
-    # inverse transform runs, one component at a time
+    plan.influx_l2, plan.u0_h2
+    # the influx norm and u0's H2 terms come from the cached axis spectra
+    # and each component's u0_hat: u0 is not inverted
+    assert calls == []
+    plan.u0
+    # reading u0 inverts it, one component at a time
     assert calls == ["ifft", "ifft", "irfft"] * 2
 
 
@@ -140,7 +143,7 @@ def test_plan_pieces_built_once_under_concurrent_access(demo, realize_calls):
 
     def work(m):
         # each call multiplies a copy of its own, in slab buffers of its own
-        return plan._kernel_pieces, plan.u0, plan.u0_norms, plan.scale_by_transfer(coeff[m].copy(), m)
+        return plan._kernel_pieces, plan._linear_pieces, plan.u0, plan.scale_by_transfer(coeff[m].copy(), m)
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -151,29 +154,32 @@ def test_plan_pieces_built_once_under_concurrent_access(demo, realize_calls):
     finally:
         sys.setswitchinterval(previous)
     first = results[0]
-    assert all(all(a is b for a, b in zip(r[:3], first[:3])) for r in results)
+    assert all(all(a is b for a, b in zip(r[:2], first[:2])) for r in results)
     expected = coeff * _oracles.stored_transfer(plan)
     for i, r in enumerate(results):
         assert np.array_equal(r[3].view(np.uint64), expected[i % 2].view(np.uint64))
-    (_, signed), u0 = first[:2]
+    (_, signed), u0 = first[0], first[2]
     inverse = plan.inverse_symbols
     # only the kernel constant H samples the kernels; u0 realizes nothing
     assert len(realize_calls) == sum(len(k) for k in demo.kernels)
     assert not any(a.flags.writeable for axes in signed for a in axes)
     assert not any(table.flags.writeable for table in inverse)
-    assert not u0.values.flags.writeable
-    with pytest.raises(ValueError):
-        u0.components[0].values[0, 0, 0] = 1.0
+    # every read of u0 built values of its own, which its reader may write
+    assert len({id(r[2].values) for r in results}) == len(results)
+    assert all(np.array_equal(r[2].values, u0.values) for r in results)
+    u0.components[0].values[0, 0, 0] = 1.0
+    assert not np.array_equal(u0.values, plan.u0.values)
 
 
 def test_u0_dropped_by_every_caller_is_rebuilt_alike_under_concurrent_access(demo):
     # each task drops u0 at once, so builds race: every build must give the
-    # same values, and the norms must come from one pass
+    # same values, and the norms' terms must come from one pass
     plan = SpectralPlan(demo.orders, demo.kernels, demo.influxes, Grid3(20.0, 16))
     expected = plan.u0_plus()
 
     def work(_):
-        return plan.u0.values.copy(), plan.u0_norms
+        u0 = plan.u0
+        return u0.values.copy(), plan.u0_norms(u0), plan._linear_pieces
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -183,9 +189,20 @@ def test_u0_dropped_by_every_caller_is_rebuilt_alike_under_concurrent_access(dem
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(previous)
-    assert all(np.array_equal(values, expected) for values, _ in results)
-    assert all(norms is results[0][1] for _, norms in results)
-    assert plan._u0_ref() is None
+    assert all(np.array_equal(values, expected) for values, _, _ in results)
+    assert all(norms == results[0][1] and pieces is results[0][2] for _, norms, pieces in results)
+    assert lattice_size_arrays(plan) == []
+
+
+def test_u0_reads_are_distinct_writable_and_bitwise_equal(demo):
+    plan = SpectralPlan(demo.orders, demo.kernels, demo.influxes, Grid3(20.0, 16))
+    a, b = plan.u0, plan.u0
+    assert a.values is not b.values and not np.shares_memory(a.values, b.values)
+    assert a.values.flags.writeable and b.values.flags.writeable
+    assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+    assert np.array_equal(a.values.view(np.uint64), plan.u0_plus().view(np.uint64))
+    # the plan keeps neither
+    assert lattice_size_arrays(plan) == []
 
 
 @pytest.mark.parametrize("n", [16, 32, 96])
@@ -359,13 +376,16 @@ def test_residual_matches_batched_formula(demo32):
 
 def test_plan_u0_norms_are_computed_once_and_only_for_its_own_u0(demo32):
     plan = spectral_plan(demo32)
-    assert plan.u0_norms is plan.u0_norms
-    # the plan keeps u0's values alone; its norms were taken on its division
-    # spectrum f_hat / symbol, whose inverse transform the values are
-    assert plan.u0.spectrum is None
+    assert plan._linear_pieces is plan._linear_pieces
+    # u0 is values only; its H2 terms were taken on its division spectrum
+    # f_hat / symbol, whose inverse transform the values are
+    u0 = plan.u0
+    assert u0.spectrum is None
     division = _oracles.u0_division_spectrum(plan)
-    assert np.array_equal(plan.u0.values, spectral._irfft(division, demo32.grid))
-    assert plan.u0_norms == vector_norms(VectorField(demo32.grid, plan.u0.values, division))
+    assert np.array_equal(u0.values, spectral._irfft(division, demo32.grid))
+    norms = plan.u0_norms(u0)
+    assert norms == vector_norms(VectorField(demo32.grid, u0.values, division))
+    assert norms.h2 == plan.u0_h2
 
 
 def plan_arrays(plan):
@@ -381,8 +401,6 @@ def plan_arrays(plan):
         elif isinstance(value, tuple):
             for v in value:
                 collect(v)
-        elif isinstance(value, weakref.ref):
-            collect(value())
 
     for value in vars(plan).values():
         collect(value)
@@ -401,11 +419,9 @@ def test_solve_leaves_no_influx_spectra_in_the_plan(demo32, tmp_path):
     # for, the transfer is applied slab by slab from 1-D pieces, and neither
     # |p|, a symbol nor an H2 weight is kept
     assert lattice_size_arrays(plan) == []
-    # reading u0 builds its values, which the plan keeps while they are held
+    # reading u0 builds values that its reader owns: the plan keeps none
     u0 = result.u0
     assert u0.spectrum is None
-    assert [id(a) for a in lattice_size_arrays(plan)] == [id(u0.values)]
-    del u0
     assert lattice_size_arrays(plan) == []
     # the threaded sweep leaves none either: its solves run on the same plan
     run = ["sweep-epsilon", "--config", "demo", "--grid", "32", "--out", str(tmp_path)]
@@ -461,16 +477,11 @@ SOLVE_LINEAR_PEAK_ARRAYS = 7.2
 # taking its norms after the solve read 17.4.
 SOLVE_COMMAND_PEAK_ARRAYS = 8.3
 
-# The same for `verify-bounds`, 3.69 measured: the bounds read u0's norms,
-# whose pass builds u0's values in a buffer it drops, and the kernel build,
-# where H realizes one kernel sum and its term, no longer has u0's values
-# (2.09) beside it.  A plan that kept u0's values read 5.18 (the run read
-# 5.2 to 5.3), at its u0 build.  A kernel build that formed the transfer
-# stack set the peak at 5.7, 6.2 with cached H2 weights, 7.5 while the plan
-# also kept |p| and the symbols and 9.6 while it also kept u0's spectrum.
-# Taking |kernel| into a second array, the filtered spectrum and the centre
-# phase as whole-lattice temporaries reached 9.8.
-VERIFY_BOUNDS_PEAK_ARRAYS = 4.7
+# The same for `verify-bounds`, 2.27 measured: the bounds take u0's H2
+# norm from each component's u0_hat in one work buffer and build no u0
+# values, so the peak is the kernel build's, where H realizes one kernel
+# sum beside its term.
+VERIFY_BOUNDS_PEAK_ARRAYS = 3.3
 
 # The same for `contraction --trials 2`: 11.26 measured after the other
 # subcommands, or 11.76 when it is the process's first run and its peak
@@ -528,12 +539,13 @@ def test_continuity_peak_stays_under_the_memory_ceiling(tmp_path):
 @pytest.mark.parametrize(
     "argv, plain_builds",
     [
-        (["solve-linear", "--dump-fields"], 0),
+        (["solve-linear", "--dump-fields"], 1),
         (["verify-bounds"], 0),
-        (["solve"], 0),
-        (["solve", "--dump-fields"], 0),
-        (["contraction", "--trials", "2"], 0),
-        # each solve's first z from v = 0 is u0's values
+        # a solve reads u0 once, whose values are its first z
+        (["solve"], 1),
+        # the snapshots read u0 again after the solve
+        (["solve", "--dump-fields"], 2),
+        (["contraction", "--trials", "2"], 1),
         (["sweep-epsilon"], 4),
         (["continuity"], 2 * len(problems.continuity_pairs(problems.demo_problem().nonlinearity))),
         (["solvability"], 0),
@@ -541,27 +553,32 @@ def test_continuity_peak_stays_under_the_memory_ceiling(tmp_path):
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_no_subcommand_builds_u0_twice(argv, plain_builds, tmp_path, monkeypatch):
-    # one pass builds u0's values with its norms; a subcommand that reads
-    # u0's values (solve-linear, contraction, --dump-fields) reads them
-    # before its norms, so that pass is the only build
+    # u0's values are built once per reader (a plain u0_plus()), and its
+    # norms' terms once per process, in a pass that inverts nothing; no plan
+    # holds an array of lattice size once the subcommand returns
     monkeypatch.setenv("FRAC_THREADS", "1")
     counts = {"pass": 0, "plain": 0}
-    linear_pass, u0_plus = SpectralPlan._linear_pass, SpectralPlan.u0_plus
+    linear_pieces, u0_plus = SpectralPlan.__dict__["_linear_pieces"].build, SpectralPlan.u0_plus
+    plans = []
 
-    def counting_pass(self):
+    def counting_pieces(self):
         counts["pass"] += 1
-        return linear_pass(self)
+        return linear_pieces(self)
 
     def counting_u0_plus(self, coeff=None):
         counts["plain"] += coeff is None
         return u0_plus(self, coeff)
 
-    monkeypatch.setattr(SpectralPlan, "_linear_pass", counting_pass)
+    def recording_plan(*key):
+        plans.append(SpectralPlan(*key))
+        return plans[-1]
+
+    counting_pieces.__name__ = "_linear_pieces"
+    monkeypatch.setattr(SpectralPlan, "_linear_pieces", spectral._once(counting_pieces))
     monkeypatch.setattr(SpectralPlan, "u0_plus", counting_u0_plus)
-    spectral._cached_plan.cache_clear()
+    monkeypatch.setattr(spectral, "_cached_plan", lru_cache(maxsize=1)(recording_plan))
     run = [argv[0], "--config", "demo", "--grid", "16", "--out", str(tmp_path)] + argv[1:]
-    try:
-        assert cli.run_command(run) == 0
-    finally:
-        spectral._cached_plan.cache_clear()
+    assert cli.run_command(run) == 0
     assert counts == {"pass": 0 if argv[0] == "solvability" else 1, "plain": plain_builds}
+    assert len(plans) == (0 if argv[0] == "solvability" else 1)
+    assert all(lattice_size_arrays(plan) == [] for plan in plans)
